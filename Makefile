@@ -12,7 +12,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify build vet test fmt lint e2e e2e-stream bench bench-json fuzz-smoke examples docs-check serve ci
+.PHONY: verify build vet test perfbench-test fmt lint e2e e2e-stream bench bench-json fuzz-smoke examples docs-check serve ci
 
 # verify is the tier-1 gate: everything must build, vet clean, and pass.
 verify: build vet test
@@ -25,6 +25,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench-test runs the repo benchmark's own tiny-scale tests. perfbench
+# is a nested module (it imports this one through a replace directive),
+# so `go test ./...` above never reaches it.
+perfbench-test:
+	cd perfbench && GOPROXY=off $(GO) test .
 
 # fmt fails when any file is not gofmt-clean.
 fmt:

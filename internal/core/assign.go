@@ -41,6 +41,12 @@ func NewAssigner(pts [][]float64, res *Result, dcut float64) (*Assigner, error) 
 // NewAssignerDataset indexes a flat dataset for out-of-sample assignment
 // without copying the points.
 func NewAssignerDataset(ds *geom.Dataset, res *Result, dcut float64) (*Assigner, error) {
+	return newAssigner(ds, res, dcut, nil)
+}
+
+// newAssigner is NewAssignerDataset adopting tree, a read-only kd-tree
+// over every point of ds, when non-nil.
+func newAssigner(ds *geom.Dataset, res *Result, dcut float64, tree *kdtree.Tree) (*Assigner, error) {
 	if ds.N == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
@@ -50,8 +56,13 @@ func NewAssignerDataset(ds *geom.Dataset, res *Result, dcut float64) (*Assigner,
 	if dcut <= 0 {
 		return nil, fmt.Errorf("core: non-positive dcut")
 	}
+	if tree == nil {
+		tree = kdtree.BuildAll(ds)
+	} else if tree.Len() != ds.N {
+		return nil, fmt.Errorf("core: kd-tree holds %d points for %d", tree.Len(), ds.N)
+	}
 	return &Assigner{
-		tree:   kdtree.BuildAll(ds),
+		tree:   tree,
 		labels: res.Labels,
 		dcut:   dcut,
 		dim:    ds.Dim,

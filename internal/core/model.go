@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/kdtree"
 	"repro/internal/partition"
 )
 
@@ -57,9 +58,12 @@ func Fit(alg Algorithm, ds *geom.Dataset, p Params) (*Model, error) {
 // (a parameter-flexible index derives the Result for new parameters,
 // then freezes it into a servable Model here). fitTime is the cost of
 // producing the Result — the original fit, or the re-cut — kept so such
-// models report honest ModelStats. The algorithm name must resolve
-// against the registry and the result must match the dataset.
-func Restore(algorithm string, ds *geom.Dataset, res *Result, p Params, fitTime time.Duration) (*Model, error) {
+// models report honest ModelStats. tree, when non-nil, is a read-only
+// kd-tree over every point of ds that the assigner adopts instead of
+// building its own (a density index shares its tree this way); nil
+// builds one. The algorithm name must resolve against the registry and
+// the result must match the dataset.
+func Restore(algorithm string, ds *geom.Dataset, res *Result, p Params, fitTime time.Duration, tree *kdtree.Tree) (*Model, error) {
 	if _, ok := AlgorithmByName(algorithm); !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", algorithm)
 	}
@@ -78,7 +82,7 @@ func Restore(algorithm string, ds *geom.Dataset, res *Result, p Params, fitTime 
 			return nil, fmt.Errorf("core: point %d has label %d, out of range [0,%d)", i, l, nc)
 		}
 	}
-	assigner, err := NewAssignerDataset(ds, res, p.DCut)
+	assigner, err := newAssigner(ds, res, p.DCut, tree)
 	if err != nil {
 		return nil, err
 	}

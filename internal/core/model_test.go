@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/kdtree"
 )
 
 func TestRegisteredCoversAllTen(t *testing.T) {
@@ -222,7 +224,7 @@ func TestRestoreRebuildsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore("Ex-DPC", ds, m.Result(), p, m.FitTime())
+	r, err := Restore("Ex-DPC", ds, m.Result(), p, m.FitTime(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,23 +242,37 @@ func TestRestoreRebuildsModel(t *testing.T) {
 		}
 	}
 
-	if _, err := Restore("nope", ds, m.Result(), p, 0); err == nil {
+	if _, err := Restore("nope", ds, m.Result(), p, 0, nil); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	bad := *m.Result()
 	bad.Rho = bad.Rho[:ds.N-1]
-	if _, err := Restore("Ex-DPC", ds, &bad, p, 0); err == nil {
+	if _, err := Restore("Ex-DPC", ds, &bad, p, 0, nil); err == nil {
 		t.Error("short rho array accepted")
 	}
 	bad = *m.Result()
 	bad.Centers = append(append([]int32(nil), bad.Centers...), int32(ds.N))
-	if _, err := Restore("Ex-DPC", ds, &bad, p, 0); err == nil {
+	if _, err := Restore("Ex-DPC", ds, &bad, p, 0, nil); err == nil {
 		t.Error("out-of-range center accepted")
 	}
 	bad = *m.Result()
 	bad.Labels = append([]int32(nil), bad.Labels...)
 	bad.Labels[0] = int32(len(bad.Centers))
-	if _, err := Restore("Ex-DPC", ds, &bad, p, 0); err == nil {
+	if _, err := Restore("Ex-DPC", ds, &bad, p, 0, nil); err == nil {
 		t.Error("out-of-range label accepted")
+	}
+
+	// A shared tree is adopted as the assigner's index; one over a
+	// different point count is rejected.
+	shared, err := Restore("Ex-DPC", ds, m.Result(), p, 0, kdtree.BuildAll(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := shared.AssignDataset(ds, 2); !slices.Equal(got, want) {
+		t.Error("shared-tree restore does not reproduce the fitted labels")
+	}
+	half := kdtree.Build(ds, []int32{0, 1, 2})
+	if _, err := Restore("Ex-DPC", ds, m.Result(), p, 0, half); err == nil {
+		t.Error("tree over a different point count accepted")
 	}
 }

@@ -2,20 +2,24 @@
 // density-peaks clustering, after the FINEX idea (index once, re-cut per
 // parameter setting): one per-dataset structure from which density rho,
 // dependent distance delta, the decision graph, and full label vectors
-// for any d_cut up to a build-time ceiling are derived with zero
-// distance recomputation.
+// for any d_cut up to a build-time ceiling are derived without
+// recomputing any stored distance.
 //
 // The structure is a CSR adjacency of every point's neighbors within
 // DCutMax, each list sorted by ascending squared distance: rho at any
 // d_cut <= DCutMax is a binary search (the strict count of stored
 // neighbors closer than d_cut, plus self and the framework jitter), and
-// delta/dep fall out of one ordered scan of the same lists, with a
-// brute-force fallback only for points that are local density maxima at
-// the DCutMax scale. Stored squared distances come straight out of the
-// kd-tree's full dimension-order accumulation — the same float
-// operations, in the same order, as the Scan kernels — so a re-cut's
-// Rho/Delta/Dep (and therefore its labels) are byte-identical to a
-// fresh fit of the covered algorithms.
+// delta/dep fall out of one ordered scan of the same lists. Points that
+// are local density maxima at the DCutMax scale have no stored denser
+// neighbor; they are answered by one nearest-neighbor walk over a
+// whole-dataset kd-tree that skips every subtree holding no denser
+// point. One such tree is kept per index version and shared with the
+// served model's assigner. Stored squared distances come straight out
+// of the kd-tree's full dimension-order accumulation, and the walk
+// calls the same kernel — the same float operations, in the same
+// order, as the Scan kernels — so a re-cut's Rho/Delta/Dep (and
+// therefore its labels) are byte-identical to a fresh fit of the
+// covered algorithms.
 //
 // Covered algorithms: Scan, R-tree + Scan, and Ex-DPC — the framework's
 // exact algorithms, which share the strict-threshold density of
@@ -61,11 +65,18 @@ func CoveredAlgorithms() []string {
 }
 
 // Index is the frozen per-dataset structure. It references the dataset
-// (no copy) and is immutable after Build/FromParts — safe for
-// concurrent Cut and Decision calls.
+// (no copy) and is immutable after Build/FromParts/Update, apart from
+// the kd-tree built once on first need — safe for concurrent Cut and
+// Decision calls.
 type Index struct {
 	ds    *geom.Dataset
 	dcMax float64
+
+	// tree is the whole-dataset kd-tree the local-maximum walk runs on.
+	// Build keeps the one it ranged with; Update and FromParts indexes
+	// build theirs on first need.
+	treeOnce sync.Once
+	tree     *kdtree.Tree
 
 	// CSR neighbor lists: point i's neighbors strictly within dcMax are
 	// ids[start[i]:start[i+1]] with squared distances sq[...], sorted by
@@ -133,6 +144,7 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 		})
 		x.sortRow(lo, w)
 	})
+	x.treeOnce.Do(func() { x.tree = tree })
 	return x, nil
 }
 
@@ -294,6 +306,26 @@ func (x *Index) Parts() (dcMax float64, start []int64, ids []int32, sq []float64
 	return x.dcMax, x.start, x.ids, x.sq
 }
 
+// Tree returns the index's whole-dataset kd-tree, building it on first
+// use. It is read-only and may be shared, e.g. with the assigner of a
+// model cut from this index.
+func (x *Index) Tree() *kdtree.Tree {
+	t, _ := x.kdTree()
+	return t
+}
+
+// kdTree returns the tree and the time this call spent building it
+// (zero when it already existed).
+func (x *Index) kdTree() (*kdtree.Tree, time.Duration) {
+	var took time.Duration
+	x.treeOnce.Do(func() {
+		start := time.Now()
+		x.tree = kdtree.BuildAll(x.ds)
+		took = time.Since(start)
+	})
+	return x.tree, took
+}
+
 // checkDC validates a requested cut distance against the ceiling.
 func (x *Index) checkDC(dcut float64) error {
 	if !(dcut > 0) || math.IsInf(dcut, 1) {
@@ -332,9 +364,12 @@ func (x *Index) rho(dcut float64, workers int) []float64 {
 // scanDelta; tying with an unstored point is impossible (unstored
 // means >= dcMax^2, stored means < dcMax^2). Points with no stored
 // higher-density neighbor — local density maxima at the dcMax scale —
-// fall back to the scanDelta brute-force scan, which replicates its
-// float operations verbatim.
-func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int32) {
+// are answered by a rank-pruned nearest-neighbor walk over the index's
+// kd-tree (kdtree.NNLowerKey), which returns the same (squared
+// distance, rank) minimum as scanDelta's scan of every denser point,
+// from the same distance kernel. build is the time spent building that
+// tree, when this call was the first to need it.
+func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int32, build time.Duration) {
 	n := x.ds.N
 	order := core.DensityOrder(rho, workers)
 	rank := make([]int32, n)
@@ -347,8 +382,7 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 	delta[peak] = math.Inf(1)
 	dep[peak] = core.NoDependent
 	partition.DynamicChunked(n-1, workers, 8, func(k int) {
-		r := k + 1
-		i := order[r]
+		i := order[k+1]
 		lo, hi := x.start[i], x.start[i+1]
 		myRank := rank[i]
 		best := core.NoDependent
@@ -369,24 +403,30 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 				best = j
 			}
 		}
-		if best == core.NoDependent {
-			// Local maximum at the dcMax scale: scan all higher-density
-			// points the way scanDelta does. This is the only place a cut
-			// touches raw coordinates.
-			for _, j := range order[:r] {
-				if s, ok := geom.SqDistIdxPartial(x.ds, i, j, bestSq); ok && s < bestSq {
-					bestSq = s
-					best = j
-				}
-			}
-			delta[i] = math.Sqrt(bestSq)
-			dep[i] = best
-			return
-		}
 		delta[i] = math.Sqrt(bestSq)
 		dep[i] = best
 	})
-	return delta, dep
+
+	// Local maxima at the dcMax scale: the only place a cut touches raw
+	// coordinates.
+	var maxima []int32
+	for _, i := range order[1:] {
+		if dep[i] == core.NoDependent {
+			maxima = append(maxima, i)
+		}
+	}
+	if len(maxima) == 0 {
+		return delta, dep, 0
+	}
+	tree, build := x.kdTree()
+	sub := tree.SubtreeMin(rank)
+	partition.DynamicChunked(len(maxima), workers, 4, func(k int) {
+		i := maxima[k]
+		j, sq := tree.NNLowerKey(i, rank, sub)
+		delta[i] = math.Sqrt(sq)
+		dep[i] = j
+	})
+	return delta, dep, build
 }
 
 // Decision computes the decision graph at dcut: per-point density and
@@ -397,14 +437,16 @@ func (x *Index) Decision(dcut float64, workers int) (rho, delta []float64, err e
 	}
 	workers = core.Params{Workers: workers}.WorkerCount()
 	rho = x.rho(dcut, workers)
-	delta, _ = x.deltaDep(rho, workers)
+	delta, _, _ = x.deltaDep(rho, workers)
 	return rho, delta, nil
 }
 
 // Cut derives the full clustering for p — Rho, Delta, Dep, Centers,
 // Labels — byte-identical to a fresh fit of any covered algorithm at
 // the same parameters. p.DCut must be in (0, DCutMax]; p.Workers
-// follows core.Params semantics.
+// follows core.Params semantics. Timing.Build is the index's lazy
+// kd-tree build when this cut was the first to need the tree, else
+// zero.
 func (x *Index) Cut(p core.Params) (*core.Result, error) {
 	if err := x.checkDC(p.DCut); err != nil {
 		return nil, err
@@ -415,8 +457,8 @@ func (x *Index) Cut(p core.Params) (*core.Result, error) {
 	res.Rho = x.rho(p.DCut, workers)
 	res.Timing.Rho = time.Since(start)
 	start = time.Now()
-	res.Delta, res.Dep = x.deltaDep(res.Rho, workers)
-	res.Timing.Delta = time.Since(start)
+	res.Delta, res.Dep, res.Timing.Build = x.deltaDep(res.Rho, workers)
+	res.Timing.Delta = time.Since(start) - res.Timing.Build
 	start = time.Now()
 	core.Finalize(res, p)
 	res.Timing.Label = time.Since(start)

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/geom"
 )
 
 // dcGrid is the re-cut sweep used throughout: 9 cut distances spanning
@@ -277,5 +279,146 @@ func TestCovers(t *testing.T) {
 		if Covers(name) {
 			t.Errorf("Covers(%q) = true for an uncovered algorithm", name)
 		}
+	}
+}
+
+// localMaximaShare is the fraction of points with no stored neighbor of
+// higher density under rho — the points deltaDep answers with the
+// kd-tree walk instead of their own list.
+func localMaximaShare(x *Index, rho []float64) float64 {
+	order := core.DensityOrder(rho, 1)
+	rank := make([]int32, len(order))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	maxima := 0
+	for _, i := range order[1:] {
+		denser := false
+		for e := x.start[i]; e < x.start[i+1] && !denser; e++ {
+			denser = rank[x.ids[e]] < rank[i]
+		}
+		if !denser {
+			maxima++
+		}
+	}
+	return float64(maxima) / float64(len(order))
+}
+
+// TestCutNoisyLocalMaxima is the byte-identity guarantee where the
+// kd-tree walk carries real weight: the noisy PAMAP2 stand-in with the
+// ceiling at d_cut itself (how the service indexes a plain fit), in
+// both storage widths. At least 10% of the points must take the walk,
+// so the fixture cannot go trivial. An index rebuilt from its parts
+// has no tree yet; its first cut builds one and reports it as
+// Timing.Build, later cuts report zero.
+func TestCutNoisyLocalMaxima(t *testing.T) {
+	d := data.PAMAP2Like(4000, 5)
+	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 4}
+	for _, ds := range []*geom.Dataset{d.Points, d.Points.ToFloat32()} {
+		t.Run(ds.Precision(), func(t *testing.T) {
+			built, err := Build(ds, d.DCut, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dcMax, start, ids, sq := built.Parts()
+			lazy, err := FromParts(ds, dcMax, start, ids, sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := lazy.Cut(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Timing.Build <= 0 {
+				t.Errorf("first cut of a tree-less index reports Timing.Build = %v", first.Timing.Build)
+			}
+			got, err := lazy.Cut(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Timing.Build != 0 {
+				t.Errorf("second cut reports Timing.Build = %v, want 0", got.Timing.Build)
+			}
+			share := localMaximaShare(lazy, got.Rho)
+			if share < 0.10 {
+				t.Fatalf("only %.1f%% of points are local maxima at the ceiling; fixture too easy", 100*share)
+			}
+			t.Logf("%.1f%% of points take the kd-tree walk", 100*share)
+			cuts := []struct {
+				what string
+				res  *core.Result
+			}{{"lazy", first}, {"built", mustCut(t, built, p)}}
+			for _, name := range []string{"Scan", "Ex-DPC"} {
+				alg, _ := core.AlgorithmByName(name)
+				want, err := alg.ClusterDataset(ds, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cuts {
+					sameBits(t, name+" "+c.what+" rho", c.res.Rho, want.Rho)
+					sameBits(t, name+" "+c.what+" delta", c.res.Delta, want.Delta)
+					sameInt32(t, name+" "+c.what+" dep", c.res.Dep, want.Dep)
+					sameInt32(t, name+" "+c.what+" labels", c.res.Labels, want.Labels)
+					sameInt32(t, name+" "+c.what+" centers", c.res.Centers, want.Centers)
+				}
+			}
+		})
+	}
+}
+
+func mustCut(t *testing.T, x *Index, p core.Params) *core.Result {
+	t.Helper()
+	res, err := x.Cut(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestConcurrentCutsShareOneTree races the lazy kd-tree build: cuts of a
+// tree-less index from several goroutines at once must build one tree
+// between them and agree bit-for-bit with a cut of the built index.
+func TestConcurrentCutsShareOneTree(t *testing.T) {
+	d := data.PAMAP2Like(1500, 9)
+	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 2}
+	built, err := Build(d.Points, d.DCut, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustCut(t, built, p)
+	dcMax, start, ids, sq := built.Parts()
+	lazy, err := FromParts(d.Points, dcMax, start, ids, sq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cuts = 4
+	results := make([]*core.Result, cuts)
+	errs := make([]error, cuts)
+	var wg sync.WaitGroup
+	for g := 0; g < cuts; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g], errs[g] = lazy.Cut(p)
+		}(g)
+	}
+	wg.Wait()
+	builds := 0
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if res.Timing.Build > 0 {
+			builds++
+		}
+		sameBits(t, "delta", res.Delta, want.Delta)
+		sameInt32(t, "dep", res.Dep, want.Dep)
+		sameInt32(t, "labels", res.Labels, want.Labels)
+	}
+	if builds != 1 {
+		t.Errorf("%d cuts reported a tree build, want exactly 1", builds)
+	}
+	if lazy.Tree() != lazy.Tree() || lazy.Tree().Len() != d.Points.N {
+		t.Error("Tree() is not one whole-dataset tree")
 	}
 }

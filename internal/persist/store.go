@@ -332,7 +332,7 @@ func (s *Store) RestoreOwned(workers int, owns func(dataset string) bool) (datas
 		}
 		p := snap.Key.Params
 		p.Workers = workers
-		model, err := core.Restore(snap.Key.Algorithm, ds.Points, snap.Result, p, snap.FitTime)
+		model, err := core.Restore(snap.Key.Algorithm, ds.Points, snap.Result, p, snap.FitTime, nil)
 		if err != nil {
 			s.logf("persist: skipping model %s/%s: %v", e.Dataset, e.Algorithm, err)
 			continue

@@ -146,7 +146,8 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 		fr, err := s.Fit(dataset, algorithm, p)
 		return fr, nil, err
 	}
-	if _, ok := core.AlgorithmByName(algorithm); !ok {
+	alg, ok := core.AlgorithmByName(algorithm)
+	if !ok {
 		return FitResult{}, nil, fmt.Errorf("service: unknown algorithm %q", algorithm)
 	}
 	p = s.normalize(algorithm, p)
@@ -165,10 +166,23 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 	st.mu.Lock()
 	served, servedV, tracker := st.served, st.servedVersion, st.tracker
 	st.mu.Unlock()
+	if s.versionChecked != nil {
+		s.versionChecked()
+	}
 
 	switch {
 	case served != nil && servedV == v:
-		fr, err := s.Fit(dataset, algorithm, p)
+		// The dataset moved on since the version check (an append also
+		// purges v's model): the pin is stale, so take the version-advanced
+		// path rather than refitting v on the read path.
+		if cur, ok := s.currentVersion(dataset); !ok || cur != v {
+			return s.serveFit(dataset, algorithm, p)
+		}
+		// Fit the entry that was checked, not a re-read of the registry:
+		// a later append must never make this read fit (and pin as v) a
+		// newer version.
+		s.fitRequests.Add(1)
+		fr, err := s.fitEntry(dataset, e, alg, p)
 		if err != nil {
 			return FitResult{}, nil, err
 		}
@@ -208,6 +222,17 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 		}
 		return fr, &driftObs{st: st, tracker: tracker}, nil
 	}
+}
+
+// currentVersion returns the registry version of a dataset.
+func (s *Service) currentVersion(name string) (uint64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.datasets[name]
+	if !ok {
+		return 0, false
+	}
+	return e.version, true
 }
 
 // versionOf maps a model back to the registry version it was fitted on

@@ -142,6 +142,59 @@ func TestDriftStaleServeAndAdopt(t *testing.T) {
 	}
 }
 
+// TestServeFitAppendAfterVersionCheck forces an append between the
+// assign path's version check and its action on it. The read must not
+// fit at all — neither the checked version (its model was purged) nor
+// the appended one — and the lineage must stay pinned at the version
+// its model was fitted on, served stale like any version advance.
+func TestServeFitAppendAfterVersionCheck(t *testing.T) {
+	cfg := driftConfig()
+	cfg.HaloThreshold = 0 // no trips in this test
+	s := New(Options{Workers: 2, Drift: cfg})
+	d, p := fixture(t, 800)
+	if _, err := s.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := s.Assign("s2", "Scan", p, rows(d.Points, 0, 50, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := false
+	s.versionChecked = func() {
+		if appended {
+			return
+		}
+		appended = true
+		if _, err := s.AppendPoints("s2", rows(d.Points, 0, 10, 0)); err != nil {
+			t.Error(err)
+		}
+	}
+	misses := s.Stats().CacheMisses
+	_, fr, err := s.Assign("s2", "Scan", p, rows(d.Points, 0, 50, 0))
+	s.versionChecked = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !appended {
+		t.Fatal("seam never fired")
+	}
+	st := s.Stats()
+	if st.CacheMisses != misses {
+		t.Errorf("read path fitted: cache misses %d -> %d", misses, st.CacheMisses)
+	}
+	if fr.Model != first.Model || !fr.CacheHit || st.DriftStaleServes != 1 {
+		t.Errorf("raced read served model %p (pinned %p), cacheHit=%v, staleServes=%d",
+			fr.Model, first.Model, fr.CacheHit, st.DriftStaleServes)
+	}
+	resp, err := s.Drift("s2", "Scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Models) != 1 || resp.Models[0].Version != 1 {
+		t.Fatalf("servedVersion after raced read = %+v, want version 1", resp.Models)
+	}
+}
+
 // TestDriftTripRefitSwap is the tentpole acceptance scenario: a window
 // slide replaces the dataset with a shifted cloud, serve traffic on the
 // old model trips the halo threshold, a background refit runs while

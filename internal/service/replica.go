@@ -106,7 +106,7 @@ func (s *Service) installModel(sn *persist.ModelSnapshot) (api.InstallResult, er
 	if s.cache.has(key) {
 		return res, nil
 	}
-	m, err := core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime)
+	m, err := core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime, nil)
 	if err != nil {
 		return res, fmt.Errorf("service: rebuilding replicated model %s/%s: %w", sn.Key.Dataset, sn.Key.Algorithm, err)
 	}

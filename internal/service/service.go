@@ -104,6 +104,11 @@ func (o Options) indexMaxEdges() int64 {
 type Service struct {
 	opts Options
 
+	// versionChecked, when set, runs in serveFit between its dataset
+	// version check and acting on it — a seam for forcing interleavings
+	// in tests; nil otherwise.
+	versionChecked func()
+
 	mu       sync.RWMutex
 	datasets map[string]*datasetEntry
 
@@ -624,6 +629,14 @@ func (s *Service) Fit(dataset, algorithm string, p core.Params) (FitResult, erro
 	if err := p.Validate(); err != nil {
 		return FitResult{}, err
 	}
+	return s.fitEntry(dataset, e, alg, p)
+}
+
+// fitEntry is Fit against one registry entry the caller already read:
+// the model it returns is always for e.version, even when the dataset
+// has moved on since. p must be normalized and valid.
+func (s *Service) fitEntry(dataset string, e *datasetEntry, alg core.Algorithm, p core.Params) (FitResult, error) {
+	algorithm := alg.Name()
 	key := modelKey{dataset: dataset, version: e.version, algorithm: algorithm, params: p}
 	fill := func() (*core.Model, error) {
 		return core.Fit(alg, e.points, p)
@@ -668,15 +681,16 @@ func (s *Service) Fit(dataset, algorithm string, p core.Params) (FitResult, erro
 }
 
 // cutModel derives a covered algorithm's model from the density index:
-// one re-cut plus the kd-tree rebuild core.Restore performs. The re-cut
-// Result is byte-identical to what the algorithm would compute.
+// one re-cut, frozen by core.Restore with the index's own kd-tree as the
+// assigner's, so a cut builds no second tree. The re-cut Result is
+// byte-identical to what the algorithm would compute.
 func (s *Service) cutModel(idx *densindex.Index, algorithm string, ds *geom.Dataset, p core.Params) (*core.Model, error) {
 	res, err := idx.Cut(p)
 	if err != nil {
 		return nil, err
 	}
 	s.indexCuts.Add(1)
-	return core.Restore(algorithm, ds, res, p, res.Timing.Total())
+	return core.Restore(algorithm, ds, res, p, res.Timing.Total(), idx.Tree())
 }
 
 // Assign labels a batch of points against the model for (dataset,

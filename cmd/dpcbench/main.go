@@ -35,9 +35,9 @@ func main() {
 		jsonPath  = flag.String("json", "", "write a machine-readable BENCH_*.json record of the run here")
 		wireJSON  = flag.String("wire-json", "", "write the wire experiment's codec comparison record here (BENCH_wire_protocol.json)")
 		sweepJSON = flag.String("sweep-json", "", "write the sweep experiment's index-vs-fits record here (BENCH_param_sweep.json)")
-		simdJSON  = flag.String("simd-json", "", "write the simd experiment's kernel and fit record here (BENCH_simd_kernels.json)")
+		parJSON   = flag.String("parallel-json", "", "write the parallel experiment's serial-vs-workers fit record here (BENCH_parallel_fit.json)")
 		driftJSON = flag.String("drift-json", "", "write the drift experiment's overhead and refit-swap record here (BENCH_drift.json)")
-		precision = flag.String("precision", "f64", "dataset storage precision for the simd experiment's timed legs: f32 or f64")
+		precision = flag.String("precision", "f64", "dataset storage precision for the parallel experiment's timed legs: f32 or f64")
 	)
 	flag.Parse()
 	if *precision != "f32" && *precision != "f64" {
@@ -47,7 +47,7 @@ func main() {
 
 	cfg := bench.Config{
 		N: *n, Threads: *threads, Seed: *seed, OutDir: *outdir,
-		WireJSON: *wireJSON, SweepJSON: *sweepJSON, SimdJSON: *simdJSON, DriftJSON: *driftJSON,
+		WireJSON: *wireJSON, SweepJSON: *sweepJSON, ParallelJSON: *parJSON, DriftJSON: *driftJSON,
 		Precision: *precision,
 	}
 	if *outdir != "" {

@@ -42,13 +42,13 @@ type Config struct {
 	// SweepJSON, when non-empty, is where the sweep experiment writes
 	// its machine-readable BENCH_param_sweep.json record.
 	SweepJSON string
-	// SimdJSON, when non-empty, is where the simd experiment writes its
-	// machine-readable BENCH_simd_kernels.json record.
-	SimdJSON string
+	// ParallelJSON, when non-empty, is where the parallel experiment
+	// writes its machine-readable BENCH_parallel_fit.json record.
+	ParallelJSON string
 	// DriftJSON, when non-empty, is where the drift experiment writes
 	// its machine-readable BENCH_drift.json record.
 	DriftJSON string
-	// Precision selects the dataset storage precision for the simd
+	// Precision selects the dataset storage precision for the parallel
 	// experiment's timed legs: api.PrecisionF32 or api.PrecisionF64
 	// (empty means f64).
 	Precision string

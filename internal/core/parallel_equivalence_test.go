@@ -7,49 +7,14 @@ import (
 	"repro/internal/geom"
 )
 
-// equivAlgs is the grid the kernel- and scheduling-equivalence gates run
-// over: every evaluated algorithm plus the dropped competitors, exactly
-// the set TestFlatRowsEquivalence covers.
+// equivAlgs is the grid the scheduling-equivalence gate runs over: every
+// evaluated algorithm plus the dropped competitors, exactly the set
+// TestFlatRowsEquivalence covers.
 func equivAlgs() []Algorithm {
 	return []Algorithm{
 		Scan{}, RtreeScan{}, LSHDDP{}, CFSFDPA{},
 		ExDPC{}, ApproxDPC{}, SApproxDPC{},
 		FastDPeak{}, DPCG{}, CFSFDPDE{},
-	}
-}
-
-// TestSIMDScalarEquivalence is the dispatch contract of the kernel
-// layer: with the assembly kernels on and off, every algorithm must
-// produce byte-identical results — the AVX2 path mirrors the canonical
-// accumulation order instruction for instruction, so SetSIMD changes
-// speed, never bits. Dimensions straddle the 4-lane dispatch floor
-// (d=2 stays scalar, d=5 exercises chunk + tail). On builds without the
-// assembly (noasm, non-amd64) both legs run the fallback and the test
-// degenerates to a determinism check, which is still worth the run.
-func TestSIMDScalarEquivalence(t *testing.T) {
-	if !geom.SIMDEnabled() {
-		t.Log("assembly kernels unavailable; comparing fallback against itself")
-	}
-	for _, d := range []int{2, 4, 5} {
-		rng := rand.New(rand.NewSource(int64(300 + d)))
-		rows := equivBlobs(rng, 700, d)
-		ds := geom.MustFromRows(rows)
-		p := Params{DCut: 12, RhoMin: 3, DeltaMin: 40, Workers: 4, Epsilon: 0.8, Seed: 1}
-		for _, alg := range equivAlgs() {
-			prev := geom.SetSIMD(false)
-			scalar, err := alg.ClusterDataset(ds, p)
-			geom.SetSIMD(true)
-			if err != nil {
-				geom.SetSIMD(prev)
-				t.Fatalf("%s scalar (d=%d): %v", alg.Name(), d, err)
-			}
-			simd, err := alg.ClusterDataset(ds, p)
-			geom.SetSIMD(prev)
-			if err != nil {
-				t.Fatalf("%s simd (d=%d): %v", alg.Name(), d, err)
-			}
-			compareResults(t, alg.Name()+" simd-vs-scalar", d, scalar, simd)
-		}
 	}
 }
 

@@ -23,8 +23,7 @@ func Dist(a, b Point) float64 {
 }
 
 // SqDist and SqDistPartial live in kernel.go with the rest of the
-// distance kernels; they share the canonical accumulation order with
-// the AVX2 assembly.
+// distance kernels, in the one canonical accumulation order.
 
 // Equal reports whether a and b are the same location.
 func Equal(a, b Point) bool {

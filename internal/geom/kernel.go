@@ -15,22 +15,21 @@ import "math"
 //	(s0+s2)+(s1+s3), then the <4 trailing dimensions added
 //	sequentially to the reduced sum.
 //
-// The AVX2 assembly (simd_amd64.s) is this exact operation sequence on
-// one ymm register — VSUBPD/VMULPD/VADDPD per chunk (no FMA: a fused
-// multiply-add rounds once where the Go code rounds twice, which would
-// break bit-identity with the fallback), VEXTRACTF128+VADDPD+VHADDPD
-// for the (s0+s2)+(s1+s3) reduction, scalar tail — so the assembly and
-// the pure-Go fallback return identical bits for every input, and the
-// `noasm` build tag or SetSIMD(false) change speed, never results.
-// Float32 datasets widen each element to float64 before subtracting
-// (exactly, so the f32 kernels agree bitwise with widening the whole
-// row first) and otherwise follow the same order.
+// One generic body per contract implements it: sqdist for the full sum,
+// sqdistPartial for the early-exit form. Each is instantiated for
+// f64×f64 rows, f32×f32 rows, and a float64 query against an f32 row.
+// Float32 elements are widened to float64 before subtracting; the
+// widening is exact, so the f32 and mixed instantiations return the
+// same bits as widening the whole row first and running the f64 one.
+// Each square is explicitly rounded (float64(d*d)), which forbids the
+// compiler from fusing it into the add — arm64 otherwise emits FMADD —
+// so the order, and with it every label, is the same on every platform.
 //
-// The partial (early-exit) variants accumulate in the same order and
-// additionally compare the running reduced sum against a limit once per
-// chunk and once per tail element. Partial sums of non-negative terms
-// are monotone under IEEE rounding, so an early exit can only fire when
-// the completed sum would also exceed the limit: callers that accept
+// The partial form accumulates in the same order and additionally
+// compares the running reduced sum against a limit once per chunk and
+// once per tail element. Partial sums of non-negative terms are
+// monotone under IEEE rounding, so an early exit can only fire when the
+// completed sum would also exceed the limit: callers that accept
 // strictly-closer candidates (`ok && v < limit`) decide identically to
 // the full kernel, and a completed partial returns the canonical sum
 // bit-for-bit.
@@ -39,7 +38,7 @@ import "math"
 // canonical accumulation order above. It is the inner loop of every
 // algorithm here, so it avoids the sqrt.
 func SqDist(a, b Point) float64 {
-	return sqdist64(a, b)
+	return sqdist(a, b)
 }
 
 // SqDistPartial computes the squared distance but abandons the sum as
@@ -47,7 +46,7 @@ func SqDist(a, b Point) float64 {
 // distance is at most limit it returns the canonical full sum and true.
 // Useful for range counting with many far-away candidates.
 func SqDistPartial(a, b Point, limit float64) (float64, bool) {
-	return sqdist64Partial(a, b, limit)
+	return sqdistPartial(a, b, limit)
 }
 
 // SqDistIdx returns the squared Euclidean distance between points i and
@@ -56,9 +55,9 @@ func SqDistPartial(a, b Point, limit float64) (float64, bool) {
 // rows directly (no widened-row allocation).
 func SqDistIdx(ds *Dataset, i, j int32) float64 {
 	if ds.Coords32 != nil {
-		return sqdist32(ds.row32(i), ds.row32(j))
+		return sqdist(ds.row32(i), ds.row32(j))
 	}
-	return sqdist64(ds.row64(i), ds.row64(j))
+	return sqdist(ds.row64(i), ds.row64(j))
 }
 
 // DistIdx returns the Euclidean distance between points i and j.
@@ -71,9 +70,9 @@ func DistIdx(ds *Dataset, i, j int32) float64 {
 // full squared distance is at most limit it returns (sum, true).
 func SqDistIdxPartial(ds *Dataset, i, j int32, limit float64) (float64, bool) {
 	if ds.Coords32 != nil {
-		return sqdist32Partial(ds.row32(i), ds.row32(j), limit)
+		return sqdistPartial(ds.row32(i), ds.row32(j), limit)
 	}
-	return sqdist64Partial(ds.row64(i), ds.row64(j), limit)
+	return sqdistPartial(ds.row64(i), ds.row64(j), limit)
 }
 
 // SqDistToIdx returns the squared distance between an external query
@@ -83,115 +82,32 @@ func SqDistIdxPartial(ds *Dataset, i, j int32, limit float64) (float64, bool) {
 // never allocate a widened row.
 func SqDistToIdx(ds *Dataset, q Point, i int32) float64 {
 	if ds.Coords32 != nil {
-		return sqdistMixed(q, ds.row32(i))
+		return sqdist(q, ds.row32(i))
 	}
-	return sqdist64(q, ds.row64(i))
+	return sqdist(q, ds.row64(i))
 }
 
 // SqDistToIdxPartial is SqDistToIdx with the early-exit contract of
 // SqDistPartial.
 func SqDistToIdxPartial(ds *Dataset, q Point, i int32, limit float64) (float64, bool) {
 	if ds.Coords32 != nil {
-		return sqdistMixedPartial(q, ds.row32(i), limit)
+		return sqdistPartial(q, ds.row32(i), limit)
 	}
-	return sqdist64Partial(q, ds.row64(i), limit)
+	return sqdistPartial(q, ds.row64(i), limit)
 }
 
-// SqDistIdxScalar is the pre-SIMD sequential kernel — one accumulator,
-// one element at a time — kept only as the baseline the
-// BENCH_simd_kernels.json speedups are measured against. No algorithm
-// calls it.
-func SqDistIdxScalar(ds *Dataset, i, j int32) float64 {
-	if ds.Coords32 != nil {
-		a, b := ds.row32(i), ds.row32(j)
-		var s float64
-		for t := range a {
-			v := float64(a[t]) - float64(b[t])
-			s += v * v
-		}
-		return s
-	}
-	a, b := ds.row64(i), ds.row64(j)
-	var s float64
-	for t := range a {
-		v := a[t] - b[t]
-		s += v * v
-	}
-	return s
-}
+// SIMDEnabled reports whether an assembly kernel is dispatched. There is
+// none: the generic Go bodies below are the only implementation, so it
+// is always false. It remains for callers that record the environment a
+// measurement ran in.
+func SIMDEnabled() bool { return false }
 
-// SIMDEnabled reports whether the AVX2 assembly kernels are currently
-// dispatched (false on non-amd64 builds, under the noasm tag, on CPUs
-// without AVX2, or after SetSIMD(false)).
-func SIMDEnabled() bool { return useSIMD }
+// float is the element type of a stored or query row.
+type float interface{ float32 | float64 }
 
-// SetSIMD switches the assembly kernels on or off, returning the
-// previous setting. Enabling is a no-op when the build or CPU does not
-// support them. Results are bit-identical either way; this exists so
-// benchmarks and equivalence tests can measure and gate the scalar
-// fallback on SIMD-capable hosts. Not synchronized — toggle only while
-// no fits or queries are in flight.
-func SetSIMD(on bool) bool {
-	prev := useSIMD
-	useSIMD = on && simdSupported
-	return prev
-}
-
-// ---------------------------------------------------------------------------
-// Pure-Go canonical kernels. These DEFINE the accumulation order; the
-// assembly mirrors them instruction for instruction.
-
-func sqdist64Go(a, b []float64) float64 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	n := len(a) &^ 3
-	for t := 0; t < n; t += 4 {
-		d0 := a[t] - b[t]
-		d1 := a[t+1] - b[t+1]
-		d2 := a[t+2] - b[t+2]
-		d3 := a[t+3] - b[t+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for t := n; t < len(a); t++ {
-		d := a[t] - b[t]
-		s += d * d
-	}
-	return s
-}
-
-func sqdist64Partial(a, b []float64, limit float64) (float64, bool) {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	n := len(a) &^ 3
-	for t := 0; t < n; t += 4 {
-		d0 := a[t] - b[t]
-		d1 := a[t+1] - b[t+1]
-		d2 := a[t+2] - b[t+2]
-		d3 := a[t+3] - b[t+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		if s := (s0 + s2) + (s1 + s3); s > limit {
-			return s, false
-		}
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for t := n; t < len(a); t++ {
-		d := a[t] - b[t]
-		s += d * d
-		if s > limit {
-			return s, false
-		}
-	}
-	return s, true
-}
-
-func sqdist32Go(a, b []float32) float64 {
+// sqdist is the canonical full-sum body: four lanes over chunks of 4,
+// reduced (s0+s2)+(s1+s3), then a sequential tail.
+func sqdist[A, B float](a []A, b []B) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	n := len(a) &^ 3
@@ -200,20 +116,22 @@ func sqdist32Go(a, b []float32) float64 {
 		d1 := float64(a[t+1]) - float64(b[t+1])
 		d2 := float64(a[t+2]) - float64(b[t+2])
 		d3 := float64(a[t+3]) - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(a); t++ {
 		d := float64(a[t]) - float64(b[t])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
 
-func sqdist32Partial(a, b []float32, limit float64) (float64, bool) {
+// sqdistPartial is sqdist with a limit check after every chunk and
+// every tail element.
+func sqdistPartial[A, B float](a []A, b []B, limit float64) (float64, bool) {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	n := len(a) &^ 3
@@ -222,10 +140,10 @@ func sqdist32Partial(a, b []float32, limit float64) (float64, bool) {
 		d1 := float64(a[t+1]) - float64(b[t+1])
 		d2 := float64(a[t+2]) - float64(b[t+2])
 		d3 := float64(a[t+3]) - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 		if s := (s0 + s2) + (s1 + s3); s > limit {
 			return s, false
 		}
@@ -233,57 +151,7 @@ func sqdist32Partial(a, b []float32, limit float64) (float64, bool) {
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(a); t++ {
 		d := float64(a[t]) - float64(b[t])
-		s += d * d
-		if s > limit {
-			return s, false
-		}
-	}
-	return s, true
-}
-
-func sqdistMixedGo(q []float64, b []float32) float64 {
-	b = b[:len(q)]
-	var s0, s1, s2, s3 float64
-	n := len(q) &^ 3
-	for t := 0; t < n; t += 4 {
-		d0 := q[t] - float64(b[t])
-		d1 := q[t+1] - float64(b[t+1])
-		d2 := q[t+2] - float64(b[t+2])
-		d3 := q[t+3] - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for t := n; t < len(q); t++ {
-		d := q[t] - float64(b[t])
-		s += d * d
-	}
-	return s
-}
-
-func sqdistMixedPartial(q []float64, b []float32, limit float64) (float64, bool) {
-	b = b[:len(q)]
-	var s0, s1, s2, s3 float64
-	n := len(q) &^ 3
-	for t := 0; t < n; t += 4 {
-		d0 := q[t] - float64(b[t])
-		d1 := q[t+1] - float64(b[t+1])
-		d2 := q[t+2] - float64(b[t+2])
-		d3 := q[t+3] - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		if s := (s0 + s2) + (s1 + s3); s > limit {
-			return s, false
-		}
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for t := n; t < len(q); t++ {
-		d := q[t] - float64(b[t])
-		s += d * d
+		s += float64(d * d)
 		if s > limit {
 			return s, false
 		}

@@ -24,78 +24,88 @@ func randDataset32(t *testing.T, n, dim int, seed int64) *Dataset {
 	return randDataset(t, n, dim, seed).ToFloat32()
 }
 
-// TestKernelAsmMatchesGo locks the tentpole contract: the dispatched
-// kernel (AVX2 assembly where available) and the pure-Go canonical
-// kernel return identical bits for every dimension, on both precisions,
-// including the mixed query×row form. On builds without assembly both
-// legs run the same code and the test is a tautology — the CI noasm leg
-// still runs it so the fallback cannot rot.
-func TestKernelAsmMatchesGo(t *testing.T) {
-	if !SIMDEnabled() {
-		t.Log("SIMD not available on this build/CPU; comparing Go against itself")
+// refSqDist spells out the canonical accumulation order one element at
+// a time: dimension t of the first len&^3 feeds lane t%4, the lanes
+// reduce as (s0+s2)+(s1+s3), and the tail is added sequentially. With
+// limit set it also exits as the partial contract says: once per chunk
+// on the reduced sum, once per tail element. Rows are float64; f32 rows
+// are widened exactly before they get here.
+func refSqDist(a, b []float64, limit float64) (float64, bool) {
+	var lane [4]float64
+	n := len(a) &^ 3
+	for t := 0; t < n; t++ {
+		d := a[t] - b[t]
+		lane[t%4] += float64(d * d)
+		if t%4 == 3 {
+			if s := (lane[0] + lane[2]) + (lane[1] + lane[3]); s > limit {
+				return s, false
+			}
+		}
 	}
+	s := (lane[0] + lane[2]) + (lane[1] + lane[3])
+	for t := n; t < len(a); t++ {
+		d := a[t] - b[t]
+		s += float64(d * d)
+		if s > limit {
+			return s, false
+		}
+	}
+	return s, true
+}
+
+// TestKernelMatchesReferenceOrder locks every exported kernel to the
+// canonical order bit for bit, for every dimension up to 67 (many full
+// chunks plus each tail length), on f64 rows, f32 rows, and a float64
+// query against f32 rows. The partial forms must match the reference's
+// (sum, ok) at limits below, at and above the full sum.
+func TestKernelMatchesReferenceOrder(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for dim := 1; dim <= 67; dim++ {
 		ds := randDataset(t, 8, dim, int64(1000+dim))
 		ds32 := randDataset32(t, 8, dim, int64(2000+dim))
 		for i := int32(0); i < 8; i++ {
 			for j := int32(0); j < 8; j++ {
-				got := SqDistIdx(ds, i, j)
-				want := sqdist64Go(ds.row64(i), ds.row64(j))
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("dim %d f64 (%d,%d): asm %v != go %v", dim, i, j, got, want)
+				q := ds.At(int(i)) // a float64 query, not f32-representable
+				cases := []struct {
+					name string
+					a, b []float64
+					full func() float64
+					part func(float64) (float64, bool)
+				}{
+					{"f64", ds.At(int(i)), ds.At(int(j)),
+						func() float64 { return SqDistIdx(ds, i, j) },
+						func(l float64) (float64, bool) { return SqDistIdxPartial(ds, i, j, l) }},
+					{"f32", ds32.At(int(i)), ds32.At(int(j)),
+						func() float64 { return SqDistIdx(ds32, i, j) },
+						func(l float64) (float64, bool) { return SqDistIdxPartial(ds32, i, j, l) }},
+					{"f64 query", q, ds.At(int(j)),
+						func() float64 { return SqDistToIdx(ds, q, j) },
+						func(l float64) (float64, bool) { return SqDistToIdxPartial(ds, q, j, l) }},
+					{"mixed", q, ds32.At(int(j)),
+						func() float64 { return SqDistToIdx(ds32, q, j) },
+						func(l float64) (float64, bool) { return SqDistToIdxPartial(ds32, q, j, l) }},
 				}
-				got32 := SqDistIdx(ds32, i, j)
-				want32 := sqdist32Go(ds32.row32(i), ds32.row32(j))
-				if math.Float64bits(got32) != math.Float64bits(want32) {
-					t.Fatalf("dim %d f32 (%d,%d): asm %v != go %v", dim, i, j, got32, want32)
+				for _, c := range cases {
+					want, _ := refSqDist(c.a, c.b, math.Inf(1))
+					if got := c.full(); !same(got, want) {
+						t.Fatalf("dim %d %s (%d,%d): kernel %v != reference %v", dim, c.name, i, j, got, want)
+					}
+					for _, limit := range []float64{0, want * 0.5, want, want * 2} {
+						got, ok := c.part(limit)
+						ref, refOK := refSqDist(c.a, c.b, limit)
+						if ok != refOK || !same(got, ref) {
+							t.Fatalf("dim %d %s (%d,%d) limit %v: partial (%v,%v) != reference (%v,%v)",
+								dim, c.name, i, j, limit, got, ok, ref, refOK)
+						}
+					}
 				}
-				q := ds32.At(int(i))
-				gotm := SqDistToIdx(ds32, q, j)
-				wantm := sqdistMixedGo(q, ds32.row32(j))
-				if math.Float64bits(gotm) != math.Float64bits(wantm) {
-					t.Fatalf("dim %d mixed (%d,%d): asm %v != go %v", dim, i, j, gotm, wantm)
-				}
-				// Widening the f32 row first and running the f64 kernel
-				// must agree with the direct f32 kernel: float32→float64
-				// is exact, so the same canonical order sums the same
-				// values.
-				wide := sqdist64Go(ds32.At(int(i)), ds32.At(int(j)))
-				if math.Float64bits(got32) != math.Float64bits(wide) {
+				// The f32 instantiation must agree with widening both rows
+				// first and running the f64 one: float32→float64 is exact.
+				if got32, wide := SqDistIdx(ds32, i, j), SqDist(ds32.At(int(i)), ds32.At(int(j))); !same(got32, wide) {
 					t.Fatalf("dim %d f32-vs-widened (%d,%d): %v != %v", dim, i, j, got32, wide)
-				}
-				if math.Float64bits(gotm) != math.Float64bits(got32) {
-					t.Fatalf("dim %d mixed-vs-f32 (%d,%d): %v != %v", dim, i, j, gotm, got32)
 				}
 			}
 		}
-	}
-}
-
-// TestKernelSetSIMDToggle proves SetSIMD changes speed, never results:
-// with the assembly forced off, every kernel returns the same bits it
-// returned dispatched.
-func TestKernelSetSIMDToggle(t *testing.T) {
-	ds := randDataset(t, 16, 33, 42)
-	type pair struct{ i, j int32 }
-	pairs := []pair{{0, 1}, {2, 15}, {7, 7}, {14, 3}}
-	on := make([]float64, len(pairs))
-	for k, p := range pairs {
-		on[k] = SqDistIdx(ds, p.i, p.j)
-	}
-	prev := SetSIMD(false)
-	defer SetSIMD(prev)
-	if SIMDEnabled() {
-		t.Fatal("SIMDEnabled true after SetSIMD(false)")
-	}
-	for k, p := range pairs {
-		off := SqDistIdx(ds, p.i, p.j)
-		if math.Float64bits(on[k]) != math.Float64bits(off) {
-			t.Fatalf("pair %v: simd %v != scalar %v", p, on[k], off)
-		}
-	}
-	SetSIMD(prev)
-	if SIMDEnabled() != prev {
-		t.Fatalf("SetSIMD did not restore previous state %v", prev)
 	}
 }
 
@@ -157,24 +167,6 @@ func TestKernelPointForms(t *testing.T) {
 			to := SqDistToIdx(ds, ds.At(int(i)), j)
 			if math.Float64bits(idx) != math.Float64bits(to) {
 				t.Fatalf("(%d,%d): SqDistToIdx %v != SqDistIdx %v", i, j, to, idx)
-			}
-		}
-	}
-}
-
-// TestKernelScalarBaselineClose sanity-checks the retained sequential
-// baseline: not bit-equal (different order) but within a few ulps of
-// the canonical kernel for well-conditioned data.
-func TestKernelScalarBaselineClose(t *testing.T) {
-	ds := randDataset(t, 4, 48, 11)
-	for i := int32(0); i < 4; i++ {
-		for j := int32(0); j < 4; j++ {
-			a, b := SqDistIdx(ds, i, j), SqDistIdxScalar(ds, i, j)
-			if a == 0 && b == 0 {
-				continue
-			}
-			if rel := math.Abs(a-b) / math.Max(a, b); rel > 1e-12 {
-				t.Fatalf("(%d,%d): canonical %v vs scalar %v differ rel %g", i, j, a, b, rel)
 			}
 		}
 	}

@@ -80,14 +80,16 @@ bench-json:
 
 # fuzz-smoke runs each fuzz target briefly over its committed corpus —
 # the upload parsers, the snapshot decoders (generic and density-index),
-# and the wire frame decoder. `go test -fuzz` takes one target per
-# invocation, hence the five runs.
+# the wire frame decoder, and the Ex-DPC-equals-Scan oracle on tie-heavy
+# point sets. `go test -fuzz` takes one target per invocation, hence the
+# six runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIndexSnapshot$$' -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzExDPCMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # examples builds and runs every directory under examples/ — each one is
 # self-verifying and exits non-zero when the behavior it demonstrates

@@ -81,8 +81,14 @@ func (a ApproxDPC) Cluster(pts [][]float64, p Params) (*Result, error) {
 
 // ClusterDataset implements Algorithm.
 func (a ApproxDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
+	res, _, err := a.clusterTree(ds, p)
+	return res, err
+}
+
+// clusterTree implements treeClusterer: the fit's kd-tree outlives it.
+func (a ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, error) {
 	if err := validateInput(ds, p); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ds.N
 	d := ds.Dim
@@ -110,7 +116,7 @@ func (a ApproxDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	start = time.Now()
 	finalize(res, p)
 	res.Timing.Label = time.Since(start)
-	return res, nil
+	return res, tree, nil
 }
 
 // jointRangeSearch runs one expanded-ball range search per cell

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/geom"
@@ -11,16 +10,20 @@ import (
 
 // ExDPC is the paper's exact algorithm (§3).
 //
-// Local densities are one kd-tree range count per point —
-// O(n(n^{1-1/d} + rho_avg)) total — parallelized with dynamic
-// self-scheduling because per-point cost tracks the unknown local density.
+// One kd-tree over every point serves the whole fit. Local densities are
+// one range count per point — O(n(n^{1-1/d} + rho_avg)) total —
+// parallelized with dynamic self-scheduling because per-point cost
+// tracks the unknown local density.
 //
-// Dependent points use the incremental-kd-tree idea: destroy the tree,
-// sort points by descending density, and for each point run a nearest-
-// neighbor query against the tree holding exactly the higher-density
-// points, then insert it. This phase is inherently sequential (each query
-// depends on all previous inserts), which is the scalability limitation
-// Figure 9 exposes and Approx-DPC removes.
+// Dependent points come from the same tree. The paper destroys it and
+// re-inserts points in descending density order, querying each before
+// its insert, a phase that is inherently sequential and the scalability
+// limit Figure 9 exposes. Here each point instead runs its own
+// nearest-neighbor walk that only considers points of lower density rank
+// and skips every subtree holding none (WalkDependents). The walks are
+// independent, so the phase is as parallel as the density phase, and
+// the result is exact: Scan's (distance, rank) minimum bit for bit, with
+// the lower rank winning exact distance ties, for every worker count.
 type ExDPC struct{}
 
 // Name implements Algorithm.
@@ -32,9 +35,15 @@ func (a ExDPC) Cluster(pts [][]float64, p Params) (*Result, error) {
 }
 
 // ClusterDataset implements Algorithm.
-func (ExDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
+func (a ExDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
+	res, _, err := a.clusterTree(ds, p)
+	return res, err
+}
+
+// clusterTree implements treeClusterer: the fit's kd-tree outlives it.
+func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, error) {
 	if err := validateInput(ds, p); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ds.N
 	res := &Result{
@@ -56,52 +65,17 @@ func (ExDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	})
 	res.Timing.Rho = time.Since(start)
 
-	// Dependent points: destroy K, then find each point's nearest
-	// higher-density point in descending density order. The serial
-	// query-then-insert loop is the scalability limitation Figure 9
-	// exposes; here it is parallelized without giving up exactness by
-	// processing the density order in fixed-size blocks. Every point of
-	// a block queries the frozen tree (holding exactly the points of all
-	// earlier blocks) concurrently, then refines against the denser
-	// members of its own block — precisely the points the frozen tree is
-	// missing — with an early-exit kernel scan over at most depBlock-1
-	// candidates; finally the whole block is inserted. Each point still
-	// finds its true dependent point, and because the block size is a
-	// constant and point k's answer depends only on the frozen tree and
-	// block[:k], the labels are byte-identical for every worker count
-	// (Workers=1 runs the same code). On exact-distance ties the winner
-	// can differ from the old one-insert-per-query loop's choice — the
-	// same degenerate duplicate-distance class the density index
-	// documents.
 	start = time.Now()
 	order := densityOrder(res.Rho, workers)
-	tree = kdtree.New(ds) // "destroy K"
-	res.Delta[order[0]] = math.Inf(1)
-	res.Dep[order[0]] = NoDependent
-	tree.Insert(order[0])
-	const depBlock = 256
-	for lo := 1; lo < n; lo += depBlock {
-		hi := min(lo+depBlock, n)
-		block := order[lo:hi]
-		partition.DynamicChunked(len(block), workers, 4, func(k int) {
-			i := block[k]
-			best, bestSq := tree.NN(ds.At(int(i)))
-			for _, j := range block[:k] {
-				if s, ok := geom.SqDistIdxPartial(ds, i, j, bestSq); ok && s < bestSq {
-					bestSq, best = s, j
-				}
-			}
-			res.Dep[i] = best
-			res.Delta[i] = math.Sqrt(bestSq)
-		})
-		for _, i := range block {
-			tree.Insert(i)
-		}
+	rank := make([]int32, n)
+	for r, i := range order {
+		rank[i] = int32(r)
 	}
+	WalkDependents(tree, rank, order, res.Delta, res.Dep, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()
 	finalize(res, p)
 	res.Timing.Label = time.Since(start)
-	return res, nil
+	return res, tree, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/kdtree"
 	"repro/internal/partition"
 )
 
@@ -185,6 +186,27 @@ func scanDelta(ds *geom.Dataset, rho []float64, workers int) (delta []float64, d
 		dep[i] = best
 	})
 	return delta, dep
+}
+
+// WalkDependents sets delta[i] and dep[i], for every point i in pts, to
+// i's dependent point: its nearest point of lower density rank. rank[i]
+// is i's position in densityOrder, and tree must hold every point of the
+// dataset. Each point is one independent rank-pruned walk
+// (kdtree.NNLowerKey), so the pass is dynamically scheduled over workers
+// with no ordering between points. The answer is scanDelta's, bit for
+// bit: the same distance kernel, and on equal squared distance the lower
+// rank wins. The density peak (rank 0) gets NoDependent and +Inf.
+//
+// Ex-DPC runs it over every point; the density index runs it over the
+// local maxima its stored neighbor lists cannot answer.
+func WalkDependents(tree *kdtree.Tree, rank, pts []int32, delta []float64, dep []int32, workers int) {
+	sub := tree.SubtreeMin(rank)
+	partition.DynamicChunked(len(pts), workers, 4, func(k int) {
+		i := pts[k]
+		j, sq := tree.NNLowerKey(i, rank, sub)
+		delta[i] = math.Sqrt(sq)
+		dep[i] = j
+	})
 }
 
 // DecisionPoint is one (rho, delta) pair of the decision graph (Figure 1).

@@ -27,16 +27,25 @@ type Model struct {
 // Fit runs one algorithm over a dataset and freezes the outcome into a
 // Model. The dataset must not be mutated afterwards; the Model keeps a
 // reference, not a copy. Works uniformly for every Algorithm in the
-// framework — the assignment index is a kd-tree over the training points
-// (the same structure Ex-DPC fits with), rebuilt here because the
-// algorithms do not all retain their internal index.
+// framework. The assignment index is a kd-tree over the training points:
+// the paper's three algorithms fit with one and hand it over, the others
+// get one built here.
 func Fit(alg Algorithm, ds *geom.Dataset, p Params) (*Model, error) {
 	start := time.Now()
-	res, err := alg.ClusterDataset(ds, p)
+	var (
+		res  *Result
+		tree *kdtree.Tree
+		err  error
+	)
+	if tc, ok := alg.(treeClusterer); ok {
+		res, tree, err = tc.clusterTree(ds, p)
+	} else {
+		res, err = alg.ClusterDataset(ds, p)
+	}
 	if err != nil {
 		return nil, err
 	}
-	assigner, err := NewAssignerDataset(ds, res, p.DCut)
+	assigner, err := newAssigner(ds, res, p.DCut, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -48,6 +57,14 @@ func Fit(alg Algorithm, ds *geom.Dataset, p Params) (*Model, error) {
 		assigner: assigner,
 		fitTime:  time.Since(start),
 	}, nil
+}
+
+// treeClusterer is implemented by the algorithms whose fit builds a
+// kd-tree over every point of the dataset. clusterTree is ClusterDataset
+// that also returns that tree, read-only from then on, so Fit hands it to
+// the assigner instead of building a second one.
+type treeClusterer interface {
+	clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, error)
 }
 
 // Restore rebuilds a fitted Model from an already-computed Result

@@ -276,3 +276,52 @@ func TestRestoreRebuildsModel(t *testing.T) {
 		t.Error("tree over a different point count accepted")
 	}
 }
+
+// TestFitHandsOverTree covers the paper's three algorithms, whose fit
+// tree becomes the model's assignment index: the model must cluster as
+// ClusterDataset does and assign exactly like one restored from the
+// same Result with a freshly built tree.
+func TestFitHandsOverTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	rows, _ := gaussianMix(rng, 4, 100, 25, 2, 150, 3)
+	ds := geom.MustFromRows(rows)
+	p := defaultParams()
+	queries := make([][]float64, 0, 400)
+	for range 300 {
+		r := rows[rng.Intn(len(rows))]
+		queries = append(queries, []float64{r[0] + rng.NormFloat64()*p.DCut, r[1] + rng.NormFloat64()*p.DCut})
+	}
+	for range 100 {
+		queries = append(queries, []float64{rng.Float64()*300 - 75, rng.Float64()*300 - 75})
+	}
+	for _, alg := range []Algorithm{ExDPC{}, ApproxDPC{}, SApproxDPC{}} {
+		if _, ok := alg.(treeClusterer); !ok {
+			t.Fatalf("%s does not hand its tree to Fit", alg.Name())
+		}
+		m, err := Fit(alg, ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := alg.ClusterDataset(ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareResults(t, alg.Name()+" Fit vs ClusterDataset", ds.Dim, direct, m.Result())
+		fresh, err := Restore(alg.Name(), ds, m.Result(), p, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			got, _ := m.Assign(q)
+			want, _ := fresh.Assign(q)
+			if got != want {
+				t.Fatalf("%s: Assign(query %d) = %d with the fit's tree, %d with a fresh one", alg.Name(), i, got, want)
+			}
+		}
+		got, _ := m.AssignAll(queries, 2)
+		want, _ := fresh.AssignAll(queries, 2)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: AssignAll differs between the fit's tree and a fresh one", alg.Name())
+		}
+	}
+}

@@ -34,9 +34,15 @@ func (a SApproxDPC) Cluster(pts [][]float64, p Params) (*Result, error) {
 }
 
 // ClusterDataset implements Algorithm.
-func (SApproxDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
+func (a SApproxDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
+	res, _, err := a.clusterTree(ds, p)
+	return res, err
+}
+
+// clusterTree implements treeClusterer: the fit's kd-tree outlives it.
+func (a SApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, error) {
 	if err := validateInput(ds, p); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ds.N
 	d := ds.Dim
@@ -142,7 +148,7 @@ func (SApproxDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	start = time.Now()
 	finalize(res, p)
 	res.Timing.Label = time.Since(start)
-	return res, nil
+	return res, tree, nil
 }
 
 // sApproxTemporaryClusters implements the second phase of §5: temporary

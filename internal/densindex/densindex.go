@@ -13,7 +13,8 @@
 // are local density maxima at the DCutMax scale have no stored denser
 // neighbor; they are answered by one nearest-neighbor walk over a
 // whole-dataset kd-tree that skips every subtree holding no denser
-// point. One such tree is kept per index version and shared with the
+// point (core.WalkDependents, the walk Ex-DPC runs for every point).
+// One such tree is kept per index version and shared with the
 // served model's assigner. Stored squared distances come straight out
 // of the kd-tree's full dimension-order accumulation, and the walk
 // calls the same kernel — the same float operations, in the same
@@ -364,11 +365,11 @@ func (x *Index) rho(dcut float64, workers int) []float64 {
 // scanDelta; tying with an unstored point is impossible (unstored
 // means >= dcMax^2, stored means < dcMax^2). Points with no stored
 // higher-density neighbor — local density maxima at the dcMax scale —
-// are answered by a rank-pruned nearest-neighbor walk over the index's
-// kd-tree (kdtree.NNLowerKey), which returns the same (squared
-// distance, rank) minimum as scanDelta's scan of every denser point,
-// from the same distance kernel. build is the time spent building that
-// tree, when this call was the first to need it.
+// are answered by core.WalkDependents over the index's kd-tree, the
+// rank-pruned walk Ex-DPC runs for every point, which returns the same
+// (squared distance, rank) minimum as scanDelta's scan of every denser
+// point, from the same distance kernel. build is the time spent building
+// that tree, when this call was the first to need it.
 func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int32, build time.Duration) {
 	n := x.ds.N
 	order := core.DensityOrder(rho, workers)
@@ -419,13 +420,7 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 		return delta, dep, 0
 	}
 	tree, build := x.kdTree()
-	sub := tree.SubtreeMin(rank)
-	partition.DynamicChunked(len(maxima), workers, 4, func(k int) {
-		i := maxima[k]
-		j, sq := tree.NNLowerKey(i, rank, sub)
-		delta[i] = math.Sqrt(sq)
-		dep[i] = j
-	})
+	core.WalkDependents(tree, rank, maxima, delta, dep, workers)
 	return delta, dep, build
 }
 

@@ -1,10 +1,10 @@
 // Package kdtree implements an in-memory kd-tree over point indices.
 //
 // It is the workhorse index of the paper's algorithms: Ex-DPC issues one
-// circular range count per point for local densities and a nearest-neighbor
-// query per point (against an incrementally grown tree) for dependent
-// points; Approx-DPC issues one joint range search per grid cell and builds
-// s small trees for its exact dependent-point phase.
+// circular range count per point for local densities and, over the same
+// tree, one rank-pruned nearest-neighbor walk per point (NNLowerKey) for
+// dependent points; Approx-DPC issues one joint range search per grid
+// cell and builds s small trees for its exact dependent-point phase.
 //
 // The tree stores int32 indices into a caller-owned flat geom.Dataset, so
 // several trees over subsets of one dataset share the point storage, and
@@ -15,9 +15,8 @@
 //
 // Bulk construction splits on the dimension of largest spread at each level
 // (median split via in-place quickselect), yielding the O(n^{1-1/d} + k)
-// range-search guarantee the paper's analysis relies on. Incremental Insert
-// places new points below existing leaves, cycling the discriminator, which
-// is exactly the behaviour Ex-DPC's dependent-point loop assumes.
+// range-search guarantee the paper's analysis relies on. Trees are
+// read-only once built, so any number of goroutines may query one.
 package kdtree
 
 import (
@@ -36,7 +35,7 @@ type node struct {
 }
 
 // Tree is a kd-tree over a subset of a dataset. The zero value is not
-// usable; construct with New or Build.
+// usable; construct with Build or BuildAll.
 type Tree struct {
 	ds    *geom.Dataset
 	nodes []node
@@ -46,12 +45,6 @@ type Tree struct {
 
 // coord returns coordinate dim of point id straight from the flat buffer.
 func (t *Tree) coord(id int32, dim int) float64 { return t.ds.Coord(id, dim) }
-
-// New returns an empty tree over the dataset. Points are added with
-// Insert.
-func New(ds *geom.Dataset) *Tree {
-	return &Tree{ds: ds, root: nilNode, dim: ds.Dim}
-}
 
 // Build bulk-loads a balanced tree over the given point indices.
 // The ids slice is reordered in place.
@@ -77,7 +70,7 @@ func BuildAll(ds *geom.Dataset) *Tree {
 	return Build(ds, ids)
 }
 
-// Len returns the number of points currently in the tree.
+// Len returns the number of points in the tree.
 func (t *Tree) Len() int { return len(t.nodes) }
 
 // build constructs the subtree over ids and returns its node index.
@@ -169,38 +162,6 @@ func (t *Tree) selectNth(ids []int32, n, dim int) {
 	}
 }
 
-// Insert adds the dataset point with index id to the tree. Inserting the
-// same index twice stores it twice; callers own deduplication.
-func (t *Tree) Insert(id int32) {
-	n := int32(len(t.nodes))
-	if t.root == nilNode {
-		t.nodes = append(t.nodes, node{pt: id, dim: 0, l: nilNode, r: nilNode})
-		t.root = n
-		return
-	}
-	cur := t.root
-	for {
-		nd := &t.nodes[cur]
-		if t.coord(id, int(nd.dim)) < t.coord(nd.pt, int(nd.dim)) {
-			if nd.l == nilNode {
-				childDim := int32((int(nd.dim) + 1) % t.dim)
-				t.nodes = append(t.nodes, node{pt: id, dim: childDim, l: nilNode, r: nilNode})
-				t.nodes[cur].l = n
-				return
-			}
-			cur = nd.l
-		} else {
-			if nd.r == nilNode {
-				childDim := int32((int(nd.dim) + 1) % t.dim)
-				t.nodes = append(t.nodes, node{pt: id, dim: childDim, l: nilNode, r: nilNode})
-				t.nodes[cur].r = n
-				return
-			}
-			cur = nd.r
-		}
-	}
-}
-
 // RangeCount returns the number of tree points with dist(q, p) < r
 // (strict, matching Definition 1 of the paper).
 func (t *Tree) RangeCount(q []float64, r float64) int {
@@ -223,8 +184,7 @@ func (t *Tree) RangeSearch(q []float64, r float64, fn func(id int32, sqDist floa
 }
 
 // rangeWalk is an explicit-stack traversal; recursion costs show up at the
-// paper's dataset sizes, and an explicit stack also bounds stack growth on
-// the unbalanced trees Insert can produce.
+// paper's dataset sizes.
 func (t *Tree) rangeWalk(root int32, q []float64, r, sq float64, fn func(int32, float64)) {
 	stack := make([]int32, 0, 64)
 	stack = append(stack, root)
@@ -256,9 +216,8 @@ func (t *Tree) rangeWalk(root int32, q []float64, r, sq float64, fn func(int32, 
 
 // NN returns the index of the nearest tree point to q and its squared
 // distance. It returns (-1, +Inf) when the tree is empty. Points at
-// distance zero (duplicates of q) are legal results; Ex-DPC queries the
-// tree before inserting the query point, so self-matches cannot occur
-// there.
+// distance zero (duplicates of q, or q itself when it is a tree point)
+// are legal results.
 func (t *Tree) NN(q []float64) (int32, float64) {
 	best := int32(-1)
 	bestSq := math.Inf(1)
@@ -300,39 +259,6 @@ func (t *Tree) NNWithBound(q []float64, boundSq float64) (int32, float64) {
 		t.nn(t.root, q, &best, &bestSq)
 	}
 	return best, bestSq
-}
-
-// NNFiltered returns the nearest tree point to q that satisfies keep, with
-// its squared distance, or (-1, +Inf) when none qualifies. It is used by
-// the dependent-point searches that must respect the higher-density
-// constraint.
-func (t *Tree) NNFiltered(q []float64, keep func(id int32) bool) (int32, float64) {
-	best := int32(-1)
-	bestSq := math.Inf(1)
-	if t.root == nilNode {
-		return best, bestSq
-	}
-	t.nnFiltered(t.root, q, keep, &best, &bestSq)
-	return best, bestSq
-}
-
-func (t *Tree) nnFiltered(cur int32, q []float64, keep func(int32) bool, best *int32, bestSq *float64) {
-	nd := &t.nodes[cur]
-	if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, *bestSq); ok && d < *bestSq && keep(nd.pt) {
-		*bestSq = d
-		*best = nd.pt
-	}
-	ax := q[nd.dim] - t.coord(nd.pt, int(nd.dim))
-	near, far := nd.l, nd.r
-	if ax >= 0 {
-		near, far = nd.r, nd.l
-	}
-	if near != nilNode {
-		t.nnFiltered(near, q, keep, best, bestSq)
-	}
-	if far != nilNode && ax*ax < *bestSq {
-		t.nnFiltered(far, q, keep, best, bestSq)
-	}
 }
 
 // Height returns the height of the tree (0 for empty, 1 for a single

@@ -160,71 +160,12 @@ func TestNNMatchesBrute(t *testing.T) {
 }
 
 func TestNNEmpty(t *testing.T) {
-	tr := New(&geom.Dataset{Dim: 2})
+	tr := Build(geom.MustFromRows([][]float64{{5, 5}}), nil)
 	if id, sq := tr.NN([]float64{0, 0}); id != -1 || !math.IsInf(sq, 1) {
 		t.Errorf("NN on empty tree = (%d, %v), want (-1, +Inf)", id, sq)
 	}
 	if got := tr.RangeCount([]float64{0, 0}, 10); got != 0 {
 		t.Errorf("RangeCount on empty tree = %d", got)
-	}
-}
-
-func TestInsertIncremental(t *testing.T) {
-	// The Ex-DPC pattern: query NN, then insert, repeatedly.
-	rng := rand.New(rand.NewSource(6))
-	pts := randPts(rng, 400, 2, 100)
-	tr := New(geom.MustFromRows(pts))
-	var present []int32
-	for i := 0; i < len(pts); i++ {
-		q := pts[i]
-		wantID, wantSq := bruteNN(pts, present, q)
-		gotID, gotSq := tr.NN(q)
-		if wantID == -1 {
-			if gotID != -1 {
-				t.Fatalf("step %d: NN on empty tree returned %d", i, gotID)
-			}
-		} else if math.Abs(gotSq-wantSq) > 1e-9 {
-			t.Fatalf("step %d: NN sq %v, want %v", i, gotSq, wantSq)
-		}
-		tr.Insert(int32(i))
-		present = append(present, int32(i))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != len(pts) {
-		t.Fatalf("Len after inserts = %d", tr.Len())
-	}
-}
-
-func TestInsertThenRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := randPts(rng, 300, 3, 40)
-	tr := New(geom.MustFromRows(pts))
-	for i := range pts {
-		tr.Insert(int32(i))
-	}
-	for i := 0; i < 30; i++ {
-		q := randPts(rng, 1, 3, 40)[0]
-		r := rng.Float64() * 15
-		if got, want := tr.RangeCount(q, r), len(bruteRange(pts, q, r)); got != want {
-			t.Fatalf("insert-built RangeCount = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestNNFiltered(t *testing.T) {
-	pts := [][]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
-	tr := BuildAll(geom.MustFromRows(pts))
-	q := []float64{0.4, 0}
-	// Exclude the true nearest (index 0): expect index 1.
-	id, sq := tr.NNFiltered(q, func(id int32) bool { return id != 0 })
-	if id != 1 || math.Abs(sq-0.36) > 1e-12 {
-		t.Errorf("NNFiltered = (%d, %v), want (1, 0.36)", id, sq)
-	}
-	// Filter everything: expect miss.
-	if id, _ := tr.NNFiltered(q, func(int32) bool { return false }); id != -1 {
-		t.Errorf("NNFiltered with empty filter = %d, want -1", id)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestKNNSmallTree(t *testing.T) {
 	if ids, _ := tr.KNN([]float64{0, 0}, 0); ids != nil {
 		t.Error("k=0 should return nil")
 	}
-	empty := New(geom.MustFromRows(pts))
+	empty := Build(geom.MustFromRows(pts), nil)
 	if ids, _ := empty.KNN([]float64{0, 0}, 3); ids != nil {
 		t.Error("empty tree should return nil")
 	}
@@ -86,22 +86,5 @@ func TestKthNearestSq(t *testing.T) {
 	}
 	if got := tr.KthNearestSq([]float64{0}, 10); !math.IsInf(got, 1) {
 		t.Errorf("k > n should be +Inf, got %v", got)
-	}
-}
-
-func TestKNNOnInsertBuiltTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randPts(rng, 200, 3, 20)
-	tr := New(geom.MustFromRows(pts))
-	for i := range pts {
-		tr.Insert(int32(i))
-	}
-	q := []float64{10, 10, 10}
-	want := bruteKNN(pts, q, 7)
-	_, sqs := tr.KNN(q, 7)
-	for i := range want {
-		if math.Abs(sqs[i]-want[i]) > 1e-9 {
-			t.Fatalf("insert-built KNN rank %d: %v want %v", i, sqs[i], want[i])
-		}
 	}
 }

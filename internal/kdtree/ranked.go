@@ -7,9 +7,9 @@ import (
 )
 
 // SubtreeMin returns, per node of the arena, the minimum of key[pt] over
-// the node's subtree — the pruning bound NNLowerKey walks with. Every
-// node is appended after its parent by both Build and Insert, so one
-// reverse pass over the arena sees each child before its parent.
+// the node's subtree — the pruning bound NNLowerKey walks with. Build
+// appends every node after its parent, so one reverse pass over the
+// arena sees each child before its parent.
 func (t *Tree) SubtreeMin(key []int32) []int32 {
 	sub := make([]int32, len(t.nodes))
 	for k := len(t.nodes) - 1; k >= 0; k-- {

@@ -89,16 +89,13 @@ func TestNNLowerKeyMatchesBrute(t *testing.T) {
 				key := permKey(rng, ds.N)
 				checkLowerKey(t, name+" build", BuildAll(ds), ds, allIDs(ds.N), key)
 
-				// Insert-grown tree over a random half of the points, in
-				// random order; queries still range over every point.
+				// A tree over a random half of the points; queries still
+				// range over every point.
 				members := allIDs(ds.N)
 				rng.Shuffle(len(members), func(a, b int) { members[a], members[b] = members[b], members[a] })
 				members = members[:ds.N/2]
-				grown := New(ds)
-				for _, id := range members {
-					grown.Insert(id)
-				}
-				checkLowerKey(t, name+" insert", grown, ds, members, key)
+				half := Build(ds, append([]int32(nil), members...))
+				checkLowerKey(t, name+" subset", half, ds, members, key)
 			}
 		}
 	}
@@ -112,7 +109,7 @@ func TestNNLowerKeyEdges(t *testing.T) {
 	if id, sq := tr.NNLowerKey(0, key, tr.SubtreeMin(key)); id != -1 || !math.IsInf(sq, 1) {
 		t.Errorf("lowest key: got (%d, %v), want (-1, +Inf)", id, sq)
 	}
-	empty := New(ds)
+	empty := Build(ds, nil)
 	if id, sq := empty.NNLowerKey(3, key, empty.SubtreeMin(key)); id != -1 || !math.IsInf(sq, 1) {
 		t.Errorf("empty tree: got (%d, %v), want (-1, +Inf)", id, sq)
 	}
@@ -131,17 +128,17 @@ func TestNNLowerKeyEdges(t *testing.T) {
 
 // TestArenaParentBeforeChild pins the layout SubtreeMin's single reverse
 // pass relies on: every child node sits after its parent in the arena,
-// for bulk-built and Insert-grown trees alike. It also checks the pass
+// for whole-dataset and subset trees alike. It also checks the pass
 // against a direct recursive subtree minimum.
 func TestArenaParentBeforeChild(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	ds := geom.MustFromRows(randPts(rng, 500, 3, 10))
-	grown := New(ds)
-	for _, id := range rng.Perm(ds.N) {
-		grown.Insert(int32(id))
+	subset := make([]int32, 0, ds.N/3)
+	for _, id := range rng.Perm(ds.N)[:ds.N/3] {
+		subset = append(subset, int32(id))
 	}
 	key := permKey(rng, ds.N)
-	for name, tr := range map[string]*Tree{"build": BuildAll(ds), "insert": grown} {
+	for name, tr := range map[string]*Tree{"build": BuildAll(ds), "subset": Build(ds, subset)} {
 		for k, nd := range tr.nodes {
 			for _, c := range []int32{nd.l, nd.r} {
 				if c != nilNode && int(c) <= k {

@@ -64,6 +64,10 @@ func FuzzDecodeFrame(f *testing.F) {
 			if re := AppendError(nil, fr.ErrMsg); !bytes.Equal(re, consumed) {
 				t.Fatal("accepted error frame did not re-encode canonically")
 			}
+		case KindDecision:
+			if re := AppendDecision(nil, fr.Decision); !bytes.Equal(re, consumed) {
+				t.Fatal("accepted decision frame did not re-encode canonically")
+			}
 		default:
 			t.Fatalf("decoded unknown kind %d", fr.Kind)
 		}

@@ -474,6 +474,9 @@ func decodePayload(kind, flags byte, payload []byte, keep32 bool) (*Frame, error
 				}
 			}
 			d.b = nil
+			if i := firstNaN(f); i >= 0 {
+				d.fail("wire: point %d coordinate %d is NaN", i/f.Dim, i%f.Dim)
+			}
 		}
 	case KindLabels:
 		n := d.u32()
@@ -526,6 +529,23 @@ func decodePayload(kind, flags byte, payload []byte, keep32 bool) (*Frame, error
 		return nil, err
 	}
 	return f, nil
+}
+
+// firstNaN returns the index of the first NaN coordinate of a points
+// frame, or -1. A NaN point has no distance to anything, and widening
+// a float32 NaN may change its bits, so points frames reject them.
+func firstNaN(f *Frame) int {
+	for i, v := range f.Coords {
+		if v != v {
+			return i
+		}
+	}
+	for i, v := range f.Coords32 {
+		if v != v {
+			return i
+		}
+	}
+	return -1
 }
 
 // DecodeFrame decodes the first frame of raw and returns it plus the

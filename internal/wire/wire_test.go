@@ -190,6 +190,16 @@ func TestDecodeRejectsHostileInputs(t *testing.T) {
 	if _, _, err := DecodeFrame(hdr); err == nil {
 		t.Error("forged string length decoded successfully")
 	}
+	// A NaN coordinate, in either precision and either float32 mode.
+	for _, f32 := range []bool{false, true} {
+		nan := AppendPointsFlat(nil, []float64{1, 2, 3, math.NaN()}, 2, f32)
+		for _, keep32 := range []bool{false, true} {
+			_, err := decodePayload(KindPoints, nan[6], nan[frameHeaderSize:], keep32)
+			if err == nil || !strings.Contains(err.Error(), "point 1 coordinate 1 is NaN") {
+				t.Errorf("NaN points frame (f32=%v keep32=%v): err = %v", f32, keep32, err)
+			}
+		}
+	}
 }
 
 func TestReadHeaderFrameAndPeek(t *testing.T) {

@@ -3,45 +3,47 @@ package service
 import (
 	"os"
 	"regexp"
-	"strings"
 	"testing"
 )
 
-// routeRegistration matches the literal patterns handed to
-// mux.HandleFunc in this package — the single source of truth for what
-// the daemon serves.
-var routeRegistration = regexp.MustCompile(`mux\.HandleFunc\("([A-Z]+) ([^"]+)"`)
+// endpointRow matches one row of docs/api.md's endpoint tables:
+// | `METHOD` | `/path` | request | response | `policy` |
+var endpointRow = regexp.MustCompile("(?m)^\\| `([A-Z]+)` \\| `(/[^`]*)` \\|.*\\| `([A-Za-z]+)` \\|$")
 
-// TestDocsCoverRegisteredRoutes enumerates every route registered by the
-// single-node handler and the ring router and fails if docs/api.md does
-// not mention it — so an endpoint cannot ship undocumented, and the doc
-// page cannot silently rot when routes move.
+var policyNames = map[policy]string{local: "local", anyReplica: "anyReplica", primary: "primary", fanOut: "fanOut"}
+
+// TestDocsCoverRegisteredRoutes checks docs/api.md against the route
+// table in both directions — every route has an endpoint row, every row
+// is a route — and that each row names the route's ring policy. An
+// endpoint cannot ship undocumented, and the page cannot rot when routes
+// move.
 func TestDocsCoverRegisteredRoutes(t *testing.T) {
 	docs, err := os.ReadFile("../../docs/api.md")
 	if err != nil {
 		t.Fatalf("docs/api.md must exist and document every route: %v", err)
 	}
-	seen := map[string]bool{}
-	for _, src := range []string{"http.go", "router.go"} {
-		b, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
+	documented := map[string]string{}
+	for _, m := range endpointRow.FindAllStringSubmatch(string(docs), -1) {
+		pattern := m[1] + " " + m[2]
+		if _, dup := documented[pattern]; dup {
+			t.Errorf("%s has two rows in docs/api.md", pattern)
 		}
-		for _, m := range routeRegistration.FindAllStringSubmatch(string(b), -1) {
-			method, path := m[1], m[2]
-			key := method + " " + path
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if !strings.Contains(string(docs), "`"+path+"`") {
-				t.Errorf("%s (registered in %s) is not documented in docs/api.md", key, src)
-			}
+		documented[pattern] = m[3]
+	}
+	table := map[string]bool{}
+	for _, rte := range routes() {
+		table[rte.pattern] = true
+		doc, ok := documented[rte.pattern]
+		switch {
+		case !ok:
+			t.Errorf("%s is not documented in docs/api.md", rte.pattern)
+		case doc != policyNames[rte.policy]:
+			t.Errorf("%s: docs/api.md says ring policy %q, the route table %q", rte.pattern, doc, policyNames[rte.policy])
 		}
 	}
-	// A rewrite that moves registration off mux.HandleFunc literals would
-	// silently blind this test; the floor catches that.
-	if len(seen) < 12 {
-		t.Fatalf("found only %d registered routes — route extraction is broken", len(seen))
+	for pattern := range documented {
+		if !table[pattern] {
+			t.Errorf("docs/api.md documents %s, which is not in the route table", pattern)
+		}
 	}
 }

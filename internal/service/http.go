@@ -60,21 +60,11 @@ const maxSweepBytes = 4 << 20
 // re-cut, so an unbounded list would monopolize the pool.
 const maxSweepSettings = 256
 
-// NewHandler wires the dpcd JSON API onto a Service. The request and
-// response shapes are defined in the repro/api package:
-//
-//	GET  /healthz              liveness probe
-//	GET  /v1/datasets          list registered datasets
-//	PUT  /v1/datasets/{name}   upload CSV (?format=binary DPC1, ?format=frame) body
-//	GET  /v1/datasets/{name}   one dataset's info
-//	POST /v1/points            append to a dataset's sliding window
-//	POST /v1/fit               fit (or fetch cached) model
-//	POST /v1/assign            fit if needed, then label a point batch
-//	POST /v1/assign/stream     chunked: label an unbounded stream
-//	GET  /v1/decision-graph    (rho, delta) pairs for interactive tuning
-//	POST /v1/sweep             re-cut many parameter settings in one call
-//	GET  /v1/drift             per-model drift trackers and refit state
-//	GET  /v1/stats             cache and request counters
+// The local serves of the route table (routes.go). A primary-policy
+// route that changed replicated state — an upload, an append, a fresh fit
+// or a fresh index build — ships it to the key's replicas before the
+// response is written, so by the time the client sees the 2xx every live
+// replica can serve what it names.
 //
 // /v1/assign and /v1/assign/stream speak JSON/NDJSON by default and the
 // binary frame codec under "application/x-dpc-frame", negotiated per
@@ -82,172 +72,134 @@ const maxSweepSettings = 256
 // codec (absent Accept mirrors the request). /v1/decision-graph honors
 // Accept the same way. Every non-2xx response is the uniform
 // {"error":{"code","message"}} envelope.
-func NewHandler(s *Service) http.Handler {
-	mux := http.NewServeMux()
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
+	body := map[string]string{"status": "ok"}
+	if rt.ringMode() {
+		body["self"] = rt.self
+	}
+	writeJSON(w, http.StatusOK, body)
+}
 
-	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Datasets())
-	})
+func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, rt.local.Datasets())
+}
 
-	mux.HandleFunc("GET /v1/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		ds, ok := s.Dataset(name)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
-			return
-		}
-		writeJSON(w, http.StatusOK, dsInfo(name, ds))
-	})
+func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	ds, ok := rt.local.Dataset(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
+		return
+	}
+	writeJSON(w, http.StatusOK, dsInfo(name, ds))
+}
 
-	mux.HandleFunc("PUT /v1/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		var q api.UploadQuery
-		if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
-		format := q.Format
-		if format == "" && frameRequest(r) {
-			format = "frame"
-		}
-		f32 := q.Precision == api.PrecisionF32
-		var (
-			ds  *geom.Dataset
-			err error
-		)
-		switch format {
-		case "", "csv":
-			ds, err = data.LoadCSV(body)
-		case "binary":
-			ds, err = data.LoadBinary(body)
-		case "frame":
-			// The frame path lands at the target precision directly: f32
-			// frames are kept without the widen/narrow round trip.
-			ds, err = wire.ReadDataset32(body, f32)
-			f32 = false
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parse upload: %w", err))
-			return
-		}
-		if f32 {
-			// Text and binary decoders produce float64; the requested f32
-			// storage is an explicit (possibly lossy) narrowing.
-			ds = ds.ToFloat32()
-		}
-		info, err := s.PutDataset(name, ds)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, info)
-	})
+func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	var q api.UploadQuery
+	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
+	format := q.Format
+	if format == "" && frameRequest(r) {
+		format = "frame"
+	}
+	f32 := q.Precision == api.PrecisionF32
+	var (
+		ds  *geom.Dataset
+		err error
+	)
+	switch format {
+	case "", "csv":
+		ds, err = data.LoadCSV(body)
+	case "binary":
+		ds, err = data.LoadBinary(body)
+	case "frame":
+		// The frame path lands at the target precision directly: f32
+		// frames are kept without the widen/narrow round trip.
+		ds, err = wire.ReadDataset32(body, f32)
+		f32 = false
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parse upload: %w", err))
+		return
+	}
+	if f32 {
+		// Text and binary decoders produce float64; the requested f32
+		// storage is an explicit (possibly lossy) narrowing.
+		ds = ds.ToFloat32()
+	}
+	info, err := rt.local.PutDataset(name, ds)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	rt.replicateDataset(name)
+	writeJSON(w, http.StatusCreated, info)
+}
 
-	mux.HandleFunc("POST /v1/points", func(w http.ResponseWriter, r *http.Request) {
-		var req api.AppendRequest
-		if !decodeJSON(w, r, &req, maxAssignBytes) {
-			return
-		}
-		if len(req.Points) > maxAssignPoints {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("append of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
-			return
-		}
-		resp, err := s.AppendPoints(req.Dataset, req.Points)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
+func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
+	var req api.AppendRequest
+	if !decodeJSON(w, r, &req, maxAssignBytes) {
+		return
+	}
+	if len(req.Points) > maxAssignPoints {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("append of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
+		return
+	}
+	resp, err := rt.local.AppendPoints(req.Dataset, req.Points)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	rt.replicateDataset(req.Dataset)
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	mux.HandleFunc("POST /v1/fit", func(w http.ResponseWriter, r *http.Request) {
-		var req api.FitRequest
-		if !decodeJSON(w, r, &req, maxFitBytes) {
-			return
-		}
-		fr, err := s.Fit(req.Dataset, req.Algorithm, coreParams(req.Params))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeFit(w, req, fr)
-	})
+func (rt *Router) handleFit(w http.ResponseWriter, r *http.Request) {
+	var req api.FitRequest
+	if !decodeJSON(w, r, &req, maxFitBytes) {
+		return
+	}
+	fr, err := rt.local.Fit(req.Dataset, req.Algorithm, coreParams(req.Params))
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	if !fr.CacheHit {
+		rt.replicateDataset(req.Dataset)
+	}
+	writeFit(w, req, fr)
+}
 
-	mux.HandleFunc("POST /v1/assign", func(w http.ResponseWriter, r *http.Request) {
-		var (
-			req api.AssignRequest
-			ok  bool
-		)
-		if frameRequest(r) {
-			req, ok = decodeAssignFrames(w, r)
-		} else {
-			ok = decodeJSON(w, r, &req, maxAssignBytes)
-		}
-		if !ok {
-			return
-		}
-		if len(req.Points) > maxAssignPoints {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
-			return
-		}
-		labels, fr, err := s.Assign(req.Dataset, req.Algorithm, coreParams(req.Params), req.Points)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeAssign(w, r, labels, fr)
-	})
-
-	mux.HandleFunc("POST /v1/assign/stream", handleAssignStream(s))
-
-	mux.HandleFunc("GET /v1/decision-graph", func(w http.ResponseWriter, r *http.Request) {
-		handleDecisionGraph(s, w, r)
-	})
-
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		var req api.SweepRequest
-		if !decodeJSON(w, r, &req, maxSweepBytes) {
-			return
-		}
-		if len(req.Settings) > maxSweepSettings {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("sweep of %d settings exceeds the %d limit; split the request", len(req.Settings), maxSweepSettings))
-			return
-		}
-		resp, err := s.Sweep(req)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /v1/drift", func(w http.ResponseWriter, r *http.Request) {
-		var q api.DriftQuery
-		if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		resp, err := s.Drift(q.Dataset, q.Algorithm)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
-	})
-
-	return mux
+func (rt *Router) handleAssign(w http.ResponseWriter, r *http.Request) {
+	var (
+		req api.AssignRequest
+		ok  bool
+	)
+	if frameRequest(r) {
+		req, ok = decodeAssignFrames(w, r)
+	} else {
+		ok = decodeJSON(w, r, &req, maxAssignBytes)
+	}
+	if !ok {
+		return
+	}
+	if len(req.Points) > maxAssignPoints {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
+		return
+	}
+	labels, fr, err := rt.local.Assign(req.Dataset, req.Algorithm, coreParams(req.Params), req.Points)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeAssign(w, r, labels, fr)
 }
 
 // handleDecisionGraph serves GET /v1/decision-graph?dataset=…&dcut=…
@@ -255,16 +207,19 @@ func NewHandler(s *Service) http.Handler {
 // the requested cut distance, from the dataset's density index — built
 // on first use, re-cut afterwards. The response is JSON by default and
 // a decision frame sequence when Accept names the frame media type.
-func handleDecisionGraph(s *Service, w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleDecisionGraph(w http.ResponseWriter, r *http.Request) {
 	var q api.DecisionGraphQuery
 	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.DecisionGraph(q.Dataset, q.DCut, q.Limit)
+	resp, err := rt.local.DecisionGraph(q.Dataset, q.DCut, q.Limit)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
+	}
+	if !resp.IndexReused {
+		rt.replicateDataset(q.Dataset)
 	}
 	if !frameResponse(r) {
 		writeJSON(w, http.StatusOK, resp)
@@ -273,6 +228,45 @@ func handleDecisionGraph(s *Service, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(wire.AppendDecision(nil, resp.Points))
+}
+
+func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req api.SweepRequest
+	if !decodeJSON(w, r, &req, maxSweepBytes) {
+		return
+	}
+	if len(req.Settings) > maxSweepSettings {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("sweep of %d settings exceeds the %d limit; split the request", len(req.Settings), maxSweepSettings))
+		return
+	}
+	resp, err := rt.local.Sweep(req)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	if !resp.IndexReused {
+		rt.replicateDataset(req.Dataset)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (rt *Router) handleDrift(w http.ResponseWriter, r *http.Request) {
+	var q api.DriftQuery
+	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	resp, err := rt.local.Drift(q.Dataset, q.Algorithm)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, rt.local.Stats())
 }
 
 // decodeAssignFrames reads a frame-encoded batch assign body: one header

@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,7 +47,6 @@ type Router struct {
 	vnodes int
 	rf     int
 	local  *Service
-	localH http.Handler
 	copts  ClientOptions
 
 	// setMu serializes membership changes end to end (ring swap +
@@ -111,7 +107,6 @@ func NewRouter(local *Service, self string, peers []string, opts RouterOptions) 
 		vnodes: opts.Vnodes,
 		rf:     opts.rf(),
 		local:  local,
-		localH: NewHandler(local),
 		copts:  opts.Client,
 	}
 	if _, err := rt.SetMembers(peers); err != nil {
@@ -216,10 +211,13 @@ func (rt *Router) Owns(dataset string) bool {
 }
 
 // owners returns the key's live replica set in successor order (primary
-// first).
+// first); nil off the ring.
 func (rt *Router) owners(dataset string) []string {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
+	if rt.ring == nil {
+		return nil
+	}
 	return rt.ring.OwnersN(dataset, rt.rf)
 }
 
@@ -291,24 +289,12 @@ func (rt *Router) SetLive(live []string) api.ReconcileStats {
 		return api.ReconcileStats{}
 	}
 	rt.mu.RLock()
-	same := sameMembers(rt.ring.Members(), rg.Members())
+	same := slices.Equal(rt.ring.Members(), rg.Members()) // both sorted by ring.New
 	rt.mu.RUnlock()
 	if same {
 		return api.ReconcileStats{}
 	}
 	return rt.applyLocked(configured, rg)
-}
-
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a { // both sorted by ring.New
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // applyLocked (setMu held) swaps in a new configured set + live ring,
@@ -356,9 +342,11 @@ func (rt *Router) selfHeal() {
 	}
 }
 
-// replicateDataset ships the named dataset plus its completed models to
-// the key's live replicas. Called by the primary after a successful
-// upload or fresh fit, and by selfHeal after membership changes.
+// replicateDataset ships the named dataset plus its completed models and
+// index to the key's live replicas, before the write that changed them
+// is answered. Called by the primary after an upload, an append, a
+// fresh fit or a fresh index build, and by selfHeal after membership
+// changes; a no-op anywhere but the key's primary, and off the ring.
 func (rt *Router) replicateDataset(name string) {
 	owners := rt.owners(name)
 	if len(owners) == 0 || owners[0] != rt.self {
@@ -422,505 +410,72 @@ func (rt *Router) readTargets(owners []string) []string {
 	return out
 }
 
-// Handler returns the ring-mode HTTP API: the single-instance routes
-// plus /v1/ring and the internal /v1/replica/snapshot, with reads served
-// by any live replica, writes coordinated by the primary, and /v1/stats
-// (and /v1/datasets) fanned out across the live ring.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "self": rt.self})
-	})
-
-	mux.HandleFunc("GET /v1/ring", func(w http.ResponseWriter, r *http.Request) {
-		var q api.RingQuery
-		if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		rt.mu.RLock()
-		resp := api.RingInfo{
-			Self:       rt.self,
-			Peers:      rt.ring.Members(),
-			Configured: rt.configured,
-			RF:         rt.rf,
-			Vnodes:     rt.ring.Vnodes(),
-		}
-		for _, p := range rt.configured {
-			if !rt.ring.Has(p) {
-				resp.Down = append(resp.Down, p)
-			}
-		}
-		if q.Key != "" {
-			resp.Owners = rt.ring.OwnersN(q.Key, rt.rf)
-			resp.Owner = resp.Owners[0]
-		}
-		rt.mu.RUnlock()
-		if q.Key != "" {
-			// Echo the resident dataset the key names — including its
-			// storage precision — when this instance replicates it.
-			if ds, ok := rt.local.Dataset(q.Key); ok {
-				info := dsInfo(q.Key, ds)
-				resp.Dataset = &info
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("POST /v1/ring", func(w http.ResponseWriter, r *http.Request) {
-		var req api.RingUpdateRequest
-		if !decodeJSON(w, r, &req, maxFitBytes) {
-			return
-		}
-		rec, err := rt.SetMembers(req.Peers)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		rt.mu.RLock()
-		peers := rt.ring.Members()
-		rt.mu.RUnlock()
-		writeJSON(w, http.StatusOK, api.RingUpdateResponse{Self: rt.self, Peers: peers, Reconcile: rec})
-	})
-
-	// The replication sink: a primary ships persist snapshot images here.
-	// Always served locally — the ship is already addressed to the replica
-	// that must install it.
-	mux.HandleFunc("POST /v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err != nil {
-			writeError(w, bodyErrStatus(err), fmt.Errorf("reading snapshot: %w", err))
-			return
-		}
-		res, err := rt.local.InstallSnapshot(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-
-	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(forwardedHeader) != "" {
-			writeJSON(w, http.StatusOK, rt.local.Datasets())
-			return
-		}
-		writeJSON(w, http.StatusOK, rt.allDatasets())
-	})
-
-	// Dataset reads: served by any live replica holding the data, relayed
-	// with replica failover otherwise.
-	mux.HandleFunc("GET /v1/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		owners := rt.owners(name)
-		if r.Header.Get(forwardedHeader) != "" || rt.serveLocallyRead(name, owners) {
-			rt.localH.ServeHTTP(w, r)
-			return
-		}
-		path := "/v1/datasets/" + url.PathEscape(name)
-		if q := r.URL.RawQuery; q != "" {
-			path += "?" + q
-		}
-		rt.relaySeq(w, r, rt.readTargets(owners), http.MethodGet, path, nil)
-	})
-
-	// Dataset uploads are writes: coordinated by the key's primary, which
-	// replicates the accepted snapshot before answering. A non-primary
-	// entry point relays to the primary only — no failover, because two
-	// coordinators accepting the same upload could assign the same version
-	// to different points. During the heartbeat's detection window after a
-	// primary death, writes fail fast; reads keep working off replicas.
-	mux.HandleFunc("PUT /v1/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		owners := rt.owners(name)
-		// Uploads are buffered so the forward can retry; the same cap the
-		// local handler enforces bounds the buffer.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err != nil {
-			writeError(w, bodyErrStatus(err), fmt.Errorf("reading upload: %w", err))
-			return
-		}
-		if r.Header.Get(forwardedHeader) != "" || len(owners) == 0 || owners[0] == rt.self {
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-			rt.serveWriteLocally(w, r, name)
-			return
-		}
-		path := "/v1/datasets/" + url.PathEscape(name)
-		if q := r.URL.RawQuery; q != "" {
-			path += "?" + q
-		}
-		rt.relaySeq(w, r, owners[:1], http.MethodPut, path, body)
-	})
-
-	// Fit and assign carry the dataset name inside the body — the
-	// top-level JSON "dataset" field, or the leading header frame of a
-	// frame-encoded body; peek at it, then route: fits to the primary
-	// (writes — they create replicated model state), assigns to any live
-	// replica (reads).
-	routeByBody := func(limit int64, path string, write bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			// An over-limit body must surface as the same JSON 413 the owner
-			// itself would send, not a generic 400 or a torn connection —
-			// the relay hop is supposed to be invisible.
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-			if err != nil {
-				writeError(w, bodyErrStatus(err), fmt.Errorf("reading request: %w", err))
-				return
-			}
-			var name string
-			if frameRequest(r) {
-				name, err = wire.PeekDataset(body)
-			} else {
-				name, err = peekDataset(body)
-			}
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-				return
-			}
-			owners := rt.owners(name)
-			serveLocal := name == "" || r.Header.Get(forwardedHeader) != ""
-			if !serveLocal {
-				if write {
-					serveLocal = len(owners) == 0 || owners[0] == rt.self
-				} else {
-					serveLocal = rt.serveLocallyRead(name, owners)
-				}
-			}
-			// An absent or empty dataset name is served locally so the
-			// local handler produces its usual validation error instead of
-			// a peer paying to say the same thing.
-			if serveLocal {
-				r.Body = io.NopCloser(bytes.NewReader(body))
-				r.ContentLength = int64(len(body))
-				if write && name != "" {
-					rt.serveWriteLocally(w, r, name)
-				} else {
-					rt.localH.ServeHTTP(w, r)
-				}
-				return
-			}
-			targets := rt.readTargets(owners)
-			if write {
-				targets = owners[:1]
-			}
-			rt.relaySeq(w, r, targets, http.MethodPost, path, body)
+// handleRing is GET /v1/ring: the live and configured membership, and
+// with ?key= the key's replica set.
+func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
+	var q api.RingQuery
+	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	rt.mu.RLock()
+	resp := api.RingInfo{
+		Self:       rt.self,
+		Peers:      rt.ring.Members(),
+		Configured: rt.configured,
+		RF:         rt.rf,
+		Vnodes:     rt.ring.Vnodes(),
+	}
+	for _, p := range rt.configured {
+		if !rt.ring.Has(p) {
+			resp.Down = append(resp.Down, p)
 		}
 	}
-	mux.HandleFunc("POST /v1/fit", routeByBody(maxFitBytes, "/v1/fit", true))
-	mux.HandleFunc("POST /v1/assign", routeByBody(maxAssignBytes, "/v1/assign", false))
-	// Sliding-window appends are writes: the primary applies the append,
-	// advances the version, and ships the new dataset snapshot to the
-	// replicas before the response is released (serveWriteLocally).
-	mux.HandleFunc("POST /v1/points", routeByBody(maxAssignBytes, "/v1/points", true))
-
-	// The streaming assign is the one route that must NOT buffer: only
-	// the header line (or header frame) is read here, for the ring key;
-	// the rest of the chunked body is piped straight into the replica's
-	// request, and the response is piped straight back — no
-	// decode-reencode in either direction, in either codec — so a relay
-	// hop adds O(chunk) memory, not O(stream).
-	mux.HandleFunc("POST /v1/assign/stream", func(w http.ResponseWriter, r *http.Request) {
-		// The relay keeps reading the request stream while label records
-		// flow back — the same duplex opt-in the serving handler needs.
-		_ = http.NewResponseController(w).EnableFullDuplex()
-		br := bufio.NewReaderSize(r.Body, 64<<10)
-		// Reassemble exactly what was consumed: the raw header bytes plus
-		// the unread remainder (br still holds its buffered prefix).
-		var (
-			name string
-			body io.Reader
-		)
-		if gzipRequest(r) {
-			// The routing key is inside the compressed stream. Peek it
-			// through a decompressor that tees every raw byte it consumes,
-			// then reassemble the ORIGINAL compressed stream — captured
-			// prefix plus unread remainder — for the serving side, local or
-			// relayed, which sees exactly the bytes the client sent. (The
-			// decompressor may read ahead; the tee makes that harmless.)
-			var captured bytes.Buffer
-			zr, err := gzip.NewReader(io.TeeReader(br, &captured))
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode gzip stream body: %w", err))
-				return
-			}
-			zbr := bufio.NewReaderSize(zr, 64<<10)
-			if frameRequest(r) {
-				h, _, err := wire.ReadHeaderFrame(zbr)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
-					return
-				}
-				name = h.Dataset
-			} else {
-				header, err := readStreamLine(zbr)
-				if err != nil {
-					writeError(w, streamLineStatus(err), fmt.Errorf("decode stream header: %w", err))
-					return
-				}
-				if name, err = peekDataset(header); err != nil {
-					writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
-					return
-				}
-			}
-			body = io.MultiReader(bytes.NewReader(captured.Bytes()), br)
-		} else if frameRequest(r) {
-			h, raw, err := wire.ReadHeaderFrame(br)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
-				return
-			}
-			name = h.Dataset
-			body = io.MultiReader(bytes.NewReader(raw), br)
-		} else {
-			header, err := readStreamLine(br)
-			if err != nil {
-				writeError(w, streamLineStatus(err), fmt.Errorf("decode stream header: %w", err))
-				return
-			}
-			if name, err = peekDataset(header); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
-				return
-			}
-			body = io.MultiReader(bytes.NewReader(append(header, '\n')), br)
+	if q.Key != "" {
+		resp.Owners = rt.ring.OwnersN(q.Key, rt.rf)
+		resp.Owner = resp.Owners[0]
+	}
+	rt.mu.RUnlock()
+	if q.Key != "" {
+		// Echo the resident dataset the key names — including its
+		// storage precision — when this instance replicates it.
+		if ds, ok := rt.local.Dataset(q.Key); ok {
+			info := dsInfo(q.Key, ds)
+			resp.Dataset = &info
 		}
-		owners := rt.owners(name)
-		if name == "" || r.Header.Get(forwardedHeader) != "" || rt.serveLocallyRead(name, owners) {
-			r.Body = io.NopCloser(body)
-			r.ContentLength = -1
-			rt.localH.ServeHTTP(w, r)
-			return
-		}
-		rt.relayStream(w, r, rt.readTargets(owners), body)
-	})
-
-	// Decision graphs and sweeps build (or reuse) the dataset's density
-	// index, which is built on the key's primary. Both routes pin to the
-	// primary: served locally when this instance is it, relayed to it
-	// otherwise (no failover — a replica would pay a full index build
-	// just to answer one exploratory call). When a call pays a fresh
-	// build, the primary re-ships the key's snapshots — which now include
-	// the index — so a replica promoted later serves re-cuts warm instead
-	// of rebuilding.
-	mux.HandleFunc("GET /v1/decision-graph", func(w http.ResponseWriter, r *http.Request) {
-		name := r.URL.Query().Get("dataset")
-		owners := rt.owners(name)
-		if name == "" || r.Header.Get(forwardedHeader) != "" || len(owners) == 0 || owners[0] == rt.self {
-			rt.serveIndexLocally(w, r, name)
-			return
-		}
-		path := "/v1/decision-graph"
-		if q := r.URL.RawQuery; q != "" {
-			path += "?" + q
-		}
-		rt.relaySeq(w, r, owners[:1], http.MethodGet, path, nil)
-	})
-
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSweepBytes))
-		if err != nil {
-			writeError(w, bodyErrStatus(err), fmt.Errorf("reading request: %w", err))
-			return
-		}
-		name, err := peekDataset(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-		owners := rt.owners(name)
-		if name == "" || r.Header.Get(forwardedHeader) != "" || len(owners) == 0 || owners[0] == rt.self {
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-			rt.serveIndexLocally(w, r, name)
-			return
-		}
-		rt.relaySeq(w, r, owners[:1], http.MethodPost, "/v1/sweep", body)
-	})
-
-	// Drift trackers live where the assign traffic lands, and refits run
-	// only on the primary — so the primary's answer is the authoritative
-	// one. Pinned like decision-graph: no failover to replicas that hold
-	// an idle (empty) tracker.
-	mux.HandleFunc("GET /v1/drift", func(w http.ResponseWriter, r *http.Request) {
-		name := r.URL.Query().Get("dataset")
-		owners := rt.owners(name)
-		if name == "" || r.Header.Get(forwardedHeader) != "" || len(owners) == 0 || owners[0] == rt.self {
-			rt.localH.ServeHTTP(w, r)
-			return
-		}
-		path := "/v1/drift"
-		if q := r.URL.RawQuery; q != "" {
-			path += "?" + q
-		}
-		rt.relaySeq(w, r, owners[:1], http.MethodGet, path, nil)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(forwardedHeader) != "" {
-			writeJSON(w, http.StatusOK, rt.local.Stats())
-			return
-		}
-		writeJSON(w, http.StatusOK, rt.aggregateStats())
-	})
-
-	return mux
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// bufferedResponse captures a local handler's response so the router can
-// act on its status (replicate after a 2xx write) before releasing the
-// bytes to the client. Write bodies are already bounded and buffered on
-// entry, so buffering the (much smaller) response adds no new memory
-// class.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: make(http.Header), status: http.StatusOK}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(status int) { b.status = status }
-
-func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
-
-func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
-	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+// handleRingUpdate is POST /v1/ring: replace the configured membership.
+func (rt *Router) handleRingUpdate(w http.ResponseWriter, r *http.Request) {
+	var req api.RingUpdateRequest
+	if !decodeJSON(w, r, &req, maxFitBytes) {
+		return
 	}
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.body.Bytes())
-}
-
-// serveWriteLocally runs a write (upload or fit) through the local
-// handler and, on success, ships the resulting snapshots to the key's
-// replicas before the response is released — by the time the client
-// sees the 2xx, every live replica can serve the state it names. A
-// cache-hit fit created nothing new and ships nothing.
-func (rt *Router) serveWriteLocally(w http.ResponseWriter, r *http.Request, name string) {
-	brw := newBufferedResponse()
-	rt.localH.ServeHTTP(brw, r)
-	if brw.status >= 200 && brw.status <= 299 && !cacheHitResponse(brw.body.Bytes()) {
-		rt.replicateDataset(name)
-	}
-	brw.flushTo(w)
-}
-
-// cacheHitResponse reports whether a successful write response body is a
-// fit answered from cache ("cache_hit": true) — the one 2xx write that
-// changes no state and therefore needs no replication. Upload responses
-// have no such field and report false.
-func cacheHitResponse(body []byte) bool {
-	var probe struct {
-		CacheHit *bool `json:"cache_hit"`
-	}
-	if json.Unmarshal(body, &probe) != nil || probe.CacheHit == nil {
-		return false
-	}
-	return *probe.CacheHit
-}
-
-// serveIndexLocally runs a decision-graph or sweep through the local
-// handler and, when the successful response reports a freshly built
-// index ("index_reused": false), re-ships the key's snapshots — which
-// include the just-built index — to its replicas, so a replica promoted
-// later answers re-cuts warm instead of re-paying the build.
-// replicateDataset no-ops unless this instance is the key's primary, so
-// a forwarded hop served here for routing hygiene ships nothing.
-func (rt *Router) serveIndexLocally(w http.ResponseWriter, r *http.Request, name string) {
-	brw := newBufferedResponse()
-	rt.localH.ServeHTTP(brw, r)
-	if name != "" && brw.status >= 200 && brw.status <= 299 &&
-		indexBuiltResponse(brw.header.Get("Content-Type"), brw.body.Bytes()) {
-		rt.replicateDataset(name)
-	}
-	brw.flushTo(w)
-}
-
-// indexBuiltResponse reports whether a 2xx decision-graph or sweep
-// response paid a fresh index build ("index_reused": false). Frame-coded
-// bodies are not probed — a build they paid ships on the next self-heal
-// or JSON-coded call instead of this hop decoding binary frames.
-func indexBuiltResponse(contentType string, body []byte) bool {
-	if isFrameMedia(contentType) {
-		return false
-	}
-	var probe struct {
-		IndexReused *bool `json:"index_reused"`
-	}
-	if json.Unmarshal(body, &probe) != nil || probe.IndexReused == nil {
-		return false
-	}
-	return !*probe.IndexReused
-}
-
-// peekDataset extracts the top-level "dataset" field from a fit/assign
-// body without building the rest of the document. It stops as soon as
-// the field is seen — our own client and the documented request shape
-// put "dataset" first, making the scan O(1) regardless of batch size —
-// and in the worst case token-skips a near-cap points array without
-// allocating it. Full strict validation (unknown fields, types) stays
-// with the owning shard's handler; routing only needs the name. An
-// object without the field returns "" and no error.
-func peekDataset(body []byte) (string, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	t, err := dec.Token()
+	rec, err := rt.SetMembers(req.Peers)
 	if err != nil {
-		return "", err
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	if d, ok := t.(json.Delim); !ok || d != '{' {
-		return "", fmt.Errorf("request body must be a JSON object")
-	}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return "", err
-		}
-		key, _ := keyTok.(string)
-		if key == "dataset" {
-			var name string
-			if err := dec.Decode(&name); err != nil {
-				return "", fmt.Errorf("field %q must be a string: %w", key, err)
-			}
-			return name, nil
-		}
-		if err := skipValue(dec); err != nil {
-			return "", err
-		}
-	}
-	return "", nil
+	writeJSON(w, http.StatusOK, api.RingUpdateResponse{Self: rt.self, Peers: rt.LiveMembers(), Reconcile: rec})
 }
 
-// skipValue consumes exactly one JSON value from the decoder without
-// materializing it.
-func skipValue(dec *json.Decoder) error {
-	t, err := dec.Token()
+// handleSnapshot is the replication sink: a primary ships persist
+// snapshot images here, already addressed to the replica that must
+// install them.
+func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
-		return err
+		writeError(w, bodyErrStatus(err), fmt.Errorf("reading snapshot: %w", err))
+		return
 	}
-	if d, ok := t.(json.Delim); ok && (d == '{' || d == '[') {
-		for depth := 1; depth > 0; {
-			t, err := dec.Token()
-			if err != nil {
-				return err
-			}
-			if d, ok := t.(json.Delim); ok {
-				switch d {
-				case '{', '[':
-					depth++
-				case '}', ']':
-					depth--
-				}
-			}
-		}
+	res, err := rt.local.InstallSnapshot(raw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	return nil
+	writeJSON(w, http.StatusOK, res)
 }
 
 // relayContentType preserves a request's codec across the hop: an empty
@@ -940,7 +495,7 @@ func relayContentType(r *http.Request) string {
 // safe where the streaming path's is not. The inbound Content-Type and
 // Accept travel with it, so codec negotiation happens at the serving
 // replica exactly as it would on a direct request.
-func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []string, method, path string, body []byte) {
+func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []string, path string, body []byte) {
 	rt.forwarded.Add(1)
 	var lastErr error
 	for _, o := range targets {
@@ -948,7 +503,7 @@ func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []str
 		if peer == nil {
 			continue
 		}
-		status, data, ct, err := peer.do(method, path, relayContentType(r), r.Header.Get("Accept"), body, true)
+		status, data, ct, err := peer.do(r.Method, path, relayContentType(r), r.Header.Get("Accept"), body, true)
 		if err != nil {
 			rt.forwardErrors.Add(1)
 			lastErr = fmt.Errorf("shard %s unreachable: %w", o, err)
@@ -995,15 +550,19 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // silent resend. If the replica dies after the 200 went out, the failure
 // arrives the only way left: a terminal error record in the response's
 // codec.
-func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []string, body io.Reader) {
+func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []string, path string, body io.Reader) {
 	rt.forwarded.Add(1)
-	// Query knobs (?chunk=) travel with the hop so the serving replica
-	// honors them exactly as it would on a direct request.
-	path := "/v1/assign/stream"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
 	cr := &countingReader{r: body}
+	// Encoding headers travel verbatim: the relay never re-compresses —
+	// gzip bodies pass through as opaque bytes. An explicit
+	// Accept-Encoding also disables the transport's transparent gzip, so
+	// the response encoding stays visible for the passthrough below.
+	enc := http.Header{}
+	for _, k := range []string{"Content-Encoding", "Accept-Encoding"} {
+		if v := r.Header.Get(k); v != "" {
+			enc.Set(k, v)
+		}
+	}
 	var (
 		resp    *http.Response
 		lastErr error
@@ -1017,20 +576,6 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 		var err error
 		// The inbound request context cancels the upstream leg when the
 		// client hangs up, so an abandoned stream cannot pin two connections.
-		// Encoding headers travel verbatim: the relay never re-compresses —
-		// gzip bodies pass through as opaque bytes. An explicit
-		// Accept-Encoding also disables the transport's transparent gzip,
-		// so the response encoding stays visible for the passthrough below.
-		var enc http.Header
-		if ce := r.Header.Get("Content-Encoding"); ce != "" {
-			enc = http.Header{"Content-Encoding": {ce}}
-		}
-		if ae := r.Header.Get("Accept-Encoding"); ae != "" {
-			if enc == nil {
-				enc = http.Header{}
-			}
-			enc.Set("Accept-Encoding", ae)
-		}
 		resp, err = peer.stream(r.Context(), http.MethodPost, path,
 			relayContentType(r), r.Header.Get("Accept"), cr, true, enc)
 		if err == nil {
@@ -1166,13 +711,7 @@ func (rt *Router) allDatasets() []api.DatasetInfo {
 	}
 	wg.Wait()
 	sort.Slice(all, func(a, b int) bool { return all[a].Name < all[b].Name })
-	out := all[:0]
-	for i, d := range all {
-		if i == 0 || all[i-1].Name != d.Name {
-			out = append(out, d)
-		}
-	}
-	return out
+	return slices.CompactFunc(all, func(a, b api.DatasetInfo) bool { return a.Name == b.Name })
 }
 
 // aggregateStats fans /v1/stats out across the configured peer set and

@@ -351,96 +351,95 @@ func flushResponse(w http.ResponseWriter) {
 	}
 }
 
-// handleAssignStream is POST /v1/assign/stream. Errors before the first
+// handleStream is POST /v1/assign/stream. Errors before the first
 // byte of the response stream (bad header, unknown dataset, failed fit,
 // stream cap reached) are plain JSON with the same statuses as the batch
 // endpoint; once streaming has begun the only channel left is a terminal
 // error record in the negotiated codec.
-func handleAssignStream(s *Service) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		// An HTTP/1.x server normally closes the request body at the first
-		// response write; this handler interleaves reading points with
-		// writing labels for the stream's whole life, so it must opt in to
-		// full duplex. (HTTP/2 is duplex natively and reports unsupported.)
-		_ = http.NewResponseController(w).EnableFullDuplex()
-		var sq api.StreamQuery
-		if err := api.ParseQuery(r.URL.Query(), &sq); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		bodySrc := io.Reader(r.Body)
-		if gzipRequest(r) {
-			zr, err := gzip.NewReader(r.Body)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode gzip request body: %w", err))
-				return
-			}
-			defer zr.Close()
-			bodySrc = zr
-		}
-		br := bufio.NewReaderSize(bodySrc, 64<<10)
-
-		var (
-			req  api.FitRequest
-			next func() ([]float64, error)
-		)
-		if frameRequest(r) {
-			h, _, err := wire.ReadHeaderFrame(br)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
-				return
-			}
-			req = headerToFit(h)
-			next = frameNext(wire.NewReader(br))
-		} else {
-			header, err := readStreamLine(br)
-			if err != nil {
-				writeError(w, streamLineStatus(err), fmt.Errorf("decode stream header: %w", err))
-				return
-			}
-			if err := decodeStrict(header, &req); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
-				return
-			}
-			next = ndjsonNext(br)
-		}
-		fr, obs, err := s.serveFit(req.Dataset, req.Algorithm, coreParams(req.Params))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		if !s.acquireStream() {
-			writeError(w, http.StatusTooManyRequests, errTooManyStreams)
-			return
-		}
-		defer s.releaseStream()
-
-		out := http.ResponseWriter(w)
-		if wantsGzipResponse(r) {
-			gz := gzip.NewWriter(w)
-			defer gz.Close()
-			out = &gzipResponseWriter{ResponseWriter: w, gz: gz}
-			w.Header().Set("Content-Encoding", "gzip")
-		}
-		var emitter streamEmitter
-		if frameResponse(r) {
-			emitter = &frameEmitter{w: out}
-		} else {
-			emitter = newNDJSONEmitter(out)
-		}
-		w.Header().Set("Content-Type", emitter.contentType())
-		w.WriteHeader(http.StatusOK)
-		// Flush the 200 now: a full-duplex client is allowed to wait for
-		// the status before it commits to streaming the whole body.
-		flushResponse(out)
-
-		sum, err := s.assignStream(fr, obs, sq.Chunk, next, emitter.labels)
-		if err != nil {
-			emitter.terminalError(err)
-			return
-		}
-		emitter.summary(sum)
+func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
+	s := rt.local
+	// An HTTP/1.x server normally closes the request body at the first
+	// response write; this handler interleaves reading points with
+	// writing labels for the stream's whole life, so it must opt in to
+	// full duplex. (HTTP/2 is duplex natively and reports unsupported.)
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	var sq api.StreamQuery
+	if err := api.ParseQuery(r.URL.Query(), &sq); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	bodySrc := io.Reader(r.Body)
+	if gzipRequest(r) {
+		zr, err := gzip.NewReader(r.Body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode gzip request body: %w", err))
+			return
+		}
+		defer zr.Close()
+		bodySrc = zr
+	}
+	br := bufio.NewReaderSize(bodySrc, 64<<10)
+
+	var (
+		req  api.FitRequest
+		next func() ([]float64, error)
+	)
+	if frameRequest(r) {
+		h, _, err := wire.ReadHeaderFrame(br)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
+			return
+		}
+		req = headerToFit(h)
+		next = frameNext(wire.NewReader(br))
+	} else {
+		header, err := readStreamLine(br)
+		if err != nil {
+			writeError(w, streamLineStatus(err), fmt.Errorf("decode stream header: %w", err))
+			return
+		}
+		if err := decodeStrict(header, &req); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode stream header: %w", err))
+			return
+		}
+		next = ndjsonNext(br)
+	}
+	fr, obs, err := s.serveFit(req.Dataset, req.Algorithm, coreParams(req.Params))
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	if !s.acquireStream() {
+		writeError(w, http.StatusTooManyRequests, errTooManyStreams)
+		return
+	}
+	defer s.releaseStream()
+
+	out := http.ResponseWriter(w)
+	if wantsGzipResponse(r) {
+		gz := gzip.NewWriter(w)
+		defer gz.Close()
+		out = &gzipResponseWriter{ResponseWriter: w, gz: gz}
+		w.Header().Set("Content-Encoding", "gzip")
+	}
+	var emitter streamEmitter
+	if frameResponse(r) {
+		emitter = &frameEmitter{w: out}
+	} else {
+		emitter = newNDJSONEmitter(out)
+	}
+	w.Header().Set("Content-Type", emitter.contentType())
+	w.WriteHeader(http.StatusOK)
+	// Flush the 200 now: a full-duplex client is allowed to wait for
+	// the status before it commits to streaming the whole body.
+	flushResponse(out)
+
+	sum, err := s.assignStream(fr, obs, sq.Chunk, next, emitter.labels)
+	if err != nil {
+		emitter.terminalError(err)
+		return
+	}
+	emitter.summary(sum)
 }
 
 // ndjsonNext yields one point per NDJSON line.

@@ -109,6 +109,10 @@ docs-check:
 serve:
 	$(GO) run ./cmd/dpcd -preload pamap2:20000,s2:5000 -addr :8080 $(if $(DATA_DIR),-data-dir $(DATA_DIR))
 
-# ci mirrors the GitHub Actions test job (.github/workflows/ci.yml).
+# ci mirrors the GitHub Actions test job (.github/workflows/ci.yml):
+# gofmt, build, vet, race-detector tests, the perfbench module's tests,
+# and the arm64 cross-build.
 ci: fmt build vet
 	$(GO) test -race ./...
+	$(MAKE) perfbench-test
+	GOOS=linux GOARCH=arm64 $(GO) build ./...

@@ -7,7 +7,7 @@
 //
 // Endpoints and their shapes:
 //
-//	GET  /healthz                    liveness probe
+//	GET  /healthz                    {"status":"ok"} (plus "self" in ring mode)
 //	GET  /v1/datasets                []DatasetInfo
 //	GET  /v1/datasets/{name}         DatasetInfo
 //	PUT  /v1/datasets/{name}         raw CSV / binary / frame body -> DatasetInfo
@@ -21,6 +21,7 @@
 //	GET  /v1/stats                   Stats (single instance) or RingStats (ring mode)
 //	GET  /v1/ring                    RingInfo
 //	POST /v1/ring                    RingUpdateRequest -> RingUpdateResponse
+//	POST /v1/replica/snapshot        raw DPS1 snapshot image -> InstallResult (ring-internal)
 //
 // Every non-2xx response carries the uniform JSON error envelope
 // {"error":{"code":"...","message":"..."}} (see ErrorEnvelope); clients

@@ -34,11 +34,11 @@ const (
 type keySource uint8
 
 const (
-	keyNone   keySource = iota
-	keyPath             // the {name} path segment
-	keyQuery            // the "dataset" query parameter
-	keyBody             // the buffered body: JSON "dataset" field or frame header
-	keyStream           // the stream's header line or header frame, body unbuffered
+	_         keySource = iota // none: local and fanOut routes
+	keyPath                    // the {name} path segment
+	keyQuery                   // the "dataset" query parameter
+	keyBody                    // the buffered body: JSON "dataset" field or frame header
+	keyStream                  // the stream's header line or header frame, body unbuffered
 )
 
 // route is one dpcd endpoint: its pattern, where its key lives, which
@@ -57,7 +57,8 @@ type route struct {
 }
 
 // routes is the dpcd API. The request and response shapes are defined in
-// the repro/api package.
+// the repro/api package. It is built per handler, not held in a package
+// variable, so a handler sees the current maxAssignBytes (tests lower it).
 func routes() []route {
 	return []route{
 		{pattern: "GET /healthz", serve: (*Router).handleHealth},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/geom"
@@ -85,6 +86,10 @@ func (a SApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tr
 				}
 			}
 		})
+		// Ascending cell order, as in Approx-DPC: the first phase keeps
+		// the first of equally near denser picked points, which must not
+		// depend on the tree's visit order.
+		sort.Slice(cell.Neighbors, func(a, b int) bool { return cell.Neighbors[a] < cell.Neighbors[b] })
 		res.Rho[pi] = float64(count) + jitter(int(pi))
 	})
 	// Non-picked points inherit the picked density (rho_min is "not

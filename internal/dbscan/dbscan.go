@@ -116,7 +116,11 @@ func OPTICS(ds *geom.Dataset, eps float64, minPts int) []OPTICSPoint {
 		tree.RangeSearch(ds.At(int(i)), math.Nextafter(eps, math.Inf(1)), func(id int32, sq float64) {
 			out = append(out, nbr{id: id, d: math.Sqrt(sq)})
 		})
-		sort.Slice(out, func(a, b int) bool { return out[a].d < out[b].d })
+		// (distance, id) order, so equal distances do not come out in the
+		// tree's visit order.
+		sort.Slice(out, func(a, b int) bool {
+			return out[a].d < out[b].d || (out[a].d == out[b].d && out[a].id < out[b].id)
+		})
 		return out
 	}
 	coreDist := func(nb []nbr) float64 {

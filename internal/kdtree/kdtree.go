@@ -217,7 +217,8 @@ func (t *Tree) rangeWalk(root int32, q []float64, r, sq float64, fn func(int32, 
 // NN returns the index of the nearest tree point to q and its squared
 // distance. It returns (-1, +Inf) when the tree is empty. Points at
 // distance zero (duplicates of q, or q itself when it is a tree point)
-// are legal results.
+// are legal results. On equal squared distance the lowest dataset id
+// wins, so the answer does not depend on the tree's visit order.
 func (t *Tree) NN(q []float64) (int32, float64) {
 	best := int32(-1)
 	bestSq := math.Inf(1)
@@ -230,7 +231,8 @@ func (t *Tree) NN(q []float64) (int32, float64) {
 
 func (t *Tree) nn(cur int32, q []float64, best *int32, bestSq *float64) {
 	nd := &t.nodes[cur]
-	if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, *bestSq); ok && d < *bestSq {
+	if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, *bestSq); ok &&
+		(d < *bestSq || (d == *bestSq && *best >= 0 && nd.pt < *best)) {
 		*bestSq = d
 		*best = nd.pt
 	}
@@ -242,16 +244,17 @@ func (t *Tree) nn(cur int32, q []float64, best *int32, bestSq *float64) {
 	if near != nilNode {
 		t.nn(near, q, best, bestSq)
 	}
-	if far != nilNode && ax*ax < *bestSq {
+	if far != nilNode && ax*ax <= *bestSq {
 		t.nn(far, q, best, bestSq)
 	}
 }
 
 // NNWithBound returns the nearest tree point to q strictly closer than
 // sqrt(boundSq), with its squared distance, or (-1, boundSq) when none
-// exists. Passing the best distance found so far lets multi-tree searches
-// (Approx-DPC's s-subset dependent-point phase) prune most of the later
-// trees instead of re-searching them from scratch.
+// exists; exact ties go to the lowest dataset id, as in NN. Passing the
+// best distance found so far lets multi-tree searches (Approx-DPC's
+// s-subset dependent-point phase) prune most of the later trees instead
+// of re-searching them from scratch.
 func (t *Tree) NNWithBound(q []float64, boundSq float64) (int32, float64) {
 	best := int32(-1)
 	bestSq := boundSq

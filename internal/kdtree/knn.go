@@ -7,9 +7,10 @@ import (
 )
 
 // KNN returns the k nearest tree points to q as (ids, sqDists), ordered
-// by ascending distance. Fewer than k results are returned when the tree
-// is smaller. It is used by the FastDPeak baseline, whose local density is
-// derived from the k-NN distance.
+// by ascending (distance, id): on equal squared distance the lower
+// dataset id ranks first, whatever the visit order. Fewer than k results
+// are returned when the tree is smaller. It is used by the FastDPeak
+// baseline, whose local density is derived from the k-NN distance.
 func (t *Tree) KNN(q []float64, k int) ([]int32, []float64) {
 	if k <= 0 || t.root == nilNode {
 		return nil, nil
@@ -39,7 +40,7 @@ func (t *Tree) knn(cur int32, q []float64, h *maxHeap) {
 	if near != nilNode {
 		t.knn(near, q, h)
 	}
-	if far != nilNode && (len(h.items) < h.cap || ax*ax < h.items[0].sq) {
+	if far != nilNode && (len(h.items) < h.cap || ax*ax <= h.items[0].sq) {
 		t.knn(far, q, h)
 	}
 }
@@ -49,8 +50,13 @@ type knnItem struct {
 	id int32
 }
 
-// maxHeap keeps the k smallest squared distances seen, with the largest
-// at the root for O(log k) replacement.
+// less orders items by (sq, id).
+func (a knnItem) less(b knnItem) bool {
+	return a.sq < b.sq || (a.sq == b.sq && a.id < b.id)
+}
+
+// maxHeap keeps the k smallest (sq, id) items seen, with the largest at
+// the root for O(log k) replacement.
 type maxHeap struct {
 	items []knnItem
 	cap   int
@@ -62,10 +68,11 @@ func (h *maxHeap) offer(id int32, sq float64) {
 		h.siftUp(len(h.items) - 1)
 		return
 	}
-	if sq >= h.items[0].sq {
+	it := knnItem{sq: sq, id: id}
+	if !it.less(h.items[0]) {
 		return
 	}
-	h.items[0] = knnItem{sq: sq, id: id}
+	h.items[0] = it
 	h.siftDown(0)
 }
 
@@ -83,7 +90,7 @@ func (h *maxHeap) popMax() knnItem {
 func (h *maxHeap) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.items[p].sq >= h.items[i].sq {
+		if !h.items[p].less(h.items[i]) {
 			return
 		}
 		h.items[p], h.items[i] = h.items[i], h.items[p]
@@ -96,10 +103,10 @@ func (h *maxHeap) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < n && h.items[l].sq > h.items[big].sq {
+		if l < n && h.items[big].less(h.items[l]) {
 			big = l
 		}
-		if r < n && h.items[r].sq > h.items[big].sq {
+		if r < n && h.items[big].less(h.items[r]) {
 			big = r
 		}
 		if big == i {

@@ -80,9 +80,10 @@ bench-json:
 
 # fuzz-smoke runs each fuzz target briefly over its committed corpus —
 # the upload parsers, the snapshot decoders (generic and density-index),
-# the wire frame decoder, and the Ex-DPC-equals-Scan oracle on tie-heavy
-# point sets. `go test -fuzz` takes one target per invocation, hence the
-# six runs.
+# the wire frame decoder, the Ex-DPC-equals-Scan oracle on tie-heavy
+# point sets, and the kd-tree-equals-brute-force oracle for every tree
+# query. `go test -fuzz` takes one target per invocation, hence the
+# seven runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime $(FUZZTIME) ./internal/data
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIndexSnapshot$$' -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzExDPCMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzKDTreeMatchesBrute$$' -fuzztime $(FUZZTIME) ./internal/kdtree
 
 # examples builds and runs every directory under examples/ — each one is
 # self-verifying and exits non-zero when the behavior it demonstrates

@@ -1,4 +1,5 @@
-// Package kdtree implements an in-memory kd-tree over point indices.
+// Package kdtree implements a static, bucketed kd-tree (Friedman,
+// Bentley & Finkel, TOMS 1977) over the points of a flat geom.Dataset.
 //
 // It is the workhorse index of the paper's algorithms: Ex-DPC issues one
 // circular range count per point for local densities and, over the same
@@ -6,17 +7,22 @@
 // dependent points; Approx-DPC issues one joint range search per grid
 // cell and builds s small trees for its exact dependent-point phase.
 //
-// The tree stores int32 indices into a caller-owned flat geom.Dataset, so
-// several trees over subsets of one dataset share the point storage, and
-// construction is pure index permutation: no point is ever copied and the
-// only allocations are the node arena and the id slice. Nodes live in a
-// flat arena to keep pointers out of the GC's way; this matters at the
-// paper's cardinalities (10^6-10^7 points).
+// Inner nodes hold only a split plane (dimension and coordinate); points
+// live in leaves of at most leafSize. After the build the tree copies
+// its points contiguously in tree order, at the dataset's own precision,
+// so every leaf is one run of rows scanned through the canonical
+// distance kernel: counts and distances keep their bits, whichever tree
+// computed them. ids maps each copied row back to its dataset id, and
+// every answer is reported in dataset ids. The copy costs n·d elements
+// plus n ids per tree; nodes sit in a flat slice in preorder, which
+// keeps pointers out of the GC's way at the paper's cardinalities
+// (10^6-10^7 points).
 //
-// Bulk construction splits on the dimension of largest spread at each level
-// (median split via in-place quickselect), yielding the O(n^{1-1/d} + k)
-// range-search guarantee the paper's analysis relies on. Trees are
-// read-only once built, so any number of goroutines may query one.
+// Bulk construction splits on the dimension of largest spread at each
+// level (median split via in-place quickselect), yielding the
+// O(n^{1-1/d} + k) range-search guarantee the paper's analysis relies
+// on. Trees are read-only once built, so any number of goroutines may
+// query one.
 package kdtree
 
 import (
@@ -28,36 +34,55 @@ import (
 
 const nilNode = int32(-1)
 
+// leafSize is the most points a leaf holds.
+const leafSize = 16
+
+// node is an inner node or a leaf. Its subtree owns rows [lo, hi). An
+// inner node splits them at coordinate split of dimension dim: rows in
+// child l are <= split there and rows in child r are >= split. A leaf
+// has l == r == nilNode.
 type node struct {
-	pt   int32 // index into the dataset
-	dim  int32 // splitting dimension
-	l, r int32 // children, nilNode when absent
+	split  float64
+	lo, hi int32
+	dim    int32
+	l, r   int32
 }
+
+func (nd *node) leaf() bool { return nd.l == nilNode }
+
+// maxDepth bounds the explicit walk stack. Median splits halve every
+// level, so depth stays below 32 for any int32-indexed tree and a
+// depth-first walk never holds more than depth+1 pending nodes.
+const maxDepth = 64
 
 // Tree is a kd-tree over a subset of a dataset. The zero value is not
 // usable; construct with Build or BuildAll.
 type Tree struct {
-	ds    *geom.Dataset
-	nodes []node
-	root  int32
+	ds    *geom.Dataset // the dataset the ids index
+	rows  *geom.Dataset // the tree's points, copied in tree order
+	ids   []int32       // ids[k] is the dataset id of rows row k
+	nodes []node        // preorder; the root is nodes[0]
 	dim   int
 }
 
-// coord returns coordinate dim of point id straight from the flat buffer.
+// coord returns coordinate dim of dataset point id.
 func (t *Tree) coord(id int32, dim int) float64 { return t.ds.Coord(id, dim) }
 
-// Build bulk-loads a balanced tree over the given point indices.
-// The ids slice is reordered in place.
+// Build bulk-loads a balanced tree over the given point indices. The
+// ids slice is reordered in place and kept by the tree, so the caller
+// must not modify it afterwards.
 func Build(ds *geom.Dataset, ids []int32) *Tree {
 	if ds.N == 0 {
 		panic("kdtree: Build over empty dataset")
 	}
-	t := &Tree{ds: ds, root: nilNode, dim: ds.Dim}
-	if len(ids) == 0 {
-		return t
+	t := &Tree{ds: ds, ids: ids, dim: ds.Dim}
+	if len(ids) > 0 {
+		// Split leaves hold at least leafSize/2 points, so there are at
+		// most 2n/(leafSize/2) nodes.
+		t.nodes = make([]node, 0, 4*len(ids)/leafSize+1)
+		t.build(0, int32(len(ids)))
 	}
-	t.nodes = make([]node, 0, len(ids))
-	t.root = t.build(ids)
+	t.rows = ds.Select(ids)
 	return t
 }
 
@@ -71,26 +96,24 @@ func BuildAll(ds *geom.Dataset) *Tree {
 }
 
 // Len returns the number of points in the tree.
-func (t *Tree) Len() int { return len(t.nodes) }
+func (t *Tree) Len() int { return len(t.ids) }
 
-// build constructs the subtree over ids and returns its node index.
-func (t *Tree) build(ids []int32) int32 {
-	if len(ids) == 0 {
-		return nilNode
+// build appends the subtree over ids[lo:hi] in preorder and returns its
+// node index.
+func (t *Tree) build(lo, hi int32) int32 {
+	me := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{lo: lo, hi: hi, l: nilNode, r: nilNode})
+	if hi-lo <= leafSize {
+		return me
 	}
-	if len(ids) == 1 {
-		t.nodes = append(t.nodes, node{pt: ids[0], dim: 0, l: nilNode, r: nilNode})
-		return int32(len(t.nodes) - 1)
-	}
+	ids := t.ids[lo:hi]
 	dim := t.widestDim(ids)
 	mid := len(ids) / 2
 	t.selectNth(ids, mid, dim)
-	me := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{pt: ids[mid], dim: int32(dim), l: nilNode, r: nilNode})
-	l := t.build(ids[:mid])
-	r := t.build(ids[mid+1:])
-	t.nodes[me].l = l
-	t.nodes[me].r = r
+	split := t.coord(ids[mid], dim)
+	l := t.build(lo, lo+int32(mid))
+	r := t.build(lo+int32(mid), hi)
+	t.nodes[me] = node{split: split, lo: lo, hi: hi, dim: int32(dim), l: l, r: r}
 	return me
 }
 
@@ -162,53 +185,75 @@ func (t *Tree) selectNth(ids []int32, n, dim int) {
 	}
 }
 
+// rangeWalk is an explicit-stack walk over the leaves a ball of squared
+// radius sq around q can reach; recursion costs show up at the paper's
+// dataset sizes.
+type rangeWalk struct {
+	stack [maxDepth]int32
+	n     int
+}
+
+// next returns the next leaf to scan, or nil when the walk is done.
+func (w *rangeWalk) next(t *Tree, q []float64, sq float64) *node {
+	for w.n > 0 {
+		w.n--
+		nd := &t.nodes[w.stack[w.n]]
+		if nd.leaf() {
+			return nd
+		}
+		ax := q[nd.dim] - nd.split
+		if ax < 0 {
+			if ax*ax < sq {
+				w.stack[w.n] = nd.r
+				w.n++
+			}
+			w.stack[w.n] = nd.l
+		} else {
+			if ax*ax <= sq {
+				w.stack[w.n] = nd.l
+				w.n++
+			}
+			w.stack[w.n] = nd.r
+		}
+		w.n++
+	}
+	return nil
+}
+
+// start returns a walk from the root, or an empty one for an empty tree.
+func (t *Tree) start() rangeWalk {
+	var w rangeWalk
+	if len(t.nodes) > 0 {
+		w.n = 1
+	}
+	return w
+}
+
 // RangeCount returns the number of tree points with dist(q, p) < r
 // (strict, matching Definition 1 of the paper).
 func (t *Tree) RangeCount(q []float64, r float64) int {
-	if t.root == nilNode {
-		return 0
-	}
 	sq := r * r
 	count := 0
-	t.rangeWalk(t.root, q, r, sq, func(int32, float64) { count++ })
+	w := t.start()
+	for nd := w.next(t, q, sq); nd != nil; nd = w.next(t, q, sq) {
+		for k := nd.lo; k < nd.hi; k++ {
+			if d, ok := geom.SqDistToIdxPartial(t.rows, q, k, sq); ok && d < sq {
+				count++
+			}
+		}
+	}
 	return count
 }
 
 // RangeSearch calls fn(id, sqDist) for every tree point with
 // dist(q, p) < r. The visit order is unspecified.
 func (t *Tree) RangeSearch(q []float64, r float64, fn func(id int32, sqDist float64)) {
-	if t.root == nilNode {
-		return
-	}
-	t.rangeWalk(t.root, q, r, r*r, fn)
-}
-
-// rangeWalk is an explicit-stack traversal; recursion costs show up at the
-// paper's dataset sizes.
-func (t *Tree) rangeWalk(root int32, q []float64, r, sq float64, fn func(int32, float64)) {
-	stack := make([]int32, 0, 64)
-	stack = append(stack, root)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.nodes[cur]
-		if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, sq); ok && d < sq {
-			fn(nd.pt, d)
-		}
-		ax := q[nd.dim] - t.coord(nd.pt, int(nd.dim))
-		if ax < 0 {
-			if nd.l != nilNode {
-				stack = append(stack, nd.l)
-			}
-			if nd.r != nilNode && ax*ax < sq {
-				stack = append(stack, nd.r)
-			}
-		} else {
-			if nd.r != nilNode {
-				stack = append(stack, nd.r)
-			}
-			if nd.l != nilNode && ax*ax <= sq {
-				stack = append(stack, nd.l)
+	sq := r * r
+	w := t.start()
+	for nd := w.next(t, q, sq); nd != nil; nd = w.next(t, q, sq) {
+		for k := nd.lo; k < nd.hi; k++ {
+			if d, ok := geom.SqDistToIdxPartial(t.rows, q, k, sq); ok && d < sq {
+				fn(t.ids[k], d)
 			}
 		}
 	}
@@ -220,33 +265,7 @@ func (t *Tree) rangeWalk(root int32, q []float64, r, sq float64, fn func(int32, 
 // are legal results. On equal squared distance the lowest dataset id
 // wins, so the answer does not depend on the tree's visit order.
 func (t *Tree) NN(q []float64) (int32, float64) {
-	best := int32(-1)
-	bestSq := math.Inf(1)
-	if t.root == nilNode {
-		return best, bestSq
-	}
-	t.nn(t.root, q, &best, &bestSq)
-	return best, bestSq
-}
-
-func (t *Tree) nn(cur int32, q []float64, best *int32, bestSq *float64) {
-	nd := &t.nodes[cur]
-	if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, *bestSq); ok &&
-		(d < *bestSq || (d == *bestSq && *best >= 0 && nd.pt < *best)) {
-		*bestSq = d
-		*best = nd.pt
-	}
-	ax := q[nd.dim] - t.coord(nd.pt, int(nd.dim))
-	near, far := nd.l, nd.r
-	if ax >= 0 {
-		near, far = nd.r, nd.l
-	}
-	if near != nilNode {
-		t.nn(near, q, best, bestSq)
-	}
-	if far != nilNode && ax*ax <= *bestSq {
-		t.nn(far, q, best, bestSq)
-	}
+	return t.NNWithBound(q, math.Inf(1))
 }
 
 // NNWithBound returns the nearest tree point to q strictly closer than
@@ -256,86 +275,122 @@ func (t *Tree) nn(cur int32, q []float64, best *int32, bestSq *float64) {
 // s-subset dependent-point phase) prune most of the later trees instead
 // of re-searching them from scratch.
 func (t *Tree) NNWithBound(q []float64, boundSq float64) (int32, float64) {
-	best := int32(-1)
-	bestSq := boundSq
-	if t.root != nilNode {
-		t.nn(t.root, q, &best, &bestSq)
+	w := nnWalk{t: t, q: q, best: -1, bestSq: boundSq}
+	if len(t.nodes) > 0 {
+		w.walk(0)
 	}
-	return best, bestSq
+	return w.best, w.bestSq
+}
+
+type nnWalk struct {
+	t      *Tree
+	q      []float64
+	best   int32
+	bestSq float64
+}
+
+func (w *nnWalk) walk(cur int32) {
+	t := w.t
+	nd := &t.nodes[cur]
+	if nd.leaf() {
+		for k := nd.lo; k < nd.hi; k++ {
+			if d, ok := geom.SqDistToIdxPartial(t.rows, w.q, k, w.bestSq); ok &&
+				(d < w.bestSq || (d == w.bestSq && w.best >= 0 && t.ids[k] < w.best)) {
+				w.best, w.bestSq = t.ids[k], d
+			}
+		}
+		return
+	}
+	ax := w.q[nd.dim] - nd.split
+	near, far := nd.l, nd.r
+	if ax >= 0 {
+		near, far = nd.r, nd.l
+	}
+	w.walk(near)
+	if ax*ax <= w.bestSq {
+		w.walk(far)
+	}
 }
 
 // Height returns the height of the tree (0 for empty, 1 for a single
-// node). Exposed for balance diagnostics in tests.
+// leaf). Exposed for balance diagnostics in tests.
 func (t *Tree) Height() int {
-	return t.height(t.root)
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return t.height(0)
 }
 
 func (t *Tree) height(cur int32) int {
-	if cur == nilNode {
-		return 0
+	nd := &t.nodes[cur]
+	if nd.leaf() {
+		return 1
 	}
-	l := t.height(t.nodes[cur].l)
-	r := t.height(t.nodes[cur].r)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return 1 + max(t.height(nd.l), t.height(nd.r))
 }
 
-// Validate checks the kd-tree ordering invariant on every node and that the
-// node count matches Len. It is meant for tests.
+// Validate checks the tree's invariants and is meant for tests: nodes
+// are in preorder with every child after its parent, each inner node's
+// children split its rows at the median and respect its split plane,
+// the leaves partition the rows and hold at most leafSize each, and
+// every copied row equals its dataset point.
 func (t *Tree) Validate() error {
-	if t.root == nilNode {
-		if len(t.nodes) != 0 {
-			return fmt.Errorf("kdtree: empty root but %d nodes", len(t.nodes))
+	if len(t.nodes) == 0 {
+		if len(t.ids) != 0 {
+			return fmt.Errorf("kdtree: no nodes but %d ids", len(t.ids))
 		}
 		return nil
 	}
-	seen := 0
-	var walk func(cur int32) error
-	walk = func(cur int32) error {
-		if cur == nilNode {
-			return nil
+	if t.rows.N != len(t.ids) {
+		return fmt.Errorf("kdtree: %d rows for %d ids", t.rows.N, len(t.ids))
+	}
+	seen, next := 0, int32(0) // next is the row the next leaf must start at
+	var walk func(cur, parent int32) error
+	walk = func(cur, parent int32) error {
+		if cur <= parent || int(cur) >= len(t.nodes) {
+			return fmt.Errorf("kdtree: node %d under parent %d is out of preorder", cur, parent)
 		}
 		seen++
 		nd := t.nodes[cur]
-		split := t.coord(nd.pt, int(nd.dim))
-		var check func(c int32, left bool) error
-		check = func(c int32, left bool) error {
-			if c == nilNode {
-				return nil
+		if nd.leaf() {
+			if nd.lo != next || nd.hi <= nd.lo || nd.hi-nd.lo > leafSize {
+				return fmt.Errorf("kdtree: leaf %d holds rows [%d, %d), want a run of 1..%d from %d", cur, nd.lo, nd.hi, leafSize, next)
 			}
-			v := t.coord(t.nodes[c].pt, int(nd.dim))
-			// Ties may land on either side of the median during bulk
-			// construction, so the invariant is non-strict: left <= split,
-			// right >= split. Search pruning only relies on this weak form.
-			if left && v > split {
-				return fmt.Errorf("kdtree: left descendant %d violates split on dim %d (%v > %v)", t.nodes[c].pt, nd.dim, v, split)
-			}
-			if !left && v < split {
-				return fmt.Errorf("kdtree: right descendant %d violates split on dim %d (%v < %v)", t.nodes[c].pt, nd.dim, v, split)
-			}
-			if err := check(t.nodes[c].l, left); err != nil {
-				return err
-			}
-			return check(t.nodes[c].r, left)
+			next = nd.hi
+			return nil
 		}
-		if err := check(nd.l, true); err != nil {
+		l, r := t.nodes[nd.l], t.nodes[nd.r]
+		if l.lo != nd.lo || l.hi != r.lo || r.hi != nd.hi || l.hi != nd.lo+(nd.hi-nd.lo)/2 {
+			return fmt.Errorf("kdtree: node %d rows [%d, %d) split as [%d, %d) + [%d, %d)", cur, nd.lo, nd.hi, l.lo, l.hi, r.lo, r.hi)
+		}
+		// Ties may land on either side of the median, so the invariant
+		// is non-strict: left <= split <= right. Search pruning only
+		// relies on this weak form.
+		for k := nd.lo; k < nd.hi; k++ {
+			v := t.coord(t.ids[k], int(nd.dim))
+			if (k < l.hi && v > nd.split) || (k >= l.hi && v < nd.split) {
+				return fmt.Errorf("kdtree: point %d at row %d is on the wrong side of node %d's split on dim %d (%v vs %v)", t.ids[k], k, cur, nd.dim, v, nd.split)
+			}
+		}
+		if err := walk(nd.l, cur); err != nil {
 			return err
 		}
-		if err := check(nd.r, false); err != nil {
-			return err
-		}
-		if err := walk(nd.l); err != nil {
-			return err
-		}
-		return walk(nd.r)
+		return walk(nd.r, cur)
 	}
-	if err := walk(t.root); err != nil {
+	if err := walk(0, -1); err != nil {
 		return err
 	}
-	if seen != len(t.nodes) {
-		return fmt.Errorf("kdtree: reachable nodes %d != stored nodes %d", seen, len(t.nodes))
+	if seen != len(t.nodes) || int(next) != len(t.ids) {
+		return fmt.Errorf("kdtree: reached %d of %d nodes and %d of %d rows", seen, len(t.nodes), next, len(t.ids))
+	}
+	buf := make([]float64, t.dim)
+	for k, id := range t.ids {
+		want := t.ds.AtBuf(int(id), buf)
+		for j, x := range want {
+			if got := t.rows.Coord(int32(k), j); math.Float64bits(got) != math.Float64bits(x) {
+				return fmt.Errorf("kdtree: row %d coordinate %d is %v, dataset point %d has %v", k, j, got, id, x)
+			}
+		}
 	}
 	return nil
 }

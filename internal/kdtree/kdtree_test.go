@@ -150,10 +150,10 @@ func TestNNMatchesBrute(t *testing.T) {
 		tr := BuildAll(geom.MustFromRows(pts))
 		for i := 0; i < 60; i++ {
 			q := randPts(rng, 1, d, 60)[0]
-			_, wantSq := bruteNN(pts, ids, q)
-			_, gotSq := tr.NN(q)
-			if math.Abs(gotSq-wantSq) > 1e-9 {
-				t.Fatalf("d=%d: NN sq %v, want %v", d, gotSq, wantSq)
+			wantID, wantSq := bruteNN(pts, ids, q)
+			gotID, gotSq := tr.NN(q)
+			if gotID != wantID || math.Float64bits(gotSq) != math.Float64bits(wantSq) {
+				t.Fatalf("d=%d: NN = (%d, %v), want (%d, %v)", d, gotID, gotSq, wantID, wantSq)
 			}
 		}
 	}

@@ -12,11 +12,11 @@ import (
 // are returned when the tree is smaller. It is used by the FastDPeak
 // baseline, whose local density is derived from the k-NN distance.
 func (t *Tree) KNN(q []float64, k int) ([]int32, []float64) {
-	if k <= 0 || t.root == nilNode {
+	if k <= 0 || len(t.nodes) == 0 {
 		return nil, nil
 	}
 	h := &maxHeap{cap: k}
-	t.knn(t.root, q, h)
+	t.knn(0, q, h)
 	// Extract in ascending order.
 	ids := make([]int32, len(h.items))
 	sqs := make([]float64, len(h.items))
@@ -30,17 +30,19 @@ func (t *Tree) KNN(q []float64, k int) ([]int32, []float64) {
 
 func (t *Tree) knn(cur int32, q []float64, h *maxHeap) {
 	nd := &t.nodes[cur]
-	sq := geom.SqDistToIdx(t.ds, q, nd.pt)
-	h.offer(nd.pt, sq)
-	ax := q[nd.dim] - t.coord(nd.pt, int(nd.dim))
+	if nd.leaf() {
+		for k := nd.lo; k < nd.hi; k++ {
+			h.offer(t.ids[k], geom.SqDistToIdx(t.rows, q, k))
+		}
+		return
+	}
+	ax := q[nd.dim] - nd.split
 	near, far := nd.l, nd.r
 	if ax >= 0 {
 		near, far = nd.r, nd.l
 	}
-	if near != nilNode {
-		t.knn(near, q, h)
-	}
-	if far != nilNode && (len(h.items) < h.cap || ax*ax <= h.items[0].sq) {
+	t.knn(near, q, h)
+	if len(h.items) < h.cap || ax*ax <= h.items[0].sq {
 		t.knn(far, q, h)
 	}
 }

@@ -6,20 +6,21 @@ import (
 	"repro/internal/geom"
 )
 
-// SubtreeMin returns, per node of the arena, the minimum of key[pt] over
-// the node's subtree — the pruning bound NNLowerKey walks with. Build
-// appends every node after its parent, so one reverse pass over the
-// arena sees each child before its parent.
+// SubtreeMin returns, per node, the minimum of key[id] over the node's
+// points — a per-leaf minimum for leaves — the pruning bound NNLowerKey
+// walks with. Build lays nodes out in preorder, so one reverse pass
+// sees each child before its parent.
 func (t *Tree) SubtreeMin(key []int32) []int32 {
 	sub := make([]int32, len(t.nodes))
 	for k := len(t.nodes) - 1; k >= 0; k-- {
 		nd := &t.nodes[k]
-		m := key[nd.pt]
-		if nd.l != nilNode && sub[nd.l] < m {
-			m = sub[nd.l]
+		if !nd.leaf() {
+			sub[k] = min(sub[nd.l], sub[nd.r])
+			continue
 		}
-		if nd.r != nilNode && sub[nd.r] < m {
-			m = sub[nd.r]
+		m := int32(math.MaxInt32)
+		for _, id := range t.ids[nd.lo:nd.hi] {
+			m = min(m, key[id])
 		}
 		sub[k] = m
 	}
@@ -33,15 +34,18 @@ func (t *Tree) SubtreeMin(key []int32) []int32 {
 // whole. On equal squared distance the lower key wins, and the far-side
 // test keeps exact ties (ax*ax <= bestSq), so the answer is the
 // (squared distance, key) minimum a scan of every lower-key point in
-// ascending key order would return, bit for bit: distances come from
-// the same geom.SqDistIdxPartial(ds, q, j, bestSq) call.
+// ascending key order would return, bit for bit: q's row is widened
+// once (exactly) and compared through the canonical kernel, which gives
+// the bits of geom.SqDistIdxPartial(ds, q, j, bestSq) at either
+// precision.
 //
 // With key the density rank this is the dependent point of q
 // (Definition 2 of the paper) over a whole-dataset tree.
 func (t *Tree) NNLowerKey(q int32, key, sub []int32) (int32, float64) {
-	w := lowerKeyWalk{t: t, key: key, sub: sub, q: q, qKey: key[q], best: -1, bestSq: math.Inf(1)}
-	if t.root != nilNode {
-		w.walk(t.root)
+	w := lowerKeyWalk{t: t, key: key, sub: sub, qKey: key[q], best: -1, bestSq: math.Inf(1)}
+	if len(t.nodes) > 0 {
+		w.q = t.ds.At(int(q))
+		w.walk(0)
 	}
 	return w.best, w.bestSq
 }
@@ -49,7 +53,8 @@ func (t *Tree) NNLowerKey(q int32, key, sub []int32) (int32, float64) {
 type lowerKeyWalk struct {
 	t        *Tree
 	key, sub []int32
-	q, qKey  int32
+	q        []float64
+	qKey     int32
 	best     int32
 	bestSq   float64
 }
@@ -60,21 +65,27 @@ func (w *lowerKeyWalk) walk(cur int32) {
 	}
 	t := w.t
 	nd := &t.nodes[cur]
-	if k := w.key[nd.pt]; k < w.qKey {
-		if d, ok := geom.SqDistIdxPartial(t.ds, w.q, nd.pt, w.bestSq); ok &&
-			(d < w.bestSq || (d == w.bestSq && w.best >= 0 && k < w.key[w.best])) {
-			w.best, w.bestSq = nd.pt, d
+	if nd.leaf() {
+		for k := nd.lo; k < nd.hi; k++ {
+			j := t.ids[k]
+			kj := w.key[j]
+			if kj >= w.qKey {
+				continue
+			}
+			if d, ok := geom.SqDistToIdxPartial(t.rows, w.q, k, w.bestSq); ok &&
+				(d < w.bestSq || (d == w.bestSq && w.best >= 0 && kj < w.key[w.best])) {
+				w.best, w.bestSq = j, d
+			}
 		}
+		return
 	}
-	ax := t.coord(w.q, int(nd.dim)) - t.coord(nd.pt, int(nd.dim))
+	ax := w.q[nd.dim] - nd.split
 	near, far := nd.l, nd.r
 	if ax >= 0 {
 		near, far = nd.r, nd.l
 	}
-	if near != nilNode {
-		w.walk(near)
-	}
-	if far != nilNode && ax*ax <= w.bestSq {
+	w.walk(near)
+	if ax*ax <= w.bestSq {
 		w.walk(far)
 	}
 }

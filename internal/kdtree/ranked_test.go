@@ -126,40 +126,66 @@ func TestNNLowerKeyEdges(t *testing.T) {
 	}
 }
 
-// TestArenaParentBeforeChild pins the layout SubtreeMin's single reverse
-// pass relies on: every child node sits after its parent in the arena,
-// for whole-dataset and subset trees alike. It also checks the pass
+// TestLeafLayout pins the layout the walks and SubtreeMin's single
+// reverse pass rely on, for whole-dataset and subset trees at both
+// precisions: every child node sits after its parent, the leaves
+// partition the rows [0, n) in order with at most leafSize each, and
+// rows row k equals dataset row ids[k]. It also checks SubtreeMin
 // against a direct recursive subtree minimum.
-func TestArenaParentBeforeChild(t *testing.T) {
+func TestLeafLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	ds := geom.MustFromRows(randPts(rng, 500, 3, 10))
-	subset := make([]int32, 0, ds.N/3)
-	for _, id := range rng.Perm(ds.N)[:ds.N/3] {
-		subset = append(subset, int32(id))
-	}
-	key := permKey(rng, ds.N)
-	for name, tr := range map[string]*Tree{"build": BuildAll(ds), "subset": Build(ds, subset)} {
-		for k, nd := range tr.nodes {
-			for _, c := range []int32{nd.l, nd.r} {
-				if c != nilNode && int(c) <= k {
-					t.Fatalf("%s: node %d has child %d at or before it", name, k, c)
+	ds64 := geom.MustFromRows(randPts(rng, 500, 3, 10))
+	for _, ds := range []*geom.Dataset{ds64, ds64.ToFloat32()} {
+		subset := make([]int32, 0, ds.N/3)
+		for _, id := range rng.Perm(ds.N)[:ds.N/3] {
+			subset = append(subset, int32(id))
+		}
+		key := permKey(rng, ds.N)
+		for name, tr := range map[string]*Tree{"build": BuildAll(ds), "subset": Build(ds, subset)} {
+			name = ds.Precision() + " " + name
+			next := int32(0)
+			for k, nd := range tr.nodes {
+				if nd.leaf() {
+					if nd.r != nilNode || nd.lo != next || nd.hi-nd.lo < 1 || nd.hi-nd.lo > leafSize {
+						t.Fatalf("%s: leaf %d holds rows [%d, %d), want 1..%d rows from %d", name, k, nd.lo, nd.hi, leafSize, next)
+					}
+					next = nd.hi
+					continue
+				}
+				for _, c := range []int32{nd.l, nd.r} {
+					if int(c) <= k {
+						t.Fatalf("%s: node %d has child %d at or before it", name, k, c)
+					}
 				}
 			}
-		}
-		sub := tr.SubtreeMin(key)
-		var minOf func(cur int32) int32
-		minOf = func(cur int32) int32 {
-			m := int32(math.MaxInt32)
-			if cur == nilNode {
+			if int(next) != tr.Len() || tr.rows.N != tr.Len() {
+				t.Fatalf("%s: leaves cover %d rows, tree has %d rows and %d points", name, next, tr.rows.N, tr.Len())
+			}
+			for k, id := range tr.ids {
+				for j := 0; j < ds.Dim; j++ {
+					if tr.rows.Coord(int32(k), j) != ds.Coord(id, j) {
+						t.Fatalf("%s: row %d differs from dataset point %d", name, k, id)
+					}
+				}
+			}
+			sub := tr.SubtreeMin(key)
+			var minOf func(cur int32) int32
+			minOf = func(cur int32) int32 {
+				nd := tr.nodes[cur]
+				m := int32(math.MaxInt32)
+				if nd.leaf() {
+					for _, id := range tr.ids[nd.lo:nd.hi] {
+						m = min(m, key[id])
+					}
+				} else {
+					m = min(minOf(nd.l), minOf(nd.r))
+				}
+				if sub[cur] != m {
+					t.Fatalf("%s: SubtreeMin[%d] = %d, want %d", name, cur, sub[cur], m)
+				}
 				return m
 			}
-			nd := tr.nodes[cur]
-			m = min(key[nd.pt], minOf(nd.l), minOf(nd.r))
-			if sub[cur] != m {
-				t.Fatalf("%s: SubtreeMin[%d] = %d, want %d", name, cur, sub[cur], m)
-			}
-			return m
+			minOf(0)
 		}
-		minOf(tr.root)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -523,18 +524,42 @@ func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []str
 	writeError(w, http.StatusBadGateway, lastErr)
 }
 
-// countingReader counts the bytes a failed stream attempt consumed — the
-// fact that decides whether failover is allowed.
+// countingReader is one relay attempt's request body. It counts the
+// bytes the attempt consumed — the fact that decides whether failover is
+// allowed — into n, shared by every attempt. Close fences the inbound
+// stream off without closing it: it waits out a Read in progress and
+// fails every later one. The transport closes a request body itself,
+// but on a failed round trip it may do so, and return from Do, while
+// its write loop is still inside Read; so relayStream closes each
+// attempt's reader before the next attempt, before writing a response
+// of its own, and before returning, and from then on no transport
+// goroutine can read the inbound body concurrently with the server.
 type countingReader struct {
-	r io.Reader
-	n atomic.Int64
+	mu     sync.Mutex // held across each Read of r
+	r      io.Reader
+	n      *atomic.Int64
+	closed bool
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	if cr.closed {
+		return 0, errRelayBodyClosed
+	}
 	n, err := cr.r.Read(p)
 	cr.n.Add(int64(n))
 	return n, err
 }
+
+func (cr *countingReader) Close() error {
+	cr.mu.Lock()
+	cr.closed = true
+	cr.mu.Unlock()
+	return nil
+}
+
+var errRelayBodyClosed = errors.New("service: relay attempt's request body is closed")
 
 // relayStream pipes a streaming assign to a live replica of the key: the
 // request body flows through without buffering or re-encoding — NDJSON
@@ -552,7 +577,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // codec.
 func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []string, path string, body io.Reader) {
 	rt.forwarded.Add(1)
-	cr := &countingReader{r: body}
+	var consumed atomic.Int64
 	// Encoding headers travel verbatim: the relay never re-compresses —
 	// gzip bodies pass through as opaque bytes. An explicit
 	// Accept-Encoding also disables the transport's transparent gzip, so
@@ -567,13 +592,24 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 		resp    *http.Response
 		lastErr error
 		target  string
+		cr      *countingReader
 	)
+	// fail answers 502 with the inbound stream unread. The handler is
+	// full duplex, so the server would drain that stream itself after we
+	// return and then read the connection for a next request, racing the
+	// background read the drain's EOF starts; the stream is abandoned
+	// anyway, so close the connection instead.
+	fail := func(err error) {
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusBadGateway, err)
+	}
 	for _, o := range targets {
 		peer := rt.clientFor(o)
 		if peer == nil {
 			continue
 		}
 		var err error
+		cr = &countingReader{r: body, n: &consumed}
 		// The inbound request context cancels the upstream leg when the
 		// client hangs up, so an abandoned stream cannot pin two connections.
 		resp, err = peer.stream(r.Context(), http.MethodPost, path,
@@ -582,13 +618,13 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 			target = o
 			break
 		}
+		cr.Close()
 		rt.forwardErrors.Add(1)
 		lastErr = fmt.Errorf("shard %s unreachable: %w", o, err)
-		if cr.n.Load() > 0 {
+		if consumed.Load() > 0 {
 			// The failed attempt consumed part of the inbound stream; a
 			// second attempt would replay a torn prefix. Fail loudly.
-			writeError(w, http.StatusBadGateway,
-				fmt.Errorf("stream not retried after partial send: %w", lastErr))
+			fail(fmt.Errorf("stream not retried after partial send: %w", lastErr))
 			return
 		}
 	}
@@ -596,10 +632,11 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no live replica for this key")
 		}
-		writeError(w, http.StatusBadGateway, lastErr)
+		fail(lastErr)
 		return
 	}
-	defer resp.Body.Close()
+	defer cr.Close()
+	defer resp.Body.Close() // first: a torn-down upstream leg stops reading sooner
 	ct := resp.Header.Get("Content-Type")
 	if ct == "" {
 		ct = "application/json"

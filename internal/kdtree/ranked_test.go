@@ -128,10 +128,10 @@ func TestNNLowerKeyEdges(t *testing.T) {
 
 // TestLeafLayout pins the layout the walks and SubtreeMin's single
 // reverse pass rely on, for whole-dataset and subset trees at both
-// precisions: every child node sits after its parent, the leaves
-// partition the rows [0, n) in order with at most leafSize each, and
-// rows row k equals dataset row ids[k]. It also checks SubtreeMin
-// against a direct recursive subtree minimum.
+// precisions: Validate checks that every child node sits after its
+// parent, the leaves partition the rows [0, n) in order with at most
+// leafSize each, and rows row k equals dataset row ids[k]. It also
+// checks SubtreeMin against a direct recursive subtree minimum.
 func TestLeafLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	ds64 := geom.MustFromRows(randPts(rng, 500, 3, 10))
@@ -143,30 +143,8 @@ func TestLeafLayout(t *testing.T) {
 		key := permKey(rng, ds.N)
 		for name, tr := range map[string]*Tree{"build": BuildAll(ds), "subset": Build(ds, subset)} {
 			name = ds.Precision() + " " + name
-			next := int32(0)
-			for k, nd := range tr.nodes {
-				if nd.leaf() {
-					if nd.r != nilNode || nd.lo != next || nd.hi-nd.lo < 1 || nd.hi-nd.lo > leafSize {
-						t.Fatalf("%s: leaf %d holds rows [%d, %d), want 1..%d rows from %d", name, k, nd.lo, nd.hi, leafSize, next)
-					}
-					next = nd.hi
-					continue
-				}
-				for _, c := range []int32{nd.l, nd.r} {
-					if int(c) <= k {
-						t.Fatalf("%s: node %d has child %d at or before it", name, k, c)
-					}
-				}
-			}
-			if int(next) != tr.Len() || tr.rows.N != tr.Len() {
-				t.Fatalf("%s: leaves cover %d rows, tree has %d rows and %d points", name, next, tr.rows.N, tr.Len())
-			}
-			for k, id := range tr.ids {
-				for j := 0; j < ds.Dim; j++ {
-					if tr.rows.Coord(int32(k), j) != ds.Coord(id, j) {
-						t.Fatalf("%s: row %d differs from dataset point %d", name, k, id)
-					}
-				}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 			sub := tr.SubtreeMin(key)
 			var minOf func(cur int32) int32

@@ -526,7 +526,7 @@ func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []str
 
 // countingReader is one relay attempt's request body. It counts the
 // bytes the attempt consumed — the fact that decides whether failover is
-// allowed — into n, shared by every attempt. Close fences the inbound
+// allowed; read n after Close, when it is final. Close fences the inbound
 // stream off without closing it: it waits out a Read in progress and
 // fails every later one. The transport closes a request body itself,
 // but on a failed round trip it may do so, and return from Do, while
@@ -537,7 +537,7 @@ func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []str
 type countingReader struct {
 	mu     sync.Mutex // held across each Read of r
 	r      io.Reader
-	n      *atomic.Int64
+	n      int64
 	closed bool
 }
 
@@ -548,7 +548,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 		return 0, errRelayBodyClosed
 	}
 	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
+	cr.n += int64(n)
 	return n, err
 }
 
@@ -577,7 +577,6 @@ var errRelayBodyClosed = errors.New("service: relay attempt's request body is cl
 // codec.
 func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []string, path string, body io.Reader) {
 	rt.forwarded.Add(1)
-	var consumed atomic.Int64
 	// Encoding headers travel verbatim: the relay never re-compresses —
 	// gzip bodies pass through as opaque bytes. An explicit
 	// Accept-Encoding also disables the transport's transparent gzip, so
@@ -609,7 +608,7 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 			continue
 		}
 		var err error
-		cr = &countingReader{r: body, n: &consumed}
+		cr = &countingReader{r: body}
 		// The inbound request context cancels the upstream leg when the
 		// client hangs up, so an abandoned stream cannot pin two connections.
 		resp, err = peer.stream(r.Context(), http.MethodPost, path,
@@ -621,7 +620,7 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 		cr.Close()
 		rt.forwardErrors.Add(1)
 		lastErr = fmt.Errorf("shard %s unreachable: %w", o, err)
-		if consumed.Load() > 0 {
+		if cr.n > 0 {
 			// The failed attempt consumed part of the inbound stream; a
 			// second attempt would replay a torn prefix. Fail loudly.
 			fail(fmt.Errorf("stream not retried after partial send: %w", lastErr))

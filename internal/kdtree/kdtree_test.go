@@ -247,34 +247,3 @@ func BenchmarkNN(b *testing.B) {
 		tr.NN(pts[i%len(pts)])
 	}
 }
-
-// TestNNTieLowestID pins the tie rule on a duplicate-heavy grid: NN,
-// NNWithBound and KNN return the lowest dataset id among points at the
-// same squared distance, whatever the tree's visit order.
-func TestNNTieLowestID(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pts := dupPts(rng, 400, 2)
-	tr := BuildAll(geom.MustFromRows(pts))
-	ids := allIDs(len(pts))
-	for i := 0; i < 200; i++ {
-		q := []float64{float64(rng.Intn(9)) / 2, float64(rng.Intn(9)) / 2}
-		wantID, wantSq := bruteNN(pts, ids, q)
-		if id, sq := tr.NN(q); id != wantID || sq != wantSq {
-			t.Fatalf("NN(%v) = (%d, %v), want (%d, %v)", q, id, sq, wantID, wantSq)
-		}
-		if id, sq := tr.NNWithBound(q, wantSq+0.5); id != wantID || sq != wantSq {
-			t.Fatalf("NNWithBound(%v) = (%d, %v), want (%d, %v)", q, id, sq, wantID, wantSq)
-		}
-		got, _ := tr.KNN(q, 12)
-		want := make([]int32, len(ids))
-		copy(want, ids)
-		sort.SliceStable(want, func(a, b int) bool {
-			return geom.SqDist(q, pts[want[a]]) < geom.SqDist(q, pts[want[b]])
-		})
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("KNN(%v)[%d] = %d, want %d", q, k, got[k], want[k])
-			}
-		}
-	}
-}

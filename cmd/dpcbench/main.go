@@ -29,26 +29,19 @@ func main() {
 	var (
 		exp       = flag.String("exp", "all", "experiments to run: all, or comma list of "+strings.Join(bench.Names(), ","))
 		n         = flag.Int("n", 20000, "cardinality of the real-dataset stand-ins")
-		threads   = flag.Int("threads", 0, "worker count for timed runs (0 = all CPUs)")
+		threads   = flag.Int("threads", 0, "worker count for timed runs, and the top of fig9's thread ladder (0 = all CPUs)")
 		seed      = flag.Int64("seed", 1, "dataset generation seed")
 		outdir    = flag.String("outdir", "", "directory for figure images (empty: skip rendering)")
 		jsonPath  = flag.String("json", "", "write a machine-readable BENCH_*.json record of the run here")
-		wireJSON  = flag.String("wire-json", "", "write the wire experiment's codec comparison record here (BENCH_wire_protocol.json)")
 		sweepJSON = flag.String("sweep-json", "", "write the sweep experiment's index-vs-fits record here (BENCH_param_sweep.json)")
-		parJSON   = flag.String("parallel-json", "", "write the parallel experiment's serial-vs-workers fit record here (BENCH_parallel_fit.json)")
+		fig9JSON  = flag.String("fig9-json", "", "write the fig9 experiment's time-vs-threads record here (BENCH_parallel_fit.json)")
 		driftJSON = flag.String("drift-json", "", "write the drift experiment's overhead and refit-swap record here (BENCH_drift.json)")
-		precision = flag.String("precision", "f64", "dataset storage precision for the parallel experiment's timed legs: f32 or f64")
 	)
 	flag.Parse()
-	if *precision != "f32" && *precision != "f64" {
-		fmt.Fprintf(os.Stderr, "dpcbench: unknown -precision %q (want f32 or f64)\n", *precision)
-		os.Exit(1)
-	}
 
 	cfg := bench.Config{
 		N: *n, Threads: *threads, Seed: *seed, OutDir: *outdir,
-		WireJSON: *wireJSON, SweepJSON: *sweepJSON, ParallelJSON: *parJSON, DriftJSON: *driftJSON,
-		Precision: *precision,
+		SweepJSON: *sweepJSON, Fig9JSON: *fig9JSON, DriftJSON: *driftJSON,
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {

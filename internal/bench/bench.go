@@ -7,10 +7,12 @@
 // (Config.N); the paper's absolute numbers came from 2-5.8M-point datasets
 // on a 48-thread Xeon, so only the *shape* of the results — who wins, by
 // roughly what factor, where the crossovers fall — is expected to match.
-// EXPERIMENTS.md records paper-vs-measured for every artifact.
+// docs/benchmarks.md describes the machine-readable records the harness
+// writes and how to regenerate each one.
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -18,7 +20,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/api"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
@@ -36,22 +37,15 @@ type Config struct {
 	Seed int64
 	// OutDir receives figure images (PPM/SVG); empty disables rendering.
 	OutDir string
-	// WireJSON, when non-empty, is where the wire experiment writes its
-	// machine-readable BENCH_wire_protocol.json record.
-	WireJSON string
 	// SweepJSON, when non-empty, is where the sweep experiment writes
 	// its machine-readable BENCH_param_sweep.json record.
 	SweepJSON string
-	// ParallelJSON, when non-empty, is where the parallel experiment
-	// writes its machine-readable BENCH_parallel_fit.json record.
-	ParallelJSON string
+	// Fig9JSON, when non-empty, is where the fig9 experiment writes its
+	// machine-readable BENCH_parallel_fit.json record.
+	Fig9JSON string
 	// DriftJSON, when non-empty, is where the drift experiment writes
 	// its machine-readable BENCH_drift.json record.
 	DriftJSON string
-	// Precision selects the dataset storage precision for the parallel
-	// experiment's timed legs: api.PrecisionF32 or api.PrecisionF64
-	// (empty means f64).
-	Precision string
 	// W receives the printed tables; nil means os.Stdout.
 	W io.Writer
 }
@@ -68,13 +62,6 @@ func (c Config) threads() int {
 		return c.Threads
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) precision() string {
-	if c.Precision == api.PrecisionF32 {
-		return api.PrecisionF32
-	}
-	return api.PrecisionF64
 }
 
 func (c Config) w() io.Writer {
@@ -138,13 +125,22 @@ func allAlgs() []core.Algorithm {
 	}
 }
 
-// fastAlgs excludes the two quadratic-delta baselines (Scan, R-tree+Scan,
-// CFSFDP-A); used by sweeps where quadratic baselines at full N would
-// dominate harness runtime. Callers say which set they use in the output.
-func fastAlgs() []core.Algorithm {
-	return []core.Algorithm{core.LSHDDP{}, core.ExDPC{}, core.ApproxDPC{}, core.SApproxDPC{}}
-}
-
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
+}
+
+// writeRecord writes an experiment's machine-readable record as indented
+// JSON.
+func writeRecord(path string, rec any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rec); err != nil {
+		return err
+	}
+	return f.Close()
 }

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,14 +47,14 @@ func TestPerfExperimentsRun(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	c := Config{N: 800, Threads: 2, Seed: 1, W: &buf}
-	for _, name := range []string{"table6", "table7", "fig7", "fig8", "fig9"} {
+	for _, name := range []string{"table6", "table7", "fig7", "fig8"} {
 		e, _ := Lookup(name)
 		if err := e.Run(c); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"Table 6", "Table 7", "Figure 7", "Figure 8", "Figure 9", "Ex-DPC", "S-Approx-DPC"} {
+	for _, want := range []string{"Table 6", "Table 7", "Figure 7", "Figure 8", "Ex-DPC", "S-Approx-DPC"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
@@ -90,13 +92,13 @@ func TestFigureExperimentsRenderFiles(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 21 {
-		t.Errorf("registry has %d experiments, want 21", len(Experiments()))
+	if len(Experiments()) != 18 {
+		t.Errorf("registry has %d experiments, want 18", len(Experiments()))
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown experiment found")
 	}
-	if len(Names()) != 21 {
+	if len(Names()) != 18 {
 		t.Error("Names() incomplete")
 	}
 	for _, e := range Experiments() {
@@ -129,54 +131,56 @@ func TestOthersAndAblationsRun(t *testing.T) {
 	}
 }
 
-func TestServiceExperimentRuns(t *testing.T) {
+func TestFig9Record(t *testing.T) {
 	var buf bytes.Buffer
-	c := smallCfg(t, &buf)
-	e, ok := Lookup("service")
-	if !ok {
-		t.Fatal("service experiment missing")
-	}
+	c := Config{N: 800, Threads: 2, Seed: 1, W: &buf, Fig9JSON: filepath.Join(t.TempDir(), "fig9.json")}
+	e, _ := Lookup("fig9")
 	if err := e.Run(c); err != nil {
-		t.Fatalf("service: %v", err)
+		t.Fatalf("fig9: %v", err)
 	}
-	out := buf.String()
-	for _, want := range []string{"fit-once", "Ex-DPC", "Approx-DPC", "hit rate", "1 fit(s) performed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
+	if !strings.Contains(buf.String(), "Figure 9") {
+		t.Error("fig9 output missing")
 	}
-}
-
-func TestWireExperimentRuns(t *testing.T) {
-	var buf bytes.Buffer
-	c := smallCfg(t, &buf)
-	c.WireJSON = filepath.Join(t.TempDir(), "wire.json")
-	e, ok := Lookup("wire")
-	if !ok {
-		t.Fatal("wire experiment missing")
-	}
-	if err := e.Run(c); err != nil {
-		t.Fatalf("wire: %v", err)
-	}
-	out := buf.String()
-	// Every leg ran, labels matched, and the machine-readable record
-	// landed where WireJSON pointed.
-	for _, want := range []string{
-		"batch/json", "batch/frames", "stream/ndjson", "stream/frames",
-		"stream/frames-f32", "relay/frames", "stream speedup",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	data, err := os.ReadFile(c.WireJSON)
+	raw, err := os.ReadFile(c.Fig9JSON)
 	if err != nil {
-		t.Fatalf("wire record: %v", err)
+		t.Fatalf("fig9 record: %v", err)
 	}
-	for _, want := range []string{"stream_speedup_binary_vs_ndjson", "bytes_per_point", `"labels_match": true`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("wire record missing %q", want)
+	var rec fig9Record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("fig9 record: %v", err)
+	}
+	if !slices.Equal(rec.Threads, []int{1, 2}) {
+		t.Fatalf("thread ladder %v, want [1 2]", rec.Threads)
+	}
+	// Every dataset × algorithm × thread-count cell is present and timed.
+	seen := map[string]bool{}
+	for _, row := range rec.Rows {
+		seen[row.Dataset+"/"+row.Algorithm] = true
+		if len(row.Legs) != len(rec.Threads) {
+			t.Errorf("%s/%s: %d legs, want %d", row.Dataset, row.Algorithm, len(row.Legs), len(rec.Threads))
+			continue
 		}
+		for i, l := range row.Legs {
+			if l.Threads != rec.Threads[i] || l.Seconds <= 0 {
+				t.Errorf("%s/%s leg %d: threads %d, %gs", row.Dataset, row.Algorithm, i, l.Threads, l.Seconds)
+			}
+		}
+		if !row.LabelsIdentical {
+			t.Errorf("%s/%s: labels differ across thread counts", row.Dataset, row.Algorithm)
+		}
+		if row.F32Seconds <= 0 || row.F32LabelAgreement < 0 || row.F32LabelAgreement > 1 {
+			t.Errorf("%s/%s: f32 leg %gs, agreement %g", row.Dataset, row.Algorithm, row.F32Seconds, row.F32LabelAgreement)
+		}
+	}
+	for _, ds := range c.realDatasets() {
+		for _, alg := range allAlgs() {
+			if !seen[ds.Name+"/"+alg.Name()] {
+				t.Errorf("record missing %s/%s", ds.Name, alg.Name())
+			}
+		}
+	}
+	if len(rec.Rows) != len(seen) {
+		t.Errorf("record has %d rows for %d dataset/algorithm pairs", len(rec.Rows), len(seen))
 	}
 }
 

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -169,7 +167,7 @@ func (c Config) Drift() error {
 			SwapFailures:    failures,
 			Refits:          st.DriftRefits,
 		}
-		if err := writeDriftRecord(c.DriftJSON, rec); err != nil {
+		if err := writeRecord(c.DriftJSON, rec); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", c.DriftJSON)
@@ -198,18 +196,4 @@ type driftRecord struct {
 	SwapSeconds     float64 `json:"refit_swap_seconds"`
 	SwapFailures    int     `json:"refit_swap_failed_assigns"`
 	Refits          int64   `json:"refits"`
-}
-
-func writeDriftRecord(path string, rec driftRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		return err
-	}
-	return f.Close()
 }

@@ -31,10 +31,7 @@ func Experiments() []Experiment {
 		{"abl-joint", "Ablation: joint vs per-point range search", Config.AblJoint},
 		{"abl-sched", "Ablation: scheduling strategies", Config.AblSched},
 		{"abl-subsets", "Ablation: subset count s", Config.AblSubsets},
-		{"service", "Fit-once/assign-many serving latency and cache hit rate", Config.Service},
-		{"wire", "Binary frame codec vs JSON on the assign wire path", Config.Wire},
 		{"sweep", "Parameter sweep: one density index vs K fresh fits", Config.ParamSweep},
-		{"parallel", "Parallel vs serial Ex-DPC fit", Config.Parallel},
 		{"drift", "Drift-tracking assign overhead and background refit swap", Config.Drift},
 	}
 }

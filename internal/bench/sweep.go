@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -142,7 +140,7 @@ func (c Config) ParamSweep() error {
 			VsSlowedstFit:  secs(sweepTotal) / maxFit,
 			LabelsVerified: true,
 		}
-		if err := writeSweepRecord(c.SweepJSON, rec); err != nil {
+		if err := writeRecord(c.SweepJSON, rec); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", c.SweepJSON)
@@ -171,16 +169,26 @@ type sweepRecord struct {
 	LabelsVerified bool      `json:"labels_verified"`
 }
 
-func writeSweepRecord(path string, rec sweepRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		return err
-	}
-	return f.Close()
+// heapPeak samples HeapInuse until stop closes and reports the maximum —
+// a peak-RSS proxy for comparing how much resident memory a workload
+// forces, which cumulative alloc counters hide.
+func heapPeak(stop <-chan struct{}) <-chan uint64 {
+	out := make(chan uint64, 1)
+	go func() {
+		var ms runtime.MemStats
+		peak := uint64(0)
+		for {
+			runtime.ReadMemStats(&ms)
+			if ms.HeapInuse > peak {
+				peak = ms.HeapInuse
+			}
+			select {
+			case <-stop:
+				out <- peak
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
+	return out
 }

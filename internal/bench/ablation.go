@@ -105,25 +105,3 @@ func (c Config) AblSched() error {
 	}
 	return nil
 }
-
-// AblSubsets sweeps the number of density-sorted subsets s in Approx-DPC's
-// exact dependent-point phase around the Equation (2) choice.
-func (c Config) AblSubsets() error {
-	w := c.w()
-	header(w, fmt.Sprintf("Ablation: subset count s in exact dependent phase (delta time [s], n=%d)", c.n()))
-	ds := data.AirlineLike(c.n(), c.Seed)
-	p := c.params(ds)
-	fmt.Fprintf(w, "%-10s %14s\n", "s", "delta [s]")
-	for _, s := range []int{0, 2, 4, 8, 16, 32, 64} {
-		res, err := run(core.ApproxDPC{SubsetS: s}, ds.Points, p)
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("%d", s)
-		if s == 0 {
-			label = "Eq.(2)"
-		}
-		fmt.Fprintf(w, "%-10s %14.3f\n", label, secs(res.Timing.Delta))
-	}
-	return nil
-}

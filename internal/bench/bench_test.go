@@ -92,13 +92,13 @@ func TestFigureExperimentsRenderFiles(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 18 {
-		t.Errorf("registry has %d experiments, want 18", len(Experiments()))
+	if len(Experiments()) != 17 {
+		t.Errorf("registry has %d experiments, want 17", len(Experiments()))
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown experiment found")
 	}
-	if len(Names()) != 18 {
+	if len(Names()) != 17 {
 		t.Error("Names() incomplete")
 	}
 	for _, e := range Experiments() {
@@ -114,7 +114,7 @@ func TestOthersAndAblationsRun(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	c := Config{N: 800, Threads: 2, Seed: 1, W: &buf}
-	for _, name := range []string{"others", "abl-joint", "abl-sched", "abl-subsets"} {
+	for _, name := range []string{"others", "abl-joint", "abl-sched"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %s missing", name)
@@ -124,7 +124,7 @@ func TestOthersAndAblationsRun(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"FastDPeak", "DPCG", "CFSFDP-DE", "joint", "LPT", "Eq.(2)"} {
+	for _, want := range []string{"FastDPeak", "DPCG", "CFSFDP-DE", "joint", "LPT"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

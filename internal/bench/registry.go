@@ -30,7 +30,6 @@ func Experiments() []Experiment {
 		{"others", "Dropped competitors (FastDPeak, DPCG, CFSFDP-DE)", Config.Others},
 		{"abl-joint", "Ablation: joint vs per-point range search", Config.AblJoint},
 		{"abl-sched", "Ablation: scheduling strategies", Config.AblSched},
-		{"abl-subsets", "Ablation: subset count s", Config.AblSubsets},
 		{"sweep", "Parameter sweep: one density index vs K fresh fits", Config.ParamSweep},
 		{"drift", "Drift-tracking assign overhead and background refit swap", Config.Drift},
 	}

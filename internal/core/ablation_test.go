@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-// TestApproxSubsetSInvariance: the subset count s is a performance knob;
-// the exact dependent-point phase must return identical results for any
-// s >= 2 (and for the Equation (2) default).
-func TestApproxSubsetSInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pts, _ := gaussianMix(rng, 4, 150, 40, 2, 700, 12)
-	p := Params{DCut: 20, RhoMin: 3, DeltaMin: 70, Workers: 4}
-	var ref *Result
-	for _, s := range []int{0, 2, 3, 7, 50} {
-		res, err := ApproxDPC{SubsetS: s}.Cluster(pts, p)
-		if err != nil {
-			t.Fatalf("s=%d: %v", s, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range pts {
-			if res.Labels[i] != ref.Labels[i] {
-				t.Fatalf("s=%d: labels differ at %d", s, i)
-			}
-			if !almostEq(res.Delta[i], ref.Delta[i]) {
-				t.Fatalf("s=%d: delta differs at %d: %v vs %v", s, i, res.Delta[i], ref.Delta[i])
-			}
-		}
-	}
-}
-
 // TestApproxSchedInvariance: scheduling strategies must not change any
 // output, only timing.
 func TestApproxSchedInvariance(t *testing.T) {

@@ -21,25 +21,24 @@ import (
 //
 // Dependent points are approximated in O(1) for any point that has a
 // denser point within d_cut (in-cell rule via p*(c); neighbor-cell rule
-// via N(c) and min-density summaries); the remainder P' gets exact
-// dependent points from s density-sorted subsets, each indexed by its own
-// kd-tree, with the case (i)/(ii)/(iii) subset pruning of Figure 5.
-// Theorem 4: the cluster centers equal Ex-DPC's for the same parameters.
+// via N(c) and min-density summaries). The paper resolves the remainder
+// P' with s density-sorted subsets, one kd-tree each (Figure 5); here
+// each point of P' instead runs Ex-DPC's rank-pruned walk over the tree
+// the density phase already built (WalkDependents), so P' gets Ex-DPC's
+// dependent point and delta bit for bit, ties included. Theorem 4: the
+// cluster centers equal Ex-DPC's for the same parameters.
 //
-// Both phases are parallelized with the cost-based LPT greedy assignment
-// of §4.5 (costs |P(c)|, then |P(c)|*|R(c)|, then cost_dep).
+// The two density sub-phases are parallelized with the cost-based LPT
+// greedy assignment of §4.5 (costs |P(c)|, then |P(c)|*|R(c)|); the rule
+// pass and the walks are dynamically scheduled.
 //
-// The zero value runs the paper's configuration. Sched and SubsetS exist
-// for the ablation benchmarks only: Sched swaps the cost-based LPT
-// assignment for plain dynamic or static scheduling, and SubsetS
-// overrides the Equation (2) choice of s in the exact dependent-point
-// phase.
+// The zero value runs the paper's configuration. Sched exists for the
+// ablation benchmarks only: it swaps the LPT assignment of the two
+// density sub-phases for plain dynamic or static scheduling.
 type ApproxDPC struct {
-	// Sched selects the parallel scheduling strategy (default SchedLPT).
+	// Sched selects the density sub-phases' parallel scheduling strategy
+	// (default SchedLPT).
 	Sched SchedMode
-	// SubsetS overrides s for the exact dependent-point phase; 0 means
-	// Equation (2).
-	SubsetS int
 }
 
 // SchedMode selects how parallel tasks are distributed to workers.
@@ -110,7 +109,7 @@ func (a ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tre
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()
-	approxThenExactDependents(ds, g, res, p, workers, d, a.Sched, a.SubsetS)
+	approxThenExactDependents(g, tree, res, p, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()
@@ -203,10 +202,10 @@ func computeDensities(ds *geom.Dataset, g *grid.Grid, rangeResults [][]int32, rh
 }
 
 // approxThenExactDependents applies the two O(1) approximation rules of
-// §4.3 and resolves the remaining set P' exactly with s density-sorted
-// kd-tree subsets.
-func approxThenExactDependents(ds *geom.Dataset, g *grid.Grid, res *Result, p Params, workers, d int, sched SchedMode, subsetS int) {
-	n := ds.N
+// §4.3 and resolves the remaining set P' exactly: one rank-pruned walk
+// per point of P' over the fit's whole-dataset tree (WalkDependents).
+func approxThenExactDependents(g *grid.Grid, tree *kdtree.Tree, res *Result, p Params, workers int) {
+	n := len(res.Rho)
 	unresolvedMark := int32(-2)
 	// Rule pass, parallel over cells (each point is touched by exactly its
 	// own cell's task).
@@ -239,102 +238,6 @@ func approxThenExactDependents(ds *geom.Dataset, g *grid.Grid, res *Result, p Pa
 			unresolved = append(unresolved, i)
 		}
 	}
-	exactDependentsOpt(ds, res.Rho, unresolved, res.Delta, res.Dep, workers, d, sched, subsetS)
-}
-
-// exactDependents computes exact dependent points for the given subset of
-// points using the s density-sorted kd-tree partitions of §4.3. It is
-// shared with S-Approx-DPC's fallback path (there the universe is the
-// picked set). universe entries are the points eligible to *be* dependent
-// points; here that is all of P, identified implicitly by len(rho).
-func exactDependents(ds *geom.Dataset, rho []float64, queries []int32, delta []float64, dep []int32, workers, d int) {
-	exactDependentsOpt(ds, rho, queries, delta, dep, workers, d, SchedLPT, 0)
-}
-
-// exactDependentsOpt is exactDependents with the ablation knobs exposed.
-func exactDependentsOpt(ds *geom.Dataset, rho []float64, queries []int32, delta []float64, dep []int32, workers, d int, sched SchedMode, subsetS int) {
-	n := len(rho)
-	if len(queries) == 0 {
-		return
-	}
-	// Ascending-density order and rank of every point.
-	asc := make([]int32, n)
-	for i := range asc {
-		asc[i] = int32(i)
-	}
-	sort.Slice(asc, func(a, b int) bool { return rho[asc[a]] < rho[asc[b]] })
-	rank := make([]int32, n)
-	for r, i := range asc {
-		rank[i] = int32(r)
-	}
-
-	// Equation (2): n/s = O((s-1)(n/s)^{1-1/d})  =>  s ~ n^{1/(d+1)}.
-	s := subsetS
-	if s <= 0 {
-		s = int(math.Round(math.Pow(float64(n), 1/float64(d+1))))
-	}
-	if s < 2 {
-		s = 2
-	}
-	if s > n {
-		s = n
-	}
-	chunk := (n + s - 1) / s
-	subsets := make([][]int32, 0, s)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		subsets = append(subsets, asc[lo:hi])
-	}
-	trees := make([]*kdtree.Tree, len(subsets))
-	partition.Dynamic(len(subsets), workers, func(k int) {
-		ids := make([]int32, len(subsets[k]))
-		copy(ids, subsets[k])
-		trees[k] = kdtree.Build(ds, ids)
-	})
-
-	// cost_dep of §4.5: own-subset scan when case (ii) applies, plus one NN
-	// search per higher subset.
-	nOverS := float64(chunk)
-	nnCost := math.Pow(nOverS, 1-1/float64(d))
-	costs := make([]float64, len(queries))
-	for qi, i := range queries {
-		k := int(rank[i]) / chunk
-		m := len(subsets) - k // subsets that may hold the dependent point
-		costs[qi] = nOverS + float64(m-1)*nnCost
-	}
-
-	sched.schedule(costs, workers, func(qi int) {
-		i := queries[qi]
-		pi := ds.At(int(i))
-		k := int(rank[i]) / chunk
-		bestSq := math.Inf(1)
-		best := NoDependent
-		// Case (ii): the subset containing p_i mixes densities; scan it.
-		for _, j := range subsets[k] {
-			if rho[j] <= rho[i] {
-				continue
-			}
-			if sq, ok := geom.SqDistToIdxPartial(ds, pi, j, bestSq); ok && sq < bestSq {
-				bestSq, best = sq, j
-			}
-		}
-		// Case (i): all higher subsets consist purely of denser points.
-		// The running best distance bounds each successive tree search, so
-		// once any nearby candidate is found the remaining trees are
-		// pruned almost entirely.
-		for t := k + 1; t < len(subsets); t++ {
-			if id, sq := trees[t].NNWithBound(pi, bestSq); id >= 0 {
-				bestSq, best = sq, id
-			}
-		}
-		dep[i] = best
-		if best == NoDependent {
-			delta[i] = math.Inf(1) // the global density peak
-		} else {
-			delta[i] = math.Sqrt(bestSq)
-		}
-	})
+	_, rank := densityRank(res.Rho, workers)
+	WalkDependents(tree, rank, unresolved, res.Delta, res.Dep, workers)
 }

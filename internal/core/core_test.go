@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // gaussianMix generates k well-separated Gaussian blobs plus uniform noise;
@@ -501,29 +505,82 @@ func TestSApproxEpsilonAccuracy(t *testing.T) {
 	}
 }
 
-// TestSApproxFallbackPath forces |P'_pick|^2 > 4n so the s-subset fallback
-// runs: many tiny isolated cells, each its own density peak.
+// sApproxPPrime recomputes S-Approx-DPC's set P'_pick from scratch: the
+// picked point (first member) of every eps-grid cell that has no denser
+// picked point in a cell its d_cut-ball reaches. It returns the picked
+// points and P'_pick.
+func sApproxPPrime(ds *geom.Dataset, rho []float64, p Params) (picked, pPrime []int32) {
+	g := grid.Build(ds, p.epsilon()*grid.SideForDCut(p.DCut, ds.Dim))
+	for c := range g.Cells {
+		picked = append(picked, g.Cells[c].Points[0])
+	}
+	for c, pi := range picked {
+		resolved := false
+		for x := int32(0); x < int32(ds.N) && !resolved; x++ {
+			xc := g.PointCell[x]
+			resolved = int(xc) != c && geom.SqDistIdx(ds, pi, x) < p.DCut*p.DCut && rho[picked[xc]] > rho[pi]
+		}
+		if !resolved {
+			pPrime = append(pPrime, pi)
+		}
+	}
+	return picked, pPrime
+}
+
+// TestSApproxFallbackPath forces |P'_pick|^2 > 4n so the exact fallback
+// runs: a lattice of isolated nodes, each its own cell and density peak,
+// every one with four equidistant lattice neighbors. Each node also has
+// a later, non-picked twin in its cell, 0.01 closer to the next node
+// along x. Each P'_pick point must depend on its nearest denser picked
+// point, never a closer twin, the lower density rank winning the
+// lattice's exact ties.
 func TestSApproxFallbackPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	var pts [][]float64
-	// 200 isolated points on a coarse lattice: every cell is one point and
-	// no denser picked point exists within d_cut of most of them.
+	var pts, twins [][]float64
 	for x := 0; x < 20; x++ {
 		for y := 0; y < 10; y++ {
 			pts = append(pts, []float64{float64(x) * 50, float64(y) * 50})
+			twins = append(twins, []float64{float64(x)*50 + 0.01, float64(y) * 50})
 		}
 	}
-	_ = rng
-	p := Params{DCut: 10, RhoMin: 0, DeltaMin: 20, Workers: 2, Epsilon: 1.0}
-	res, err := SApproxDPC{}.Cluster(pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each isolated point has rho = 1 and no neighbor within d_cut, so all
-	// should be their own cluster centers (delta >= 20 except... all
-	// pairwise distances are 50 >= DeltaMin).
-	if res.NumClusters() != len(pts) {
-		t.Errorf("isolated lattice: %d clusters, want %d", res.NumClusters(), len(pts))
+	nodes := len(pts)
+	ds64 := geom.MustFromRows(append(pts, twins...))
+	for _, ds := range []*geom.Dataset{ds64, ds64.ToFloat32()} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s, workers=%d", ds.Precision(), workers)
+			p := Params{DCut: 10, RhoMin: 0, DeltaMin: 20, Workers: workers, Epsilon: 1.0}
+			res, err := SApproxDPC{}.ClusterDataset(ds, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			picked, pPrime := sApproxPPrime(ds, res.Rho, p)
+			if len(picked) != nodes {
+				t.Fatalf("%s: %d picked points, want one per lattice node (%d)", name, len(picked), nodes)
+			}
+			if len(pPrime)*len(pPrime) <= 4*ds.N {
+				t.Fatalf("%s: |P'_pick| = %d does not take the fallback (n=%d)", name, len(pPrime), ds.N)
+			}
+			for _, i := range pPrime {
+				best, bestSq := NoDependent, math.Inf(1)
+				for _, j := range picked {
+					if res.Rho[j] <= res.Rho[i] {
+						continue
+					}
+					sq := geom.SqDistIdx(ds, i, j)
+					if sq < bestSq || (sq == bestSq && res.Rho[j] > res.Rho[best]) {
+						best, bestSq = j, sq
+					}
+				}
+				if res.Dep[i] != best || math.Float64bits(res.Delta[i]) != math.Float64bits(math.Sqrt(bestSq)) {
+					t.Fatalf("%s: P'_pick point %d: (Dep %d, Delta %v), want (%d, %v)",
+						name, i, res.Dep[i], res.Delta[i], best, math.Sqrt(bestSq))
+				}
+			}
+			// Every node is 50 >= DeltaMin from the next, so each is its
+			// own cluster center; its twin depends on it at d_cut.
+			if res.NumClusters() != nodes {
+				t.Errorf("%s: isolated lattice: %d clusters, want %d", name, res.NumClusters(), nodes)
+			}
+		}
 	}
 }
 

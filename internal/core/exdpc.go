@@ -66,11 +66,7 @@ func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, err
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()
-	order := densityOrder(res.Rho, workers)
-	rank := make([]int32, n)
-	for r, i := range order {
-		rank[i] = int32(r)
-	}
+	order, rank := densityRank(res.Rho, workers)
 	WalkDependents(tree, rank, order, res.Delta, res.Dep, workers)
 	res.Timing.Delta = time.Since(start)
 

@@ -139,6 +139,17 @@ func densityOrder(rho []float64, workers int) []int32 {
 	return src
 }
 
+// densityRank returns densityOrder(rho, workers) and its inverse: rank[i]
+// is point i's position in the order.
+func densityRank(rho []float64, workers int) (order, rank []int32) {
+	order = densityOrder(rho, workers)
+	rank = make([]int32, len(rho))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	return order, rank
+}
+
 // mergeRuns merges two sorted runs into dst (len(dst) == len(a)+len(b)).
 func mergeRuns(dst, a, b []int32, less func(x, y int32) bool) {
 	i, j, k := 0, 0, 0
@@ -190,15 +201,18 @@ func scanDelta(ds *geom.Dataset, rho []float64, workers int) (delta []float64, d
 
 // WalkDependents sets delta[i] and dep[i], for every point i in pts, to
 // i's dependent point: its nearest point of lower density rank. rank[i]
-// is i's position in densityOrder, and tree must hold every point of the
-// dataset. Each point is one independent rank-pruned walk
+// is i's position in densityOrder (S-Approx-DPC's variant is below), and
+// tree must hold every point of the dataset. Each point is one independent rank-pruned walk
 // (kdtree.NNLowerKey), so the pass is dynamically scheduled over workers
 // with no ordering between points. The answer is scanDelta's, bit for
 // bit: the same distance kernel, and on equal squared distance the lower
 // rank wins. The density peak (rank 0) gets NoDependent and +Inf.
 //
-// Ex-DPC runs it over every point; the density index runs it over the
-// local maxima its stored neighbor lists cannot answer.
+// Every exact dependent-point path runs it: Ex-DPC over every point, the
+// density index over the local maxima its stored neighbor lists cannot
+// answer, and Approx-DPC and FastDPeak over the points their O(1) rules
+// leave open. S-Approx-DPC ranks only its picked points and gives every
+// other point math.MaxInt32, which no walk ever returns.
 func WalkDependents(tree *kdtree.Tree, rank, pts []int32, delta []float64, dep []int32, workers int) {
 	sub := tree.SubtreeMin(rank)
 	partition.DynamicChunked(len(pts), workers, 4, func(k int) {

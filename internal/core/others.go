@@ -44,7 +44,6 @@ func (a FastDPeak) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 		return nil, err
 	}
 	n := ds.N
-	d := ds.Dim
 	k := a.K
 	if k <= 0 {
 		k = 32
@@ -100,7 +99,8 @@ func (a FastDPeak) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 			unresolved = append(unresolved, i)
 		}
 	}
-	exactDependents(ds, res.Rho, unresolved, res.Delta, res.Dep, workers, d)
+	_, rank := densityRank(res.Rho, workers)
+	WalkDependents(tree, rank, unresolved, res.Delta, res.Dep, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()

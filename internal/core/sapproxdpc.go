@@ -22,8 +22,12 @@ import (
 // Picked points resolve their dependent points in two phases: first via
 // occupied neighbor cells N(c) (distance bounded by (1+eps)d_cut), then —
 // for the set P'_pick with no denser picked point nearby — via temporary
-// clusters with triangle-inequality pruning, or the Approx-DPC s-subset
-// method when |P'_pick|^2 exceeds O(n).
+// clusters with triangle-inequality pruning. When |P'_pick|^2 exceeds
+// O(n), where the paper reuses Approx-DPC's s-subset method, P'_pick
+// instead runs the rank-pruned walk over the fit's kd-tree
+// (WalkDependents) keyed so that only picked points are candidates: the
+// nearest denser picked point, the lower density rank winning a tie.
+// All phases are dynamically scheduled.
 type SApproxDPC struct{}
 
 // Name implements Algorithm.
@@ -142,9 +146,9 @@ func (a SApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tr
 	}
 
 	if len(unresolved)*len(unresolved) > 4*n {
-		// |P'_pick|^2 exceeds O(n): fall back to the Approx-DPC exact
-		// machinery restricted to the picked universe.
-		sApproxSubsetFallback(ds, res, picked, unresolved, workers, d)
+		// |P'_pick|^2 exceeds O(n): resolve P'_pick exactly with the
+		// rank-pruned walk over the picked points.
+		sApproxWalkFallback(tree, res, picked, unresolved, workers)
 	} else {
 		sApproxTemporaryClusters(ds, g, res, picked, unresolved, workers)
 	}
@@ -241,34 +245,22 @@ func sApproxTemporaryClusters(ds *geom.Dataset, g *grid.Grid, res *Result, picke
 	})
 }
 
-// sApproxSubsetFallback resolves P'_pick with the Approx-DPC s-subset
-// method over the picked universe: remap picked points into a compact
-// index space, run exactDependents there, and map back.
-func sApproxSubsetFallback(ds *geom.Dataset, res *Result, picked, unresolved []int32, workers, d int) {
-	sub := ds.Select(picked)
-	rho := make([]float64, len(picked))
-	back := make([]int32, len(picked))
-	fwd := make(map[int32]int32, len(picked))
+// sApproxWalkFallback resolves P'_pick exactly over the picked points:
+// each picked point is keyed by its density rank among picked points and
+// every other point by math.MaxInt32, so the rank-pruned walk over the
+// fit's whole-dataset tree (WalkDependents) returns the nearest denser
+// picked point, the lower rank winning an exact distance tie.
+func sApproxWalkFallback(tree *kdtree.Tree, res *Result, picked, unresolved []int32, workers int) {
+	byRho := make([]float64, len(picked))
 	for k, pi := range picked {
-		rho[k] = res.Rho[pi]
-		back[k] = pi
-		fwd[pi] = int32(k)
+		byRho[k] = res.Rho[pi]
 	}
-	queries := make([]int32, len(unresolved))
-	for k, pi := range unresolved {
-		queries[k] = fwd[pi]
+	key := make([]int32, len(res.Rho))
+	for i := range key {
+		key[i] = math.MaxInt32
 	}
-	delta := make([]float64, len(picked))
-	dep := make([]int32, len(picked))
-	exactDependents(sub, rho, queries, delta, dep, workers, d)
-	for _, q := range queries {
-		pi := back[q]
-		if dep[q] == NoDependent {
-			res.Dep[pi] = NoDependent
-			res.Delta[pi] = math.Inf(1)
-		} else {
-			res.Dep[pi] = back[dep[q]]
-			res.Delta[pi] = delta[q]
-		}
+	for r, k := range densityOrder(byRho, workers) {
+		key[picked[k]] = int32(r)
 	}
+	WalkDependents(tree, key, unresolved, res.Delta, res.Dep, workers)
 }

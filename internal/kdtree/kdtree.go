@@ -5,7 +5,8 @@
 // circular range count per point for local densities and, over the same
 // tree, one rank-pruned nearest-neighbor walk per point (NNLowerKey) for
 // dependent points; Approx-DPC issues one joint range search per grid
-// cell and builds s small trees for its exact dependent-point phase.
+// cell, and the exact dependent-point fallbacks of the approximations
+// walk the same whole-dataset tree with NNLowerKey.
 //
 // Inner nodes hold only a split plane (dimension and coordinate); points
 // live in leaves of at most leafSize. After the build the tree copies
@@ -270,10 +271,9 @@ func (t *Tree) NN(q []float64) (int32, float64) {
 
 // NNWithBound returns the nearest tree point to q strictly closer than
 // sqrt(boundSq), with its squared distance, or (-1, boundSq) when none
-// exists; exact ties go to the lowest dataset id, as in NN. Passing the
-// best distance found so far lets multi-tree searches (Approx-DPC's
-// s-subset dependent-point phase) prune most of the later trees instead
-// of re-searching them from scratch.
+// exists; exact ties go to the lowest dataset id, as in NN. A bound
+// known in advance (the best distance found so far, or a cutoff such as
+// d_cut²) prunes every subtree that cannot hold a closer point.
 func (t *Tree) NNWithBound(q []float64, boundSq float64) (int32, float64) {
 	w := nnWalk{t: t, q: q, best: -1, bestSq: boundSq}
 	if len(t.nodes) > 0 {

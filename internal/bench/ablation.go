@@ -66,42 +66,3 @@ func (c Config) AblJoint() error {
 	}
 	return nil
 }
-
-// AblSched isolates the cost-based LPT scheduling choice (§4.5) by
-// running Approx-DPC with LPT, plain dynamic, and static scheduling.
-// Labels are identical across strategies; only time may differ.
-func (c Config) AblSched() error {
-	w := c.w()
-	header(w, fmt.Sprintf("Ablation: Approx-DPC scheduling strategy (total [s], n=%d, %d threads)", c.n(), c.threads()))
-	modes := []struct {
-		name string
-		m    core.SchedMode
-	}{
-		{"LPT (paper)", core.SchedLPT},
-		{"dynamic", core.SchedDynamic},
-		{"static", core.SchedStatic},
-	}
-	fmt.Fprintf(w, "%-12s", "Dataset")
-	for _, m := range modes {
-		fmt.Fprintf(w, " %14s", m.name)
-	}
-	fmt.Fprintln(w)
-	for _, ds := range c.realDatasets() {
-		fmt.Fprintf(w, "%-12s", ds.Name)
-		var ref []int32
-		for _, m := range modes {
-			res, err := run(core.ApproxDPC{Sched: m.m}, ds.Points, c.params(ds))
-			if err != nil {
-				return err
-			}
-			if ref == nil {
-				ref = res.Labels
-			} else if eval.RandIndex(ref, res.Labels) != 1 {
-				return fmt.Errorf("scheduling changed the clustering on %s", ds.Name)
-			}
-			fmt.Fprintf(w, " %14.3f", secs(res.Timing.Total()))
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}

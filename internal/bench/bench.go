@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // Config controls the harness.
@@ -96,6 +97,14 @@ func (c Config) params(ds *data.Dataset) core.Params {
 		DCut: ds.DCut, RhoMin: ds.RhoMin, DeltaMin: ds.DeltaMin,
 		Workers: c.threads(), Epsilon: 1.0, Seed: c.Seed,
 	}
+}
+
+// pointsPerCell is n over the number of occupied cells of Approx-DPC's
+// grid (side d_cut/sqrt(d)): how many members one joint range search
+// serves on average. Near 1, the joint search is one search per point,
+// at a radius of up to 1.5*d_cut.
+func pointsPerCell(ds *geom.Dataset, dcut float64) float64 {
+	return float64(ds.N) / float64(grid.Build(ds, grid.SideForDCut(dcut, ds.Dim)).NumCells())
 }
 
 // run executes one algorithm over a flat dataset and returns its result;

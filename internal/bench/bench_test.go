@@ -54,7 +54,8 @@ func TestPerfExperimentsRun(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"Table 6", "Table 7", "Figure 7", "Figure 8", "Ex-DPC", "S-Approx-DPC"} {
+	for _, want := range []string{"Table 6", "Table 7", "Figure 7", "Figure 8", "Ex-DPC", "S-Approx-DPC",
+		"points per occupied cell", "pts/cell"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
@@ -92,13 +93,13 @@ func TestFigureExperimentsRenderFiles(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 17 {
-		t.Errorf("registry has %d experiments, want 17", len(Experiments()))
+	if len(Experiments()) != 16 {
+		t.Errorf("registry has %d experiments, want 16", len(Experiments()))
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown experiment found")
 	}
-	if len(Names()) != 17 {
+	if len(Names()) != 16 {
 		t.Error("Names() incomplete")
 	}
 	for _, e := range Experiments() {
@@ -114,7 +115,7 @@ func TestOthersAndAblationsRun(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	c := Config{N: 800, Threads: 2, Seed: 1, W: &buf}
-	for _, name := range []string{"others", "abl-joint", "abl-sched"} {
+	for _, name := range []string{"others", "abl-joint"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %s missing", name)
@@ -124,7 +125,7 @@ func TestOthersAndAblationsRun(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"FastDPeak", "DPCG", "CFSFDP-DE", "joint", "LPT"} {
+	for _, want := range []string{"FastDPeak", "DPCG", "CFSFDP-DE", "joint"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -17,7 +17,8 @@ import (
 
 // Table6 reproduces "Decomposed time [sec]": the rho-computation and
 // delta-computation seconds of every algorithm on the four real-dataset
-// stand-ins at default parameters.
+// stand-ins at default parameters, followed by Approx-DPC's points per
+// occupied cell on each.
 func (c Config) Table6() error {
 	w := c.w()
 	header(w, fmt.Sprintf("Table 6: decomposed time [s] (n=%d per dataset, %d threads)", c.n(), c.threads()))
@@ -38,6 +39,11 @@ func (c Config) Table6() error {
 		}
 		fmt.Fprintln(w)
 	}
+	fmt.Fprint(w, "Approx-DPC points per occupied cell:")
+	for _, ds := range dss {
+		fmt.Fprintf(w, " %s %.2f", ds.Name, pointsPerCell(ds.Points, ds.DCut))
+	}
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -109,7 +115,8 @@ func (c Config) Fig7() error {
 
 // Fig8 reproduces "Impact of d_cut": total running time under a cutoff
 // sweep (500..1500 for the 1e5/1e6-domain datasets, 4000..6000 for
-// Sensor, as in the paper).
+// Sensor, as in the paper). A last row per dataset gives Approx-DPC's
+// points per occupied cell at each cutoff.
 func (c Config) Fig8() error {
 	w := c.w()
 	header(w, fmt.Sprintf("Figure 8: running time [s] vs d_cut (n=%d, %d threads)", c.n(), c.threads()))
@@ -137,6 +144,11 @@ func (c Config) Fig8() error {
 			}
 			fmt.Fprintln(w)
 		}
+		fmt.Fprintf(w, "%-14s", "pts/cell")
+		for _, dc := range cuts {
+			fmt.Fprintf(w, " %8.2f", pointsPerCell(ds.Points, dc))
+		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }

@@ -29,7 +29,6 @@ func Experiments() []Experiment {
 		{"table7", "Memory usage", Config.Table7},
 		{"others", "Dropped competitors (FastDPeak, DPCG, CFSFDP-DE)", Config.Others},
 		{"abl-joint", "Ablation: joint vs per-point range search", Config.AblJoint},
-		{"abl-sched", "Ablation: scheduling strategies", Config.AblSched},
 		{"sweep", "Parameter sweep: one density index vs K fresh fits", Config.ParamSweep},
 		{"drift", "Drift-tracking assign overhead and background refit swap", Config.Drift},
 	}

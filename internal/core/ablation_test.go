@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// TestApproxSchedInvariance: scheduling strategies must not change any
-// output, only timing.
-func TestApproxSchedInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts, _ := gaussianMix(rng, 3, 150, 30, 3, 600, 12)
-	p := Params{DCut: 35, RhoMin: 3, DeltaMin: 110, Workers: 4}
-	var ref *Result
-	for _, m := range []SchedMode{SchedLPT, SchedDynamic, SchedStatic} {
-		res, err := ApproxDPC{Sched: m}.Cluster(pts, p)
-		if err != nil {
-			t.Fatalf("mode %d: %v", m, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range pts {
-			if res.Labels[i] != ref.Labels[i] || res.Rho[i] != ref.Rho[i] {
-				t.Fatalf("mode %d: output differs at %d", m, i)
-			}
-		}
-	}
-}
-
 // TestLSHDDPFallbackScan: with a single wide-spread cluster and a tiny
 // LSH width, buckets rarely contain a denser candidate, forcing the
 // full-scan fallback; the result must still identify one cluster with the

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -28,47 +28,13 @@ import (
 // dependent point and delta bit for bit, ties included. Theorem 4: the
 // cluster centers equal Ex-DPC's for the same parameters.
 //
-// The two density sub-phases are parallelized with the cost-based LPT
-// greedy assignment of §4.5 (costs |P(c)|, then |P(c)|*|R(c)|); the rule
-// pass and the walks are dynamically scheduled.
-//
-// The zero value runs the paper's configuration. Sched exists for the
-// ablation benchmarks only: it swaps the LPT assignment of the two
-// density sub-phases for plain dynamic or static scheduling.
-type ApproxDPC struct {
-	// Sched selects the density sub-phases' parallel scheduling strategy
-	// (default SchedLPT).
-	Sched SchedMode
-}
-
-// SchedMode selects how parallel tasks are distributed to workers.
-type SchedMode int
-
-// Scheduling strategies for the ablation study.
-const (
-	// SchedLPT is the paper's cost-based 3/2-approximation greedy.
-	SchedLPT SchedMode = iota
-	// SchedDynamic ignores cost estimates and self-schedules tasks.
-	SchedDynamic
-	// SchedStatic assigns equal-count contiguous blocks (no balancing).
-	SchedStatic
-)
-
-// schedule runs fn over len(costs) tasks under the selected strategy.
-func (m SchedMode) schedule(costs []float64, workers int, fn func(i int)) {
-	switch m {
-	case SchedDynamic:
-		partition.Dynamic(len(costs), workers, fn)
-	case SchedStatic:
-		staticPartition(len(costs), workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		})
-	default:
-		partition.RunLPT(costs, workers, fn)
-	}
-}
+// The density phase is one dynamically scheduled task per grid cell:
+// the task runs the cell's joint search, scans the result for its
+// members' densities and fills p*(c), min rho and N(c), so each result
+// lives only inside its own task. The rule pass and the walks are
+// dynamically scheduled as well. The paper's cost-based scheduling of
+// this phase (§4.5) measured no gain here (docs/benchmarks.md).
+type ApproxDPC struct{}
 
 // Name implements Algorithm.
 func (ApproxDPC) Name() string { return "Approx-DPC" }
@@ -85,7 +51,7 @@ func (a ApproxDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 }
 
 // clusterTree implements treeClusterer: the fit's kd-tree outlives it.
-func (a ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, error) {
+func (ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, error) {
 	if err := validateInput(ds, p); err != nil {
 		return nil, nil, err
 	}
@@ -104,8 +70,7 @@ func (a ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tre
 	res.Timing.Build = time.Since(start)
 
 	start = time.Now()
-	rangeResults := jointRangeSearch(ds, tree, g, p, workers, a.Sched)
-	computeDensities(ds, g, rangeResults, res.Rho, p, workers, a.Sched)
+	cellDensities(ds, tree, g, res.Rho, p, workers)
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()
@@ -118,47 +83,26 @@ func (a ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tre
 	return res, tree, nil
 }
 
-// jointRangeSearch runs one expanded-ball range search per cell
-// (phase 1 of §4.5; cost estimate |P(c)|, LPT-partitioned).
-func jointRangeSearch(ds *geom.Dataset, tree *kdtree.Tree, g *grid.Grid, p Params, workers int, sched SchedMode) [][]int32 {
-	nc := g.NumCells()
-	results := make([][]int32, nc)
-	costs := make([]float64, nc)
-	for c := range costs {
-		costs[c] = float64(len(g.Cells[c].Points))
-	}
-	sched.schedule(costs, workers, func(c int) {
+// cellDensities computes every point's exact local density and the cell
+// summaries p*(c), min rho and N(c), one task per cell: a joint range
+// search over the ball that covers every member's d_cut-ball, then one
+// scan of its result per member.
+func cellDensities(ds *geom.Dataset, tree *kdtree.Tree, g *grid.Grid, rho []float64, p Params, workers int) {
+	sq := p.DCut * p.DCut
+	partition.Dynamic(g.NumCells(), workers, func(c int) {
 		cell := &g.Cells[c]
 		cp := g.Center(int32(c))
 		var maxSq float64
 		for _, m := range cell.Points {
-			if sq := geom.SqDistToIdx(ds, cp, m); sq > maxSq {
-				maxSq = sq
+			if v := geom.SqDistToIdx(ds, cp, m); v > maxSq {
+				maxSq = v
 			}
 		}
-		radius := p.DCut + math.Sqrt(maxSq)
-		ids := make([]int32, 0, 2*len(cell.Points))
-		tree.RangeSearch(cp, radius, func(id int32, _ float64) {
-			ids = append(ids, id)
+		r := make([]int32, 0, 2*len(cell.Points))
+		tree.RangeSearch(cp, p.DCut+math.Sqrt(maxSq), func(id int32, _ float64) {
+			r = append(r, id)
 		})
-		results[c] = ids
-	})
-	return results
-}
 
-// computeDensities scans each cell's joint result to obtain exact local
-// densities for all members and fills the cell summaries p*(c), min rho,
-// and N(c) (phase 2 of §4.5; cost estimate |P(c)|*|R(c)|).
-func computeDensities(ds *geom.Dataset, g *grid.Grid, rangeResults [][]int32, rho []float64, p Params, workers int, sched SchedMode) {
-	sq := p.DCut * p.DCut
-	nc := g.NumCells()
-	costs := make([]float64, nc)
-	for c := range costs {
-		costs[c] = float64(len(g.Cells[c].Points)) * float64(len(rangeResults[c]))
-	}
-	sched.schedule(costs, workers, func(c int) {
-		cell := &g.Cells[c]
-		r := rangeResults[c]
 		best := int32(-1)
 		bestRho := math.Inf(-1)
 		minRho := math.Inf(1)
@@ -197,7 +141,7 @@ func computeDensities(ds *geom.Dataset, g *grid.Grid, rangeResults [][]int32, rh
 				cell.Neighbors = append(cell.Neighbors, xc)
 			}
 		}
-		sort.Slice(cell.Neighbors, func(a, b int) bool { return cell.Neighbors[a] < cell.Neighbors[b] })
+		slices.Sort(cell.Neighbors)
 	})
 }
 

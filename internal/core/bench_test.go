@@ -46,18 +46,6 @@ func BenchmarkCoreFastDPeak(b *testing.B)  { benchRun(b, FastDPeak{}) }
 func BenchmarkCoreDPCG(b *testing.B)       { benchRun(b, DPCG{}) }
 func BenchmarkCoreCFSFDPDE(b *testing.B)   { benchRun(b, CFSFDPDE{}) }
 
-// BenchmarkApproxDPCSchedulers compares the three scheduling ablations.
-func BenchmarkApproxDPCSchedulers(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		m    SchedMode
-	}{{"LPT", SchedLPT}, {"Dynamic", SchedDynamic}, {"Static", SchedStatic}} {
-		b.Run(tc.name, func(b *testing.B) {
-			benchRun(b, ApproxDPC{Sched: tc.m})
-		})
-	}
-}
-
 // BenchmarkSApproxEpsilon shows the Table 5 time side of the eps trade.
 func BenchmarkSApproxEpsilon(b *testing.B) {
 	for _, eps := range []float64{0.2, 0.5, 1.0} {

@@ -167,23 +167,6 @@ func (m *Model) AssignAll(pts [][]float64, workers int) ([]int32, error) {
 	return out, nil
 }
 
-// AssignDataset labels every point of a flat dataset in parallel. Safe
-// for concurrent use.
-func (m *Model) AssignDataset(qs *geom.Dataset, workers int) ([]int32, error) {
-	if qs.N == 0 {
-		return []int32{}, nil
-	}
-	if qs.Dim != m.ds.Dim {
-		return nil, fmt.Errorf("core: query dataset has dimension %d, want %d", qs.Dim, m.ds.Dim)
-	}
-	out := make([]int32, qs.N)
-	partition.DynamicChunked(qs.N, Params{Workers: workers}.workers(), 32, func(i int) {
-		l, _ := m.assigner.Assign(qs.At(i))
-		out[i] = l
-	})
-	return out, nil
-}
-
 // ModelStats summarizes a fitted model for serving APIs and diagnostics.
 type ModelStats struct {
 	Algorithm string  `json:"algorithm"`

@@ -49,7 +49,7 @@ func TestModelAssignReproducesTrainingLabels(t *testing.T) {
 		if m.Algorithm() != alg.Name() || m.N() != ds.N || m.Dim() != ds.Dim {
 			t.Errorf("%s: model metadata wrong: %+v", alg.Name(), m.Stats())
 		}
-		labels, err := m.AssignDataset(ds, 3)
+		labels, err := m.AssignAll(rows, 3)
 		if err != nil {
 			t.Fatalf("%s: assign: %v", alg.Name(), err)
 		}
@@ -58,16 +58,6 @@ func TestModelAssignReproducesTrainingLabels(t *testing.T) {
 			if labels[i] != want[i] {
 				t.Fatalf("%s: Assign(training point %d) = %d, fitted label %d",
 					alg.Name(), i, labels[i], want[i])
-			}
-		}
-		// The row-slice batch path must agree with the dataset path.
-		batch, err := m.AssignAll(rows[:50], 2)
-		if err != nil {
-			t.Fatalf("%s: AssignAll: %v", alg.Name(), err)
-		}
-		for i := range batch {
-			if batch[i] != want[i] {
-				t.Fatalf("%s: AssignAll[%d] = %d, want %d", alg.Name(), i, batch[i], want[i])
 			}
 		}
 	}
@@ -85,9 +75,6 @@ func TestModelAssignDimensionChecks(t *testing.T) {
 	}
 	if _, err := m.AssignAll([][]float64{{1, 2}, {1, 2, 3}}, 2); err == nil {
 		t.Error("AssignAll accepted mixed dimensions")
-	}
-	if _, err := m.AssignDataset(geom.MustFromRows([][]float64{{1, 2, 3}}), 2); err == nil {
-		t.Error("AssignDataset accepted wrong dimension")
 	}
 	if out, err := m.AssignAll(nil, 2); err != nil || out == nil || len(out) != 0 {
 		// Non-nil so the serving layer marshals [] rather than null.
@@ -231,7 +218,7 @@ func TestRestoreRebuildsModel(t *testing.T) {
 	if r.Algorithm() != "Ex-DPC" || r.FitTime() != m.FitTime() || r.NumClusters() != m.NumClusters() {
 		t.Errorf("restored metadata: %s/%v/%d", r.Algorithm(), r.FitTime(), r.NumClusters())
 	}
-	got, err := r.AssignDataset(ds, 2)
+	got, err := r.AssignAll(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +255,7 @@ func TestRestoreRebuildsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := shared.AssignDataset(ds, 2); !slices.Equal(got, want) {
+	if got, _ := shared.AssignAll(rows, 2); !slices.Equal(got, want) {
 		t.Error("shared-tree restore does not reproduce the fitted labels")
 	}
 	half := kdtree.Build(ds, []int32{0, 1, 2})

@@ -1,16 +1,9 @@
-// Package partition provides the two parallel work-distribution strategies
-// the paper uses on its multicore testbed:
-//
-//   - Dynamic self-scheduling (the OpenMP "schedule(dynamic)" Ex-DPC uses
-//     for local densities): workers repeatedly claim the next unprocessed
-//     task from a shared atomic counter, so expensive tasks never stall the
-//     pool behind a static assignment.
-//
-//   - Cost-based greedy partitioning (the 3/2-approximation of Graham's
-//     LPT rule, used by Approx-DPC): tasks with estimated costs are sorted
-//     descending and each is placed on the currently least-loaded thread,
-//     then every thread runs its own bucket. The paper estimates costs such
-//     as |P(c)| or |P(c)|*|R| before each phase and applies this rule.
+// Package partition provides the work-distribution strategy every
+// parallel phase uses: dynamic self-scheduling (the OpenMP
+// "schedule(dynamic)" the paper's Ex-DPC uses for local densities).
+// Workers repeatedly claim the next unprocessed task from a shared atomic
+// counter, so an expensive task never stalls the pool behind a static
+// assignment and no cost estimate is needed.
 //
 // Both helpers run the caller's function on the calling goroutine when
 // workers <= 1, which keeps single-thread measurements free of pool
@@ -18,8 +11,6 @@
 package partition
 
 import (
-	"container/heap"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -96,101 +87,4 @@ func DynamicChunked(n, workers, chunk int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// LPT assigns n tasks with the given costs to `workers` bins using the
-// Longest-Processing-Time greedy rule and returns, per bin, the task
-// indices assigned to it. The makespan of the result is at most 3/2 the
-// optimum (4/3 - 1/(3m) asymptotically), which is the guarantee the paper
-// cites for its cost-based partitioning.
-func LPT(costs []float64, workers int) [][]int {
-	n := len(costs)
-	if workers < 1 {
-		workers = 1
-	}
-	bins := make([][]int, workers)
-	if n == 0 {
-		return bins
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-
-	h := &binHeap{}
-	for w := 0; w < workers; w++ {
-		h.items = append(h.items, binLoad{idx: w})
-	}
-	heap.Init(h)
-	for _, task := range order {
-		b := &h.items[0]
-		bins[b.idx] = append(bins[b.idx], task)
-		b.load += costs[task]
-		heap.Fix(h, 0)
-	}
-	return bins
-}
-
-// RunLPT partitions tasks 0..n-1 by cost with LPT, then runs each bin on
-// its own goroutine; fn(i) is invoked exactly once for every task index.
-func RunLPT(costs []float64, workers int, fn func(i int)) {
-	if workers <= 1 {
-		for i := range costs {
-			fn(i)
-		}
-		return
-	}
-	bins := LPT(costs, workers)
-	var wg sync.WaitGroup
-	for _, bin := range bins {
-		if len(bin) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(tasks []int) {
-			defer wg.Done()
-			for _, i := range tasks {
-				fn(i)
-			}
-		}(bin)
-	}
-	wg.Wait()
-}
-
-// Makespan returns the maximum per-bin cost sum of an assignment, the
-// quantity LPT minimizes. Exposed for tests and scheduling diagnostics.
-func Makespan(costs []float64, bins [][]int) float64 {
-	var max float64
-	for _, bin := range bins {
-		var s float64
-		for _, t := range bin {
-			s += costs[t]
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-type binLoad struct {
-	load float64
-	idx  int
-}
-
-type binHeap struct {
-	items []binLoad
-}
-
-func (h *binHeap) Len() int           { return len(h.items) }
-func (h *binHeap) Less(a, b int) bool { return h.items[a].load < h.items[b].load }
-func (h *binHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *binHeap) Push(x interface{}) { h.items = append(h.items, x.(binLoad)) }
-func (h *binHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
 }

@@ -1,10 +1,8 @@
 package partition
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestDynamicCoversAllIndices(t *testing.T) {
@@ -30,113 +28,6 @@ func TestDynamicChunked(t *testing.T) {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("chunk=%d: index %d hit %d times", chunk, i, got)
 			}
-		}
-	}
-}
-
-func TestLPTCoversAllTasks(t *testing.T) {
-	costs := []float64{5, 3, 8, 1, 1, 9, 2}
-	bins := LPT(costs, 3)
-	if len(bins) != 3 {
-		t.Fatalf("got %d bins", len(bins))
-	}
-	seen := make(map[int]bool)
-	for _, bin := range bins {
-		for _, task := range bin {
-			if seen[task] {
-				t.Fatalf("task %d assigned twice", task)
-			}
-			seen[task] = true
-		}
-	}
-	if len(seen) != len(costs) {
-		t.Fatalf("assigned %d of %d tasks", len(seen), len(costs))
-	}
-}
-
-func TestLPTKnownOptimal(t *testing.T) {
-	// Classic example: {7,6,5,4,3,3} on 2 machines, optimum makespan 14.
-	costs := []float64{7, 6, 5, 4, 3, 3}
-	bins := LPT(costs, 2)
-	if got := Makespan(costs, bins); got != 14 {
-		t.Errorf("makespan = %v, want 14", got)
-	}
-}
-
-func TestLPTApproximationBoundProperty(t *testing.T) {
-	// Property: LPT makespan <= 3/2 * lower bound, where the lower bound is
-	// max(total/m, max cost).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(60)
-		m := 1 + rng.Intn(8)
-		costs := make([]float64, n)
-		var total, maxC float64
-		for i := range costs {
-			costs[i] = rng.Float64() * 100
-			total += costs[i]
-			if costs[i] > maxC {
-				maxC = costs[i]
-			}
-		}
-		lower := total / float64(m)
-		if maxC > lower {
-			lower = maxC
-		}
-		ms := Makespan(costs, LPT(costs, m))
-		return ms <= 1.5*lower+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunLPTExecutesEachTaskOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	costs := make([]float64, 500)
-	for i := range costs {
-		costs[i] = rng.Float64()
-	}
-	for _, workers := range []int{1, 4, 16} {
-		hits := make([]atomic.Int32, len(costs))
-		RunLPT(costs, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestLPTEmptyAndDegenerate(t *testing.T) {
-	if bins := LPT(nil, 4); len(bins) != 4 {
-		t.Errorf("empty tasks: got %d bins", len(bins))
-	}
-	bins := LPT([]float64{5}, 3)
-	total := 0
-	for _, b := range bins {
-		total += len(b)
-	}
-	if total != 1 {
-		t.Errorf("single task: assigned %d times", total)
-	}
-	// workers < 1 coerces to 1.
-	bins = LPT([]float64{1, 2}, 0)
-	if len(bins) != 1 || len(bins[0]) != 2 {
-		t.Errorf("workers=0: bins = %v", bins)
-	}
-}
-
-func TestLPTBalance(t *testing.T) {
-	// Equal costs must spread evenly.
-	costs := make([]float64, 40)
-	for i := range costs {
-		costs[i] = 1
-	}
-	bins := LPT(costs, 4)
-	for w, bin := range bins {
-		if len(bin) != 10 {
-			t.Errorf("bin %d has %d tasks, want 10", w, len(bin))
 		}
 	}
 }

@@ -351,6 +351,34 @@ func TestLabelsPartitionClusters(t *testing.T) {
 	}
 }
 
+// TestWorkerCountInvariance: results must not depend on the worker count.
+func TestWorkerCountInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	pts, _ := gaussianMix(rng, 3, 120, 20, 2, 500, 10)
+	for _, alg := range allAlgorithms() {
+		var ref *Result
+		for _, w := range []int{1, 2, 8} {
+			p := Params{DCut: 18, RhoMin: 3, DeltaMin: 60, Workers: w, Epsilon: 0.5, Seed: 6}
+			res, err := alg.Cluster(pts, p)
+			if err != nil {
+				t.Fatalf("%s: %v", alg.Name(), err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			for i := range pts {
+				if res.Labels[i] != ref.Labels[i] {
+					t.Fatalf("%s: labels differ between worker counts at %d", alg.Name(), i)
+				}
+				if res.Rho[i] != ref.Rho[i] {
+					t.Fatalf("%s: rho differs between worker counts at %d", alg.Name(), i)
+				}
+			}
+		}
+	}
+}
+
 func TestSinglePointAndTinyInputs(t *testing.T) {
 	p := Params{DCut: 1, RhoMin: 0, DeltaMin: 2, Workers: 2, Epsilon: 0.5}
 	for _, alg := range allAlgorithms() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -26,46 +25,26 @@ func equivAlgs() []Algorithm {
 // result. Worker counts that do not divide n exercise the remainder
 // blocks.
 func TestParallelSerialEquivalence(t *testing.T) {
-	type fixture struct {
-		name    string
-		rows    [][]float64
-		p       Params
-		workers []int
-	}
-	var fixtures []fixture
 	for _, d := range []int{2, 4} {
 		rng := rand.New(rand.NewSource(int64(400 + d)))
-		fixtures = append(fixtures, fixture{
-			name:    fmt.Sprintf("blobs-%dd", d),
-			rows:    equivBlobs(rng, 901, d),
-			p:       Params{DCut: 12, RhoMin: 3, DeltaMin: 40, Epsilon: 0.8, Seed: 1},
-			workers: []int{3, 7},
-		})
-	}
-	mix, _ := gaussianMix(rand.New(rand.NewSource(81)), 3, 120, 20, 2, 500, 10)
-	fixtures = append(fixtures, fixture{
-		name:    "gaussian-mix",
-		rows:    mix,
-		p:       Params{DCut: 18, RhoMin: 3, DeltaMin: 60, Epsilon: 0.5, Seed: 6},
-		workers: []int{2, 8},
-	})
-	for _, f := range fixtures {
-		ds := geom.MustFromRows(f.rows)
+		rows := equivBlobs(rng, 901, d)
+		ds := geom.MustFromRows(rows)
+		base := Params{DCut: 12, RhoMin: 3, DeltaMin: 40, Epsilon: 0.8, Seed: 1}
 		for _, alg := range equivAlgs() {
-			serialP := f.p
+			serialP := base
 			serialP.Workers = 1
 			serial, err := alg.ClusterDataset(ds, serialP)
 			if err != nil {
-				t.Fatalf("%s serial (%s): %v", alg.Name(), f.name, err)
+				t.Fatalf("%s serial (d=%d): %v", alg.Name(), d, err)
 			}
-			for _, workers := range f.workers {
-				parP := f.p
+			for _, workers := range []int{3, 7} {
+				parP := base
 				parP.Workers = workers
 				par, err := alg.ClusterDataset(ds, parP)
 				if err != nil {
-					t.Fatalf("%s workers=%d (%s): %v", alg.Name(), workers, f.name, err)
+					t.Fatalf("%s workers=%d (d=%d): %v", alg.Name(), workers, d, err)
 				}
-				compareResults(t, fmt.Sprintf("%s parallel-vs-serial %s workers=%d", alg.Name(), f.name, workers), ds.Dim, serial, par)
+				compareResults(t, alg.Name()+" parallel-vs-serial", d, serial, par)
 			}
 		}
 	}

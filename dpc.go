@@ -12,8 +12,8 @@
 //
 // Three algorithms from the paper are provided, plus four baselines:
 //
-//   - ExDPC: exact, kd-tree based, O(n(n^{1-1/d} + rho_avg)); its
-//     dependent-point phase is sequential.
+//   - ExDPC: exact, kd-tree based, O(n(n^{1-1/d} + rho_avg)); fully
+//     parallel, its dependent points one rank-pruned tree walk per point.
 //   - ApproxDPC: parameter-free approximation with exact densities and
 //     guaranteed-identical cluster centers (Theorem 4); fully parallel.
 //   - SApproxDPC: sampling-based approximation with a tunable parameter

@@ -29,7 +29,7 @@ func TestAccuracyTablesRun(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"Table 2", "Table 3", "Table 4", "Table 5", "S4", "Approx-DPC"} {
+	for _, want := range []string{"Table 2", "Table 3", "Table 4", "Table 5", "S4", "Approx-DPC", "clusters", "noise"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -109,8 +109,11 @@ func cellDensities(ds *geom.Dataset, tree *kdtree.Tree, g *grid.Grid, rho []floa
 		for _, m := range cell.Points {
 			pm := ds.At(int(m))
 			count := 0
+			// The full sum, not the early exit: most of r lies within
+			// d_cut of a member, so an exit seldom fires, and its
+			// unpredictable branch costs more than it saves.
 			for _, x := range r {
-				if v, ok := geom.SqDistToIdxPartial(ds, pm, x, sq); ok && v < sq {
+				if geom.SqDistToIdx(ds, pm, x) < sq {
 					count++
 				}
 			}

@@ -58,16 +58,20 @@ func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, err
 	res.Timing.Build = time.Since(start)
 
 	// Local density: one range count per point, dynamically scheduled
-	// ("#pragma omp parallel for schedule(dynamic)" in the paper).
+	// ("#pragma omp parallel for schedule(dynamic)" in the paper). The
+	// points go in tree order, so consecutive counts walk the same paths
+	// and scan the same leaves while they are still in cache.
 	start = time.Now()
-	partition.DynamicChunked(n, workers, 4, func(i int) {
+	byLeaf := tree.Order()
+	partition.DynamicChunked(n, workers, 4, func(k int) {
+		i := int(byLeaf[k])
 		res.Rho[i] = float64(tree.RangeCount(ds.At(i), p.DCut)) + jitter(i)
 	})
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()
-	order, rank := densityRank(res.Rho, workers)
-	WalkDependents(tree, rank, order, res.Delta, res.Dep, workers)
+	_, rank := densityRank(res.Rho, workers)
+	WalkDependents(tree, rank, byLeaf, res.Delta, res.Dep, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()

@@ -110,10 +110,13 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 
 	// Count pass: exact per-point neighbor counts size the CSR slabs, so
 	// the fill pass never reallocates and the edge budget is checked
-	// before the big allocation.
+	// before the big allocation. Both passes visit points in tree order,
+	// so consecutive searches scan the same leaves while they are cached.
 	workers = core.Params{Workers: workers}.WorkerCount()
+	byLeaf := tree.Order()
 	counts := make([]int64, n)
-	partition.DynamicChunked(n, workers, 4, func(i int) {
+	partition.DynamicChunked(n, workers, 4, func(k int) {
+		i := int(byLeaf[k])
 		counts[i] = int64(tree.RangeCount(ds.At(i), dcMax)) - 1 // exclude self
 	})
 	start := make([]int64, n+1)
@@ -132,7 +135,8 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 		ids:   make([]int32, total),
 		sq:    make([]float64, total),
 	}
-	partition.DynamicChunked(n, workers, 4, func(i int) {
+	partition.DynamicChunked(n, workers, 4, func(k int) {
+		i := int(byLeaf[k])
 		lo := start[i]
 		w := lo
 		tree.RangeSearch(ds.At(i), dcMax, func(id int32, d float64) {

@@ -115,17 +115,18 @@ func Purity(truth, pred []int32) float64 {
 	return correct / float64(len(truth))
 }
 
-// MeasureMem runs fn and returns the peak live-heap growth it caused, in
+// MeasureMem runs fn and returns the live-heap growth it retained, in
 // bytes, mirroring the paper's Table 7 per-algorithm memory comparison.
-// The measurement triggers GC before and after, so it reports retained
-// allocations of fn's result plus transient structures still live at the
-// end; it is inherently approximate under Go's GC.
+// It collects garbage before and after fn, so transient structures fn
+// freed are not counted: what remains is what fn left reachable — for a
+// fit, the result the caller keeps alive past this call (with
+// runtime.KeepAlive) plus anything fn cached globally.
 func MeasureMem(fn func()) uint64 {
 	runtime.GC()
-	var before runtime.MemStats
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
-	var after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if after.HeapAlloc <= before.HeapAlloc {
 		return 0
@@ -133,7 +134,8 @@ func MeasureMem(fn func()) uint64 {
 	return after.HeapAlloc - before.HeapAlloc
 }
 
-// FormatMB renders bytes as a Table 7 style megabyte string.
+// FormatMB renders bytes as a Table 7 style megabyte string, to a
+// tenth: a fit's retained result is under a megabyte at the default n.
 func FormatMB(b uint64) string {
-	return fmt.Sprintf("%.0f", float64(b)/(1<<20))
+	return fmt.Sprintf("%.1f", float64(b)/(1<<20))
 }

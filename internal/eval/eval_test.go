@@ -3,6 +3,8 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +146,10 @@ func TestTinyInputs(t *testing.T) {
 	}
 }
 
+// garbage is overwritten in a loop so each allocation but the last is
+// garbage the compiler cannot elide.
+var garbage []byte
+
 func TestMeasureMem(t *testing.T) {
 	var sink [][]byte
 	got := MeasureMem(func() {
@@ -152,11 +158,21 @@ func TestMeasureMem(t *testing.T) {
 		}
 	})
 	if got < 32<<20 {
-		t.Errorf("MeasureMem reported %d bytes for a 64MB allocation", got)
+		t.Errorf("MeasureMem reported %d bytes for a retained 64MB allocation", got)
 	}
-	_ = sink
-	sink = nil
-	if FormatMB(64<<20) != "64" {
+	runtime.KeepAlive(sink)
+	// Garbage fn drops before it returns is collected, not counted —
+	// even when no automatic collection ran while fn did.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := MeasureMem(func() {
+		for i := 0; i < 64; i++ {
+			garbage = make([]byte, 1<<20)
+		}
+	}); got > 8<<20 {
+		t.Errorf("MeasureMem reported %d bytes for 63MB of garbage and 1MB retained", got)
+	}
+	garbage = nil
+	if FormatMB(64<<20) != "64.0" {
 		t.Errorf("FormatMB = %q", FormatMB(64<<20))
 	}
 }

@@ -90,19 +90,6 @@ func (ds *Dataset) ToFloat32() *Dataset {
 	return &Dataset{Coords32: coords, N: ds.N, Dim: ds.Dim}
 }
 
-// ToFloat64 returns an f64-precision copy of an f32 dataset (widening
-// is exact). The receiver is returned unchanged when already f64.
-func (ds *Dataset) ToFloat64() *Dataset {
-	if ds.Coords32 == nil {
-		return ds
-	}
-	coords := make([]float64, len(ds.Coords32))
-	for i, x := range ds.Coords32 {
-		coords[i] = float64(x)
-	}
-	return &Dataset{Coords: coords, N: ds.N, Dim: ds.Dim}
-}
-
 // row64 returns the float64 row of point i, capacity-clipped. Callers
 // must know the dataset is f64 (the kernels branch on Coords32 first).
 func (ds *Dataset) row64(i int32) []float64 {

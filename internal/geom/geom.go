@@ -96,16 +96,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return true
 }
 
-// Intersects reports whether r and s share any point.
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Lo {
-		if r.Lo[i] > s.Up[i] || r.Up[i] < s.Lo[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Expand grows r in place so that it contains p.
 func (r *Rect) Expand(p Point) {
 	for i := range p {
@@ -139,28 +129,6 @@ func (r Rect) Center() Point {
 	return c
 }
 
-// Margin returns the sum of edge lengths (used by R-tree split heuristics).
-func (r Rect) Margin() float64 {
-	var m float64
-	for i := range r.Lo {
-		m += r.Up[i] - r.Lo[i]
-	}
-	return m
-}
-
-// Area returns the d-dimensional volume of r. An empty rect has area 0.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Lo {
-		e := r.Up[i] - r.Lo[i]
-		if e < 0 {
-			return 0
-		}
-		a *= e
-	}
-	return a
-}
-
 // SqMinDist returns the squared minimum distance from p to any point of r
 // (0 when p is inside r). This is the pruning bound used by kd-tree and
 // R-tree ball queries.
@@ -175,20 +143,6 @@ func (r Rect) SqMinDist(p Point) float64 {
 			d := p[i] - r.Up[i]
 			s += d * d
 		}
-	}
-	return s
-}
-
-// SqMaxDist returns the squared maximum distance from p to any point of r.
-// When SqMaxDist < radius^2 an entire subtree can be accepted without
-// per-point checks during range counting.
-func (r Rect) SqMaxDist(p Point) float64 {
-	var s float64
-	for i := range p {
-		lo := p[i] - r.Lo[i]
-		up := r.Up[i] - p[i]
-		d := math.Max(math.Abs(lo), math.Abs(up))
-		s += d * d
 	}
 	return s
 }

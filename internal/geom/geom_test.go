@@ -90,28 +90,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Point{0, 0}, Point{5, 5})
-	tests := []struct {
-		b    Rect
-		want bool
-	}{
-		{NewRect(Point{4, 4}, Point{9, 9}), true},
-		{NewRect(Point{5, 5}, Point{9, 9}), true}, // touching counts
-		{NewRect(Point{6, 6}, Point{9, 9}), false},
-		{NewRect(Point{6, 0}, Point{9, 5}), false},
-		{NewRect(Point{1, 1}, Point{2, 2}), true}, // contained
-	}
-	for i, tt := range tests {
-		if got := a.Intersects(tt.b); got != tt.want {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, tt.want)
-		}
-		if got := tt.b.Intersects(a); got != tt.want {
-			t.Errorf("case %d: Intersects not symmetric", i)
-		}
-	}
-}
-
 func TestRectExpand(t *testing.T) {
 	r := EmptyRect(2)
 	r.Expand(Point{3, 4})
@@ -127,29 +105,26 @@ func TestRectExpand(t *testing.T) {
 	}
 }
 
-func TestSqMinMaxDist(t *testing.T) {
+func TestSqMinDist(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{2, 2})
 	tests := []struct {
-		p        Point
-		min, max float64
+		p   Point
+		min float64
 	}{
-		{Point{1, 1}, 0, 2},  // inside: max to a corner sqrt(1+1)
-		{Point{3, 1}, 1, 10}, // right of the box: min 1, max to (0,0)or(0,2): 9+1
-		{Point{-1, -1}, 2, 18},
+		{Point{1, 1}, 0},   // inside
+		{Point{3, 1}, 1},   // right of the box
+		{Point{-1, -1}, 2}, // off a corner
 	}
 	for i, tt := range tests {
 		if got := r.SqMinDist(tt.p); math.Abs(got-tt.min) > 1e-12 {
 			t.Errorf("case %d: SqMinDist = %v, want %v", i, got, tt.min)
-		}
-		if got := r.SqMaxDist(tt.p); math.Abs(got-tt.max) > 1e-12 {
-			t.Errorf("case %d: SqMaxDist = %v, want %v", i, got, tt.max)
 		}
 	}
 }
 
 func TestSqMinDistBoundsProperty(t *testing.T) {
 	// For random rects and points, every point inside the rect must be at
-	// least SqMinDist and at most SqMaxDist away from the query.
+	// least SqMinDist away from the query.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 1000; i++ {
 		d := 1 + rng.Intn(5)
@@ -167,22 +142,6 @@ func TestSqMinDistBoundsProperty(t *testing.T) {
 		if sq < r.SqMinDist(q)-1e-9 {
 			t.Fatalf("SqMinDist too large: %v > %v", r.SqMinDist(q), sq)
 		}
-		if sq > r.SqMaxDist(q)+1e-9 {
-			t.Fatalf("SqMaxDist too small: %v < %v", r.SqMaxDist(q), sq)
-		}
-	}
-}
-
-func TestRectAreaMargin(t *testing.T) {
-	r := NewRect(Point{0, 0, 0}, Point{2, 3, 4})
-	if got := r.Area(); got != 24 {
-		t.Errorf("Area = %v, want 24", got)
-	}
-	if got := r.Margin(); got != 9 {
-		t.Errorf("Margin = %v, want 9", got)
-	}
-	if got := EmptyRect(3).Area(); got != 0 {
-		t.Errorf("empty Area = %v, want 0", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package geom
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Distance kernels.
 //
@@ -16,23 +19,30 @@ import "math"
 //	sequentially to the reduced sum.
 //
 // One generic body per contract implements it: sqdist for the full sum,
-// sqdistPartial for the early-exit form. Each is instantiated for
-// f64×f64 rows, f32×f32 rows, and a float64 query against an f32 row.
-// Float32 elements are widened to float64 before subtracting; the
-// widening is exact, so the f32 and mixed instantiations return the
-// same bits as widening the whole row first and running the f64 one.
-// Each square is explicitly rounded (float64(d*d)), which forbids the
-// compiler from fusing it into the add — arm64 otherwise emits FMADD —
-// so the order, and with it every label, is the same on every platform.
+// sqdistRun for the early-exit form over a run of consecutive rows.
+// Each is instantiated for f64×f64 rows, f32×f32 rows, and a float64
+// query against f32 rows. Float32 elements are widened to float64
+// before subtracting; the widening is exact, so the f32 and mixed
+// instantiations return the same bits as widening the whole row first
+// and running the f64 one. Each square is explicitly rounded
+// (float64(d*d)), which forbids the compiler from fusing it into the
+// add — arm64 otherwise emits FMADD — so the order, and with it every
+// label, is the same on every platform.
 //
-// The partial form accumulates in the same order and additionally
+// The early-exit form accumulates in the same order and additionally
 // compares the running reduced sum against a limit once per chunk and
-// once per tail element. Partial sums of non-negative terms are
-// monotone under IEEE rounding, so an early exit can only fire when the
-// completed sum would also exceed the limit: callers that accept
-// strictly-closer candidates (`ok && v < limit`) decide identically to
-// the full kernel, and a completed partial returns the canonical sum
-// bit-for-bit.
+// once per tail element, abandoning the row as soon as it exceeds the
+// limit; the comparison after the row's last element is skipped, since
+// abandoning there leaves the same sum as finishing. Partial sums of
+// non-negative terms are monotone under IEEE rounding, so an exit can
+// only fire when the completed sum would also exceed the limit:
+// callers that accept strictly-closer candidates (`v < limit`) decide
+// identically to the full kernel, and a completed row holds the
+// canonical sum bit-for-bit. The run form (SqDistToRun) fills one leaf
+// of a tree in one call, with the row loop and the accumulation
+// written out inline; the single-pair forms (SqDistPartial,
+// SqDistIdxPartial, SqDistToIdxPartial) are one-row runs of the same
+// body.
 
 // SqDist returns the squared Euclidean distance between a and b in the
 // canonical accumulation order above. It is the inner loop of every
@@ -46,7 +56,8 @@ func SqDist(a, b Point) float64 {
 // distance is at most limit it returns the canonical full sum and true.
 // Useful for range counting with many far-away candidates.
 func SqDistPartial(a, b Point, limit float64) (float64, bool) {
-	return sqdistPartial(a, b, limit)
+	s := sqdistRun(a, b[:len(a)], limit, nil)
+	return s, !(s > limit)
 }
 
 // SqDistIdx returns the squared Euclidean distance between points i and
@@ -69,10 +80,13 @@ func DistIdx(ds *Dataset, i, j int32) float64 {
 // the sum as soon as it exceeds limit, returning (sum, false); when the
 // full squared distance is at most limit it returns (sum, true).
 func SqDistIdxPartial(ds *Dataset, i, j int32, limit float64) (float64, bool) {
+	var s float64
 	if ds.Coords32 != nil {
-		return sqdistPartial(ds.row32(i), ds.row32(j), limit)
+		s = sqdistRun(ds.row32(i), ds.row32(j), limit, nil)
+	} else {
+		s = sqdistRun(ds.row64(i), ds.row64(j), limit, nil)
 	}
-	return sqdistPartial(ds.row64(i), ds.row64(j), limit)
+	return s, !(s > limit)
 }
 
 // SqDistToIdx returns the squared distance between an external query
@@ -90,10 +104,36 @@ func SqDistToIdx(ds *Dataset, q Point, i int32) float64 {
 // SqDistToIdxPartial is SqDistToIdx with the early-exit contract of
 // SqDistPartial.
 func SqDistToIdxPartial(ds *Dataset, q Point, i int32, limit float64) (float64, bool) {
+	var s float64
 	if ds.Coords32 != nil {
-		return sqdistPartial(q, ds.row32(i), limit)
+		s = sqdistRun(q, ds.row32(i), limit, nil)
+	} else {
+		s = sqdistRun(q, ds.row64(i), limit, nil)
 	}
-	return sqdistPartial(q, ds.row64(i), limit)
+	return s, !(s > limit)
+}
+
+// SqDistToRun is the early-exit kernel over the consecutive dataset
+// rows [lo, hi): out[k-lo] receives the squared distance between q and
+// row k, or — when the running sum exceeds limit before the row is
+// done — that partial sum, which is then > limit. A completed row holds
+// the canonical sum bit-for-bit, so `out[k-lo] < limit` is exactly
+// SqDistToIdxPartial's `ok && v < limit`. out must have room for
+// hi-lo values. It is the leaf scan of the kd-tree: one call per leaf
+// instead of one per row.
+func SqDistToRun(ds *Dataset, q Point, lo, hi int32, limit float64, out []float64) {
+	// The run body takes its row length from q, so a query of another
+	// dimension would misalign every row after the first, not fail.
+	if len(q) != ds.Dim {
+		panic(fmt.Sprintf("geom: %d-dimensional query against %d-dimensional rows", len(q), ds.Dim))
+	}
+	a, b := int(lo)*ds.Dim, int(hi)*ds.Dim
+	out = out[:hi-lo]
+	if ds.Coords32 != nil {
+		sqdistRun(q, ds.Coords32[a:b], limit, out)
+		return
+	}
+	sqdistRun(q, ds.Coords[a:b], limit, out)
 }
 
 // SIMDEnabled reports whether an assembly kernel is dispatched. There is
@@ -129,32 +169,56 @@ func sqdist[A, B float](a []A, b []B) float64 {
 	return s
 }
 
-// sqdistPartial is sqdist with a limit check after every chunk and
-// every tail element.
-func sqdistPartial[A, B float](a []A, b []B, limit float64) (float64, bool) {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	n := len(a) &^ 3
-	for t := 0; t < n; t += 4 {
-		d0 := float64(a[t]) - float64(b[t])
-		d1 := float64(a[t+1]) - float64(b[t+1])
-		d2 := float64(a[t+2]) - float64(b[t+2])
-		d3 := float64(a[t+3]) - float64(b[t+3])
-		s0 += float64(d0 * d0)
-		s1 += float64(d1 * d1)
-		s2 += float64(d2 * d2)
-		s3 += float64(d3 * d3)
-		if s := (s0 + s2) + (s1 + s3); s > limit {
-			return s, false
+// sqdistRun is the early-exit body: for each row of len(q) elements
+// laid end to end in rows, sqdist's order with a limit check after every
+// chunk and every tail element. out[r], when out has room for it,
+// receives row r's sum or the partial sum (> limit) at which it was
+// abandoned, and the last row's is returned, so a one-row call passes
+// no buffer. The check after a row's last element is skipped, so the
+// last tail element is peeled out of the tail loop: that check would
+// save no work, and in a low-dimensional leaf scan an unpredictable
+// branch costs more than the arithmetic.
+func sqdistRun[A, B float](q []A, rows []B, limit float64, out []float64) (s float64) {
+	dim := len(q)
+	n := dim &^ 3
+row:
+	for r := 0; len(rows) > 0; r++ {
+		b := rows[:dim]
+		rows = rows[dim:]
+		var s0, s1, s2, s3 float64
+		for t := 0; t < n; t += 4 {
+			d0 := float64(q[t]) - float64(b[t])
+			d1 := float64(q[t+1]) - float64(b[t+1])
+			d2 := float64(q[t+2]) - float64(b[t+2])
+			d3 := float64(q[t+3]) - float64(b[t+3])
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
+			if s = (s0 + s2) + (s1 + s3); t+4 < dim && s > limit {
+				if r < len(out) {
+					out[r] = s
+				}
+				continue row
+			}
+		}
+		s = (s0 + s2) + (s1 + s3)
+		if t := n; t < dim {
+			for ; t < dim-1; t++ {
+				d := float64(q[t]) - float64(b[t])
+				s += float64(d * d)
+				if s > limit {
+					break
+				}
+			}
+			if t == dim-1 {
+				d := float64(q[t]) - float64(b[t])
+				s += float64(d * d)
+			}
+		}
+		if r < len(out) {
+			out[r] = s
 		}
 	}
-	s := (s0 + s2) + (s1 + s3)
-	for t := n; t < len(a); t++ {
-		d := float64(a[t]) - float64(b[t])
-		s += float64(d * d)
-		if s > limit {
-			return s, false
-		}
-	}
-	return s, true
+	return s
 }

@@ -109,6 +109,75 @@ func TestKernelMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
+// checkpoints returns the running sums refSqDist compares against its
+// limit, in order: one per chunk, then one per tail element.
+func checkpoints(a, b []float64) []float64 {
+	var lane [4]float64
+	var out []float64
+	n := len(a) &^ 3
+	for t := 0; t < n; t++ {
+		d := a[t] - b[t]
+		lane[t%4] += float64(d * d)
+		if t%4 == 3 {
+			out = append(out, (lane[0]+lane[2])+(lane[1]+lane[3]))
+		}
+	}
+	s := (lane[0] + lane[2]) + (lane[1] + lane[3])
+	for t := n; t < len(a); t++ {
+		d := a[t] - b[t]
+		s += float64(d * d)
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestKernelRunMatchesRows locks the run kernel to the per-row
+// reference bit for bit: every run of a 20-row dataset, dims 1..9, f64
+// and f32 rows, against a dataset row and an off-row query. Limits are
+// 0, +Inf, exactly a row's full sum, and just below each of a row's
+// checkpoints — which forces the exit after the first chunk, after a
+// later chunk, or in the tail, whichever that checkpoint is.
+func TestKernelRunMatchesRows(t *testing.T) {
+	const n = 20
+	for dim := 1; dim <= 9; dim++ {
+		ds64 := randDataset(t, n, dim, int64(4000+dim))
+		for _, ds := range []*Dataset{ds64, randDataset32(t, n, dim, int64(5000+dim))} {
+			queries := []Point{ds.At(3), randDataset(t, 1, dim, int64(6000+dim)).At(0)}
+			for qi, q := range queries {
+				limits := []float64{0, math.Inf(1)}
+				for k := 0; k < n; k++ {
+					row := ds.At(k)
+					full, _ := refSqDist(q, row, math.Inf(1))
+					limits = append(limits, full)
+					for _, c := range checkpoints(q, row) {
+						limits = append(limits, math.Nextafter(c, math.Inf(-1)))
+					}
+				}
+				out := make([]float64, n)
+				for _, limit := range limits {
+					for lo := int32(0); lo < n; lo++ {
+						for hi := lo + 1; hi <= n; hi += 1 + hi%3 {
+							SqDistToRun(ds, q, lo, hi, limit, out)
+							for k := lo; k < hi; k++ {
+								want, wantOK := refSqDist(q, ds.At(int(k)), limit)
+								got := out[k-lo]
+								if math.Float64bits(got) != math.Float64bits(want) || !(got > limit) != wantOK {
+									t.Fatalf("%s dim %d query %d run [%d,%d) row %d limit %v: %v, reference (%v, %v)",
+										ds.Precision(), dim, qi, lo, hi, k, limit, got, want, wantOK)
+								}
+								if s, ok := SqDistToIdxPartial(ds, q, k, limit); ok != wantOK || math.Float64bits(s) != math.Float64bits(want) {
+									t.Fatalf("%s dim %d row %d limit %v: one-row form (%v, %v), reference (%v, %v)",
+										ds.Precision(), dim, k, limit, s, ok, want, wantOK)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelPartialConsistency checks the early-exit contract on both
 // precisions: a completed partial returns the full canonical sum
 // bit-for-bit, and an early exit fires only when the full sum genuinely
@@ -181,16 +250,15 @@ func TestDatasetPrecision(t *testing.T) {
 	if ds32.Precision() != "f32" || !ds32.Float32() {
 		t.Fatalf("f32 dataset reports %q/%v", ds32.Precision(), ds32.Float32())
 	}
-	if ds32.ToFloat32() != ds32 || ds.ToFloat64() != ds {
-		t.Fatal("precision conversion to the same precision should return the receiver")
+	if ds32.ToFloat32() != ds32 {
+		t.Fatal("ToFloat32 of an f32 dataset should return the receiver")
 	}
 	if err := ds32.Validate(); err != nil {
 		t.Fatalf("f32 Validate: %v", err)
 	}
-	back := ds32.ToFloat64()
 	for i := 0; i < ds.N; i++ {
 		for j := 0; j < ds.Dim; j++ {
-			if float64(float32(ds.Coord(int32(i), j))) != back.Coord(int32(i), j) {
+			if float64(float32(ds.Coord(int32(i), j))) != ds32.Coord(int32(i), j) {
 				t.Fatalf("round-trip coord (%d,%d) mismatch", i, j)
 			}
 		}

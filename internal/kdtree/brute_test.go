@@ -128,7 +128,9 @@ func checkAll(t *testing.T, name string, ds *geom.Dataset, members []int32, extr
 
 // TestTreeMatchesBrute checks every query kind against brute force on
 // random, duplicate-grid and float32 fixtures, for whole and subset
-// trees at sizes around the leaf boundary.
+// trees at sizes around the leaf boundary. The 2-d and 3-d fixtures
+// exercise only the distance kernel's tail; the 4-d ones a single
+// 4-lane chunk, and the 8-d one two chunks with an exit between them.
 func TestTreeMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	radii := []float64{0, 0.5, 1, math.Sqrt2, 2, 3.7}
@@ -143,10 +145,17 @@ func TestTreeMatchesBrute(t *testing.T) {
 			}
 			random := geom.MustFromRows(randPts(rng, size, 3, 5))
 			grid := geom.MustFromRows(dupPts(rng, size, 2))
+			random4 := geom.MustFromRows(randPts(rng, size, 4, 5))
+			random8 := geom.MustFromRows(randPts(rng, size, 8, 5))
 			fixtures[fmt.Sprintf("random whole=%v", whole)] = random
 			fixtures[fmt.Sprintf("grid whole=%v", whole)] = grid
 			fixtures[fmt.Sprintf("f32 random whole=%v", whole)] = random.ToFloat32()
 			fixtures[fmt.Sprintf("f32 grid whole=%v", whole)] = grid.ToFloat32()
+			fixtures[fmt.Sprintf("4-d random whole=%v", whole)] = random4
+			fixtures[fmt.Sprintf("4-d f32 random whole=%v", whole)] = random4.ToFloat32()
+			fixtures[fmt.Sprintf("4-d grid whole=%v", whole)] = geom.MustFromRows(dupPts(rng, size, 4))
+			fixtures[fmt.Sprintf("8-d random whole=%v", whole)] = random8
+			fixtures[fmt.Sprintf("8-d f32 random whole=%v", whole)] = random8.ToFloat32()
 		}
 		for name, ds := range fixtures {
 			members := allIDs(ds.N)
@@ -161,7 +170,8 @@ func TestTreeMatchesBrute(t *testing.T) {
 }
 
 // FuzzKDTreeMatchesBrute checks every query kind against brute force on
-// up to 300 points in 1-3 dimensions, with coordinates quantized to
+// up to 300 points in 1-9 dimensions — tail-only rows, one and two
+// 4-lane chunks, and chunks plus a tail — with coordinates quantized to
 // sixteen values so exact distance ties are common. mode picks the
 // precision (bit 0), a whole or subset tree (bit 1), and which points
 // the subset keeps.
@@ -170,7 +180,7 @@ func FuzzKDTreeMatchesBrute(f *testing.F) {
 	f.Add(uint8(1), uint8(3), []byte{3, 3, 3, 4, 4, 5, 0, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1})
 	f.Add(uint8(3), uint8(6), []byte("a static bucketed kd-tree with ties everywhere"))
 	f.Fuzz(func(t *testing.T, dim, mode uint8, coords []byte) {
-		d := 1 + int(dim%3)
+		d := 1 + int(dim%9)
 		n := min(len(coords)/d, 300)
 		if n == 0 {
 			return

@@ -11,13 +11,16 @@
 // Inner nodes hold only a split plane (dimension and coordinate); points
 // live in leaves of at most leafSize. After the build the tree copies
 // its points contiguously in tree order, at the dataset's own precision,
-// so every leaf is one run of rows scanned through the canonical
-// distance kernel: counts and distances keep their bits, whichever tree
-// computed them. ids maps each copied row back to its dataset id, and
-// every answer is reported in dataset ids. The copy costs n·d elements
-// plus n ids per tree; nodes sit in a flat slice in preorder, which
-// keeps pointers out of the GC's way at the paper's cardinalities
-// (10^6-10^7 points).
+// so every leaf is one run of rows: each query scans a leaf with one
+// call of the canonical early-exit kernel (geom.SqDistToRun) into a
+// leafSize buffer, then applies its own accept rule to the buffer.
+// Counts and distances keep their bits, whichever tree computed them.
+// ids maps each copied row back to its dataset id, every answer is
+// reported in dataset ids, and Order exposes the row order, in which a
+// whole-dataset query pass touches each leaf while it is cached. The
+// copy costs n·d elements plus n ids per tree; nodes sit in a flat
+// slice in preorder, which keeps pointers out of the GC's way at the
+// paper's cardinalities (10^6-10^7 points).
 //
 // Bulk construction splits on the dimension of largest spread at each
 // level (median split via in-place quickselect), yielding the
@@ -98,6 +101,25 @@ func BuildAll(ds *geom.Dataset) *Tree {
 
 // Len returns the number of points in the tree.
 func (t *Tree) Len() int { return len(t.ids) }
+
+// Order returns the tree's dataset ids in row order: leaf by leaf, so
+// consecutive ids are spatial neighbors. A whole-dataset query pass run
+// in this order walks the same paths and touches the same leaves as its
+// predecessor, which keeps them in cache. The slice is the tree's own
+// and must not be modified.
+func (t *Tree) Order() []int32 { return t.ids }
+
+// scan fills buf with the squared distances from q to rows [lo, hi) of
+// one leaf through the early-exit run kernel, and returns them. A row
+// whose sum passed limit holds a partial sum above limit, so every
+// caller's accept rule — strictly below limit, or equal to a best that
+// limit bounds from above — rejects it exactly as a completed row would
+// be.
+func (t *Tree) scan(lo, hi int32, q []float64, limit float64, buf *[leafSize]float64) []float64 {
+	out := buf[:hi-lo]
+	geom.SqDistToRun(t.rows, q, lo, hi, limit, out)
+	return out
+}
 
 // build appends the subtree over ids[lo:hi] in preorder and returns its
 // node index.
@@ -235,10 +257,11 @@ func (t *Tree) start() rangeWalk {
 func (t *Tree) RangeCount(q []float64, r float64) int {
 	sq := r * r
 	count := 0
+	var buf [leafSize]float64
 	w := t.start()
 	for nd := w.next(t, q, sq); nd != nil; nd = w.next(t, q, sq) {
-		for k := nd.lo; k < nd.hi; k++ {
-			if d, ok := geom.SqDistToIdxPartial(t.rows, q, k, sq); ok && d < sq {
+		for _, d := range t.scan(nd.lo, nd.hi, q, sq, &buf) {
+			if d < sq {
 				count++
 			}
 		}
@@ -250,11 +273,13 @@ func (t *Tree) RangeCount(q []float64, r float64) int {
 // dist(q, p) < r. The visit order is unspecified.
 func (t *Tree) RangeSearch(q []float64, r float64, fn func(id int32, sqDist float64)) {
 	sq := r * r
+	var buf [leafSize]float64
 	w := t.start()
 	for nd := w.next(t, q, sq); nd != nil; nd = w.next(t, q, sq) {
-		for k := nd.lo; k < nd.hi; k++ {
-			if d, ok := geom.SqDistToIdxPartial(t.rows, q, k, sq); ok && d < sq {
-				fn(t.ids[k], d)
+		ids := t.ids[nd.lo:nd.hi]
+		for k, d := range t.scan(nd.lo, nd.hi, q, sq, &buf) {
+			if d < sq {
+				fn(ids[k], d)
 			}
 		}
 	}
@@ -287,16 +312,17 @@ type nnWalk struct {
 	q      []float64
 	best   int32
 	bestSq float64
+	buf    [leafSize]float64
 }
 
 func (w *nnWalk) walk(cur int32) {
 	t := w.t
 	nd := &t.nodes[cur]
 	if nd.leaf() {
-		for k := nd.lo; k < nd.hi; k++ {
-			if d, ok := geom.SqDistToIdxPartial(t.rows, w.q, k, w.bestSq); ok &&
-				(d < w.bestSq || (d == w.bestSq && w.best >= 0 && t.ids[k] < w.best)) {
-				w.best, w.bestSq = t.ids[k], d
+		ids := t.ids[nd.lo:nd.hi]
+		for k, d := range t.scan(nd.lo, nd.hi, w.q, w.bestSq, &w.buf) {
+			if d < w.bestSq || (d == w.bestSq && w.best >= 0 && ids[k] < w.best) {
+				w.best, w.bestSq = ids[k], d
 			}
 		}
 		return

@@ -1,10 +1,6 @@
 package kdtree
 
-import (
-	"math"
-
-	"repro/internal/geom"
-)
+import "math"
 
 // KNN returns the k nearest tree points to q as (ids, sqDists), ordered
 // by ascending (distance, id): on equal squared distance the lower
@@ -31,8 +27,17 @@ func (t *Tree) KNN(q []float64, k int) ([]int32, []float64) {
 func (t *Tree) knn(cur int32, q []float64, h *maxHeap) {
 	nd := &t.nodes[cur]
 	if nd.leaf() {
-		for k := nd.lo; k < nd.hi; k++ {
-			h.offer(t.ids[k], geom.SqDistToIdx(t.rows, q, k))
+		// Once the heap is full a row can only enter strictly below or
+		// level with its root, so the root bounds the scan.
+		limit := math.Inf(1)
+		if len(h.items) == h.cap {
+			limit = h.items[0].sq
+		}
+		ids := t.ids[nd.lo:nd.hi]
+		for k, d := range t.scan(nd.lo, nd.hi, q, limit, &h.buf) {
+			if d <= limit {
+				h.offer(ids[k], d)
+			}
 		}
 		return
 	}
@@ -62,6 +67,7 @@ func (a knnItem) less(b knnItem) bool {
 type maxHeap struct {
 	items []knnItem
 	cap   int
+	buf   [leafSize]float64
 }
 
 func (h *maxHeap) offer(id int32, sq float64) {
@@ -117,15 +123,4 @@ func (h *maxHeap) siftDown(i int) {
 		h.items[i], h.items[big] = h.items[big], h.items[i]
 		i = big
 	}
-}
-
-// kthNearestSq returns the squared distance to the k-th nearest tree
-// point (or +Inf when the tree has fewer than k points). Convenience for
-// density-by-kNN estimators.
-func (t *Tree) KthNearestSq(q []float64, k int) float64 {
-	_, sqs := t.KNN(q, k)
-	if len(sqs) < k {
-		return math.Inf(1)
-	}
-	return sqs[k-1]
 }

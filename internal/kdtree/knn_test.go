@@ -76,15 +76,3 @@ func TestKNNSmallTree(t *testing.T) {
 		t.Error("empty tree should return nil")
 	}
 }
-
-func TestKthNearestSq(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {2}, {3}}
-	tr := BuildAll(geom.MustFromRows(pts))
-	// From q=0: distances 0,1,2,3 -> squared 0,1,4,9.
-	if got := tr.KthNearestSq([]float64{0}, 3); got != 4 {
-		t.Errorf("KthNearestSq(3) = %v, want 4", got)
-	}
-	if got := tr.KthNearestSq([]float64{0}, 10); !math.IsInf(got, 1) {
-		t.Errorf("k > n should be +Inf, got %v", got)
-	}
-}

@@ -1,10 +1,6 @@
 package kdtree
 
-import (
-	"math"
-
-	"repro/internal/geom"
-)
+import "math"
 
 // SubtreeMin returns, per node, the minimum of key[id] over the node's
 // points — a per-leaf minimum for leaves — the pruning bound NNLowerKey
@@ -57,6 +53,7 @@ type lowerKeyWalk struct {
 	qKey     int32
 	best     int32
 	bestSq   float64
+	buf      [leafSize]float64
 }
 
 func (w *lowerKeyWalk) walk(cur int32) {
@@ -66,16 +63,25 @@ func (w *lowerKeyWalk) walk(cur int32) {
 	t := w.t
 	nd := &t.nodes[cur]
 	if nd.leaf() {
-		for k := nd.lo; k < nd.hi; k++ {
-			j := t.ids[k]
-			kj := w.key[j]
-			if kj >= w.qKey {
+		// Scan each run of lower-key rows with one kernel call; rows
+		// the key excludes cost no distance.
+		ids := t.ids[nd.lo:nd.hi]
+		for a := 0; a < len(ids); {
+			if w.key[ids[a]] >= w.qKey {
+				a++
 				continue
 			}
-			if d, ok := geom.SqDistToIdxPartial(t.rows, w.q, k, w.bestSq); ok &&
-				(d < w.bestSq || (d == w.bestSq && w.best >= 0 && kj < w.key[w.best])) {
-				w.best, w.bestSq = j, d
+			b := a + 1
+			for b < len(ids) && w.key[ids[b]] < w.qKey {
+				b++
 			}
+			for k, v := range t.scan(nd.lo+int32(a), nd.lo+int32(b), w.q, w.bestSq, &w.buf) {
+				j := ids[a+k]
+				if v < w.bestSq || (v == w.bestSq && w.best >= 0 && w.key[j] < w.key[w.best]) {
+					w.best, w.bestSq = j, v
+				}
+			}
+			a = b
 		}
 		return
 	}

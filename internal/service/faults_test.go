@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -613,5 +614,57 @@ func TestChaosMembershipChurnRace(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRelayMidStreamFailureClosesConnection: when the replica behind a
+// relayed stream dies after the 200, the relay explains the failure in
+// a terminal record and then closes the inbound connection, as its 502
+// path does, instead of keeping it alive with the stream behind it. The
+// client speaks raw HTTP/1.1 so the test sees the connection itself.
+func TestRelayMidStreamFailureClosesConnection(t *testing.T) {
+	// A stand-in owner: a 200, one label record, then a dead connection.
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.WriteString(w, `{"labels":[0]}`+"\n")
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer owner.Close()
+	via := httptest.NewUnstartedServer(nil)
+	viaURL := "http://" + via.Listener.Addr().String()
+	rt, err := NewRouter(New(Options{Workers: 1, CacheSize: 4}), viaURL, []string{viaURL, owner.URL},
+		RouterOptions{Vnodes: 128, Client: testClientOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	via.Config.Handler = rt.Handler()
+	via.Start()
+	defer via.Close()
+	name := ""
+	for i := 0; name == ""; i++ {
+		if n := fmt.Sprintf("ds%d", i); !rt.Owns(n) {
+			name = n
+		}
+	}
+
+	body := fmt.Sprintf(`{"dataset":%q,"algorithm":"Ex-DPC","params":{"dcut":1,"rho_min":1,"delta_min":2}}`+"\n[1,2]\n[3,4]\n", name)
+	conn, err := net.Dial("tcp", via.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /v1/assign/stream HTTP/1.1\r\nHost: dpcd\r\nContent-Type: application/x-ndjson\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("relay kept the connection open after a mid-stream failure: %v (read %q)", err, got)
+	}
+	if !strings.HasPrefix(string(got), "HTTP/1.1 200") || !strings.Contains(string(got), "failed mid-stream") {
+		t.Errorf("response %q lacks the 200 and the terminal error record", got)
 	}
 }

@@ -574,7 +574,7 @@ var errRelayBodyClosed = errors.New("service: relay attempt's request body is cl
 // replica, and a failure is delivered as a terminal error, never a
 // silent resend. If the replica dies after the 200 went out, the failure
 // arrives the only way left: a terminal error record in the response's
-// codec.
+// codec, after which the inbound connection is aborted.
 func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []string, path string, body io.Reader) {
 	rt.forwarded.Add(1)
 	// Encoding headers travel verbatim: the relay never re-compresses —
@@ -655,30 +655,36 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 	if _, err := io.Copy(fw, resp.Body); err != nil {
 		rt.forwardErrors.Add(1)
 		relayErr := fmt.Errorf("shard %s failed mid-stream: %v", target, err)
-		if gzResp {
+		switch {
+		case gzResp:
 			// Welding anything onto a torn compressed stream would corrupt
 			// it; the truncation itself is the client's failure signal (its
 			// gzip reader errors before any summary record).
-			return
-		}
-		if fw.track != nil {
+		case fw.track != nil:
 			// A binary error frame is only legal at a frame boundary;
 			// welded onto a torn frame it would corrupt the stream instead
 			// of explaining it. Mid-frame, leave the truncation — the
 			// client's reader reports it as the stream's failure.
 			if fw.track.AtBoundary() {
 				_, _ = w.Write(wire.AppendError(nil, relayErr.Error()))
-				flushResponse(w)
 			}
-			return
+		default:
+			// The replica may have died mid-record; start a fresh line so
+			// the terminal error record stays parseable instead of being
+			// welded onto the torn bytes.
+			if !fw.atLineStart() {
+				_, _ = w.Write([]byte("\n"))
+			}
+			writeStreamError(w, relayErr)
 		}
-		// The replica may have died mid-record; start a fresh line so the
-		// terminal error record stays parseable instead of being welded
-		// onto the torn bytes.
-		if !fw.atLineStart() {
-			_, _ = w.Write([]byte("\n"))
-		}
-		writeStreamError(w, relayErr)
+		flushResponse(w)
+		// The inbound stream may be partly unread, as on the 502 path, but
+		// the 200 has gone out, so "Connection: close" can no longer be
+		// sent. Abort the connection instead: the server closes it rather
+		// than keeping it alive for a next request. The deferred closes
+		// run first, so no transport goroutine still reads the inbound
+		// body when the server does.
+		panic(http.ErrAbortHandler)
 	}
 }
 

@@ -60,14 +60,17 @@ e2e-stream:
 	$(if $(STREAM_N),STREAM_N=$(STREAM_N)) ./scripts/e2e_stream.sh
 
 # bench runs the memory-layout micro-benchmarks (flat Dataset vs row
-# slices; committed baseline in BENCH_flat_layout.json), the serving
-# layer benchmarks (cached fit, assign batch, snapshot cold start), and
-# the param-sweep experiment (one density index vs K fresh fits;
-# committed record in BENCH_param_sweep.json). SWEEPN sizes the sweep
-# dataset; CI smoke-runs it small.
+# slices; committed baseline in BENCH_flat_layout.json), the kd-tree
+# build at one worker and every CPU, the density index's sliding-window
+# update, the serving layer benchmarks (cached fit, assign batch,
+# snapshot cold start), and the param-sweep experiment (one density
+# index vs K fresh fits; committed record in BENCH_param_sweep.json).
+# SWEEPN sizes the sweep dataset; CI smoke-runs it small.
 SWEEPN ?= 20000
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSqDist|ExDPC(Rows|Flat)' -benchmem -benchtime=$(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll' -benchmem -benchtime=$(BENCHTIME) ./internal/kdtree
+	$(GO) test -run '^$$' -bench 'BenchmarkUpdate' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=$(BENCHTIME) ./internal/service
 	$(GO) run ./cmd/dpcbench -exp sweep -n $(SWEEPN)
 	$(GO) run ./cmd/dpcbench -exp drift

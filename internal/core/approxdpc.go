@@ -65,7 +65,7 @@ func (ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree,
 	workers := p.workers()
 
 	start := time.Now()
-	tree := kdtree.BuildAll(ds)
+	tree := kdtree.BuildAllWorkers(ds, workers)
 	g := grid.Build(ds, grid.SideForDCut(p.DCut, d))
 	res.Timing.Build = time.Since(start)
 
@@ -89,62 +89,65 @@ func (ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree,
 // scan of its result per member.
 func cellDensities(ds *geom.Dataset, tree *kdtree.Tree, g *grid.Grid, rho []float64, p Params, workers int) {
 	sq := p.DCut * p.DCut
-	partition.Dynamic(g.NumCells(), workers, func(c int) {
-		cell := &g.Cells[c]
-		cp := g.Center(int32(c))
-		var maxSq float64
-		for _, m := range cell.Points {
-			if v := geom.SqDistToIdx(ds, cp, m); v > maxSq {
-				maxSq = v
-			}
-		}
-		r := make([]int32, 0, 2*len(cell.Points))
-		tree.RangeSearch(cp, p.DCut+math.Sqrt(maxSq), func(id int32, _ float64) {
-			r = append(r, id)
-		})
-
-		best := int32(-1)
-		bestRho := math.Inf(-1)
-		minRho := math.Inf(1)
-		for _, m := range cell.Points {
-			pm := ds.At(int(m))
-			count := 0
-			// The full sum, not the early exit: most of r lies within
-			// d_cut of a member, so an exit seldom fires, and its
-			// unpredictable branch costs more than it saves.
-			for _, x := range r {
-				if geom.SqDistToIdx(ds, pm, x) < sq {
-					count++
+	partition.DynamicWorkers(g.NumCells(), workers, 1, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(c int) {
+			cell := &g.Cells[c]
+			cp := g.Center(int32(c))
+			var maxSq float64
+			for _, m := range cell.Points {
+				if v := geom.SqDistToIdx(ds, cp, m); v > maxSq {
+					maxSq = v
 				}
 			}
-			v := float64(count) + jitter(int(m))
-			rho[m] = v
-			if v > bestRho {
-				bestRho, best = v, m
+			r := make([]int32, 0, 2*len(cell.Points))
+			tree.RangeSearch(cp, p.DCut+math.Sqrt(maxSq), func(id int32, _ float64) {
+				r = append(r, id)
+			})
+
+			best := int32(-1)
+			bestRho := math.Inf(-1)
+			minRho := math.Inf(1)
+			for _, m := range cell.Points {
+				pm := ds.AtBuf(int(m), buf)
+				count := 0
+				// The full sum, not the early exit: most of r lies within
+				// d_cut of a member, so an exit seldom fires, and its
+				// unpredictable branch costs more than it saves.
+				for _, x := range r {
+					if geom.SqDistToIdx(ds, pm, x) < sq {
+						count++
+					}
+				}
+				v := float64(count) + jitter(int(m))
+				rho[m] = v
+				if v > bestRho {
+					bestRho, best = v, m
+				}
+				if v < minRho {
+					minRho = v
+				}
 			}
-			if v < minRho {
-				minRho = v
+			cell.Best = best
+			cell.MinRho = minRho
+			// N(c): cells of points outside c within d_cut of p*(c).
+			pb := ds.AtBuf(int(best), buf)
+			seen := make(map[int32]struct{})
+			for _, x := range r {
+				xc := g.PointCell[x]
+				if xc == int32(c) {
+					continue
+				}
+				if _, ok := seen[xc]; ok {
+					continue
+				}
+				if geom.SqDistToIdx(ds, pb, x) < sq {
+					seen[xc] = struct{}{}
+					cell.Neighbors = append(cell.Neighbors, xc)
+				}
 			}
+			slices.Sort(cell.Neighbors)
 		}
-		cell.Best = best
-		cell.MinRho = minRho
-		// N(c): cells of points outside c within d_cut of p*(c).
-		pb := ds.At(int(best))
-		seen := make(map[int32]struct{})
-		for _, x := range r {
-			xc := g.PointCell[x]
-			if xc == int32(c) {
-				continue
-			}
-			if _, ok := seen[xc]; ok {
-				continue
-			}
-			if geom.SqDistToIdx(ds, pb, x) < sq {
-				seen[xc] = struct{}{}
-				cell.Neighbors = append(cell.Neighbors, xc)
-			}
-		}
-		slices.Sort(cell.Neighbors)
 	})
 }
 

@@ -54,7 +54,7 @@ func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, err
 	workers := p.workers()
 
 	start := time.Now()
-	tree := kdtree.BuildAll(ds)
+	tree := kdtree.BuildAllWorkers(ds, workers)
 	res.Timing.Build = time.Since(start)
 
 	// Local density: one range count per point, dynamically scheduled
@@ -63,9 +63,12 @@ func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, err
 	// and scan the same leaves while they are still in cache.
 	start = time.Now()
 	byLeaf := tree.Order()
-	partition.DynamicChunked(n, workers, 4, func(k int) {
-		i := int(byLeaf[k])
-		res.Rho[i] = float64(tree.RangeCount(ds.At(i), p.DCut)) + jitter(i)
+	partition.DynamicWorkers(n, workers, 4, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(k int) {
+			i := int(byLeaf[k])
+			res.Rho[i] = float64(tree.RangeCount(ds.AtBuf(i, buf), p.DCut)) + jitter(i)
+		}
 	})
 	res.Timing.Rho = time.Since(start)
 

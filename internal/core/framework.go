@@ -215,11 +215,14 @@ func scanDelta(ds *geom.Dataset, rho []float64, workers int) (delta []float64, d
 // other point math.MaxInt32, which no walk ever returns.
 func WalkDependents(tree *kdtree.Tree, rank, pts []int32, delta []float64, dep []int32, workers int) {
 	sub := tree.SubtreeMin(rank)
-	partition.DynamicChunked(len(pts), workers, 4, func(k int) {
-		i := pts[k]
-		j, sq := tree.NNLowerKey(i, rank, sub)
-		delta[i] = math.Sqrt(sq)
-		dep[i] = j
+	partition.DynamicWorkers(len(pts), workers, 4, func() func(int) {
+		buf := make([]float64, tree.Dim())
+		return func(k int) {
+			i := pts[k]
+			j, sq := tree.NNLowerKey(i, rank, sub, buf)
+			delta[i] = math.Sqrt(sq)
+			dep[i] = j
+		}
 	})
 }
 

@@ -38,7 +38,7 @@ func ComputeHaloDataset(ds *geom.Dataset, res *Result, dcut float64, workers int
 	if workers <= 0 {
 		workers = 1
 	}
-	tree := kdtree.BuildAll(ds)
+	tree := kdtree.BuildAllWorkers(ds, workers)
 	k := res.NumClusters()
 	// Per-cluster border density, accumulated with per-worker maxima to
 	// stay lock-free.

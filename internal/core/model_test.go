@@ -258,7 +258,7 @@ func TestRestoreRebuildsModel(t *testing.T) {
 	if got, _ := shared.AssignAll(rows, 2); !slices.Equal(got, want) {
 		t.Error("shared-tree restore does not reproduce the fitted labels")
 	}
-	half := kdtree.Build(ds, []int32{0, 1, 2})
+	half := kdtree.Build(ds, []int32{0, 1, 2}, 1)
 	if _, err := Restore("Ex-DPC", ds, m.Result(), p, 0, half); err == nil {
 		t.Error("tree over a different point count accepted")
 	}

@@ -59,24 +59,28 @@ func (a FastDPeak) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	workers := p.workers()
 
 	start := time.Now()
-	tree := kdtree.BuildAll(ds)
+	tree := kdtree.BuildAllWorkers(ds, workers)
 	res.Timing.Build = time.Since(start)
 
 	// Density phase: a range count per point (Definition 1) plus the kNN
 	// list that the dependent phase consumes.
 	start = time.Now()
 	knnIDs := make([][]int32, n)
-	partition.DynamicChunked(n, workers, 4, func(i int) {
-		res.Rho[i] = float64(tree.RangeCount(ds.At(i), p.DCut)) + jitter(i)
-		ids, _ := tree.KNN(ds.At(i), k+1) // +1: the query point itself
-		// Drop the self match (distance zero, same index).
-		out := make([]int32, 0, k)
-		for _, id := range ids {
-			if id != int32(i) {
-				out = append(out, id)
+	partition.DynamicWorkers(n, workers, 4, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(i int) {
+			q := ds.AtBuf(i, buf)
+			res.Rho[i] = float64(tree.RangeCount(q, p.DCut)) + jitter(i)
+			ids, _ := tree.KNN(q, k+1) // +1: the query point itself
+			// Drop the self match (distance zero, same index).
+			out := make([]int32, 0, k)
+			for _, id := range ids {
+				if id != int32(i) {
+					out = append(out, id)
+				}
 			}
+			knnIDs[i] = out
 		}
-		knnIDs[i] = out
 	})
 	res.Timing.Rho = time.Since(start)
 

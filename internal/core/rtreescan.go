@@ -43,8 +43,11 @@ func (a RtreeScan) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	res.Timing.Build = time.Since(start)
 
 	start = time.Now()
-	partition.DynamicChunked(n, workers, 4, func(i int) {
-		res.Rho[i] = float64(tree.RangeCount(ds.At(i), p.DCut)) + jitter(i)
+	partition.DynamicWorkers(n, workers, 4, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(i int) {
+			res.Rho[i] = float64(tree.RangeCount(ds.AtBuf(i, buf), p.DCut)) + jitter(i)
+		}
 	})
 	res.Timing.Rho = time.Since(start)
 

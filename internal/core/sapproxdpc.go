@@ -60,7 +60,7 @@ func (a SApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tr
 	workers := p.workers()
 
 	start := time.Now()
-	tree := kdtree.BuildAll(ds)
+	tree := kdtree.BuildAllWorkers(ds, workers)
 	g := grid.Build(ds, eps*grid.SideForDCut(p.DCut, d))
 	res.Timing.Build = time.Since(start)
 
@@ -76,25 +76,28 @@ func (a SApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tr
 	// N(c) falls out of the same search. Dynamically scheduled like
 	// Ex-DPC's density phase (§5, "Implementation for parallel processing").
 	start = time.Now()
-	partition.Dynamic(nc, workers, func(c int) {
-		cell := &g.Cells[c]
-		pi := picked[c]
-		count := 0
-		seen := make(map[int32]struct{})
-		tree.RangeSearch(ds.At(int(pi)), p.DCut, func(id int32, _ float64) {
-			count++
-			if xc := g.PointCell[id]; xc != int32(c) {
-				if _, ok := seen[xc]; !ok {
-					seen[xc] = struct{}{}
-					cell.Neighbors = append(cell.Neighbors, xc)
+	partition.DynamicWorkers(nc, workers, 1, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(c int) {
+			cell := &g.Cells[c]
+			pi := picked[c]
+			count := 0
+			seen := make(map[int32]struct{})
+			tree.RangeSearch(ds.AtBuf(int(pi), buf), p.DCut, func(id int32, _ float64) {
+				count++
+				if xc := g.PointCell[id]; xc != int32(c) {
+					if _, ok := seen[xc]; !ok {
+						seen[xc] = struct{}{}
+						cell.Neighbors = append(cell.Neighbors, xc)
+					}
 				}
-			}
-		})
-		// Ascending cell order, as in Approx-DPC: the first phase keeps
-		// the first of equally near denser picked points, which must not
-		// depend on the tree's visit order.
-		sort.Slice(cell.Neighbors, func(a, b int) bool { return cell.Neighbors[a] < cell.Neighbors[b] })
-		res.Rho[pi] = float64(count) + jitter(int(pi))
+			})
+			// Ascending cell order, as in Approx-DPC: the first phase keeps
+			// the first of equally near denser picked points, which must not
+			// depend on the tree's visit order.
+			sort.Slice(cell.Neighbors, func(a, b int) bool { return cell.Neighbors[a] < cell.Neighbors[b] })
+			res.Rho[pi] = float64(count) + jitter(int(pi))
+		}
 	})
 	// Non-picked points inherit the picked density (rho_min is "not
 	// applicable" to them; inheriting makes the noise rule agree with

@@ -14,13 +14,16 @@
 // neighbor; they are answered by one nearest-neighbor walk over a
 // whole-dataset kd-tree that skips every subtree holding no denser
 // point (core.WalkDependents, the walk Ex-DPC runs for every point).
-// One such tree is kept per index version and shared with the
-// served model's assigner. Stored squared distances come straight out
-// of the kd-tree's full dimension-order accumulation, and the walk
-// calls the same kernel — the same float operations, in the same
-// order, as the Scan kernels — so a re-cut's Rho/Delta/Dep (and
-// therefore its labels) are byte-identical to a fresh fit of the
-// covered algorithms.
+// One such tree is kept per index version, built by Build or Update
+// where the version is made, and shared with the served model's
+// assigner. Update slides the index across a window append: it
+// range-searches only the appended points, one query each against the
+// new version's own tree, and mirrors their rows onto the survivors.
+// Stored squared distances come straight out of the kd-tree's full
+// dimension-order accumulation, and the walk calls the same kernel —
+// the same float operations, in the same order, as the Scan kernels —
+// so a re-cut's Rho/Delta/Dep (and therefore its labels) are
+// byte-identical to a fresh fit of the covered algorithms.
 //
 // Covered algorithms: Scan, R-tree + Scan, and Ex-DPC — the framework's
 // exact algorithms, which share the strict-threshold density of
@@ -74,7 +77,7 @@ type Index struct {
 	dcMax float64
 
 	// tree is the whole-dataset kd-tree the local-maximum walk runs on.
-	// Build keeps the one it ranged with; Update and FromParts indexes
+	// Build and Update keep the one they ranged with; FromParts indexes
 	// build theirs on first need.
 	treeOnce sync.Once
 	tree     *kdtree.Tree
@@ -106,18 +109,21 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 		return nil, fmt.Errorf("densindex: dcut ceiling must be a positive finite number, got %g", dcMax)
 	}
 	n := ds.N
-	tree := kdtree.BuildAll(ds)
+	workers = core.Params{Workers: workers}.WorkerCount()
+	tree := kdtree.BuildAllWorkers(ds, workers)
 
 	// Count pass: exact per-point neighbor counts size the CSR slabs, so
 	// the fill pass never reallocates and the edge budget is checked
 	// before the big allocation. Both passes visit points in tree order,
 	// so consecutive searches scan the same leaves while they are cached.
-	workers = core.Params{Workers: workers}.WorkerCount()
 	byLeaf := tree.Order()
 	counts := make([]int64, n)
-	partition.DynamicChunked(n, workers, 4, func(k int) {
-		i := int(byLeaf[k])
-		counts[i] = int64(tree.RangeCount(ds.At(i), dcMax)) - 1 // exclude self
+	partition.DynamicWorkers(n, workers, 4, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(k int) {
+			i := int(byLeaf[k])
+			counts[i] = int64(tree.RangeCount(ds.AtBuf(i, buf), dcMax)) - 1 // exclude self
+		}
 	})
 	start := make([]int64, n+1)
 	for i := 0; i < n; i++ {
@@ -135,21 +141,24 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 		ids:   make([]int32, total),
 		sq:    make([]float64, total),
 	}
-	partition.DynamicChunked(n, workers, 4, func(k int) {
-		i := int(byLeaf[k])
-		lo := start[i]
-		w := lo
-		tree.RangeSearch(ds.At(i), dcMax, func(id int32, d float64) {
-			if int(id) == i {
-				return
-			}
-			x.ids[w] = id
-			x.sq[w] = d
-			w++
-		})
-		x.sortRow(lo, w)
+	partition.DynamicWorkers(n, workers, 4, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(k int) {
+			i := int(byLeaf[k])
+			lo := start[i]
+			w := lo
+			tree.RangeSearch(ds.AtBuf(i, buf), dcMax, func(id int32, d float64) {
+				if int(id) == i {
+					return
+				}
+				x.ids[w] = id
+				x.sq[w] = d
+				w++
+			})
+			x.sortRow(lo, w)
+		}
 	})
-	x.treeOnce.Do(func() { x.tree = tree })
+	x.adoptTree(tree)
 	return x, nil
 }
 
@@ -315,17 +324,22 @@ func (x *Index) Parts() (dcMax float64, start []int64, ids []int32, sq []float64
 // use. It is read-only and may be shared, e.g. with the assigner of a
 // model cut from this index.
 func (x *Index) Tree() *kdtree.Tree {
-	t, _ := x.kdTree()
+	t, _ := x.kdTree(1)
 	return t
 }
 
-// kdTree returns the tree and the time this call spent building it
-// (zero when it already existed).
-func (x *Index) kdTree() (*kdtree.Tree, time.Duration) {
+// adoptTree installs tree, a kd-tree over every point of the indexed
+// dataset, as the index's own.
+func (x *Index) adoptTree(tree *kdtree.Tree) { x.treeOnce.Do(func() { x.tree = tree }) }
+
+// kdTree returns the tree, building it with workers goroutines if this
+// is its first use, and the time this call spent building it (zero
+// when it already existed).
+func (x *Index) kdTree(workers int) (*kdtree.Tree, time.Duration) {
 	var took time.Duration
 	x.treeOnce.Do(func() {
 		start := time.Now()
-		x.tree = kdtree.BuildAll(x.ds)
+		x.tree = kdtree.BuildAllWorkers(x.ds, workers)
 		took = time.Since(start)
 	})
 	return x.tree, took
@@ -423,7 +437,7 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 	if len(maxima) == 0 {
 		return delta, dep, 0
 	}
-	tree, build := x.kdTree()
+	tree, build := x.kdTree(workers)
 	core.WalkDependents(tree, rank, maxima, delta, dep, workers)
 	return delta, dep, build
 }
@@ -445,7 +459,7 @@ func (x *Index) Decision(dcut float64, workers int) (rho, delta []float64, err e
 // the same parameters. p.DCut must be in (0, DCutMax]; p.Workers
 // follows core.Params semantics. Timing.Build is the index's lazy
 // kd-tree build when this cut was the first to need the tree, else
-// zero.
+// zero; only an index from FromParts has no tree before its first cut.
 func (x *Index) Cut(p core.Params) (*core.Result, error) {
 	if err := x.checkDC(p.DCut); err != nil {
 		return nil, err

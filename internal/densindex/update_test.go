@@ -3,10 +3,14 @@ package densindex
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/kdtree"
 )
 
 // sameIndex requires bit-exact equality of two indexes' persistable
@@ -78,6 +82,89 @@ func TestUpdateMatchesBuild(t *testing.T) {
 				sameIndex(t, got, want)
 			})
 		}
+	}
+	for _, dim := range []int{2, 4, 8} {
+		for _, f32 := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("chained/d=%d/f32=%v/workers=%d", dim, f32, workers), func(t *testing.T) {
+					chainedSlides(t, dim, f32, workers)
+				})
+			}
+		}
+	}
+}
+
+// tieRows draws n points from a coarse integer grid, so duplicate rows
+// and exactly equal distances are common, and makes every seventh row
+// from 100 on a copy of the row 97 before it: an appended copy of a
+// survivor stores an edge at squared distance 0.
+func tieRows(n, dim int, seed int64) *geom.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	side := map[int]int{2: 12, 4: 6, 8: 3}[dim]
+	rows := make([][]float64, n)
+	for i := range rows {
+		if i >= 100 && i%7 == 0 {
+			rows[i] = rows[i-97]
+			continue
+		}
+		rows[i] = make([]float64, dim)
+		for j := range rows[i] {
+			rows[i][j] = float64(rng.Intn(side))
+		}
+	}
+	return geom.MustFromRows(rows)
+}
+
+// chainedSlides slides one window through a chain of Updates, each from
+// the previous Update's output, in every shape — mixed, append-only,
+// expire-only, one in one out, expire-all and a slide after it — and
+// requires each result to equal a fresh Build of its window, to hold
+// the kd-tree a fresh BuildAll of that window makes, and to cut without
+// building a tree.
+func chainedSlides(t *testing.T, dim int, f32 bool, workers int) {
+	const oldN, dcMax = 600, 2.5
+	slides := []struct{ expired, appended int }{
+		{100, 150}, {0, 120}, {130, 0}, {1, 1}, {200, 200}, {-1, 80}, {10, 40},
+	}
+	full := tieRows(2000, dim, int64(dim))
+	if f32 {
+		full = full.ToFloat32()
+	}
+	lo, hi := 0, oldN
+	idx, err := Build(window(full, lo, hi), dcMax, workers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, sl := range slides {
+		expired := sl.expired
+		if expired < 0 {
+			expired = hi - lo
+		}
+		lo, hi = lo+expired, hi+sl.appended
+		nds := window(full, lo, hi)
+		got, err := Update(idx, nds, expired, sl.appended, workers, 0)
+		if err != nil {
+			t.Fatalf("slide %d: %v", step, err)
+		}
+		want, err := Build(nds, dcMax, workers, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameIndex(t, got, want)
+		if got.Edges() == 0 {
+			t.Fatalf("slide %d: no edges; the fixture tests nothing", step)
+		}
+		if !slices.Equal(got.Tree().Order(), kdtree.BuildAll(nds).Order()) {
+			t.Fatalf("slide %d: the updated index's kd-tree differs from BuildAll's", step)
+		}
+		res, err := got.Cut(core.Params{DCut: 2, RhoMin: 1, DeltaMin: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Timing.Build != 0 {
+			t.Fatalf("slide %d: the cut after Update built a kd-tree (%v)", step, res.Timing.Build)
+		}
+		idx = got
 	}
 }
 

@@ -7,6 +7,8 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
+	"time"
 )
 
 // contingency builds the joint label-count table; noise labels (-1) are
@@ -115,23 +117,66 @@ func Purity(truth, pred []int32) float64 {
 	return correct / float64(len(truth))
 }
 
-// MeasureMem runs fn and returns the live-heap growth it retained, in
-// bytes, mirroring the paper's Table 7 per-algorithm memory comparison.
-// It collects garbage before and after fn, so transient structures fn
-// freed are not counted: what remains is what fn left reachable — for a
+// Mem is one measured call's heap use, in bytes over the heap live
+// before it.
+type Mem struct {
+	// Peak is the largest heap seen while the call ran: the objects it
+	// allocated, reachable or not yet swept, sampled every millisecond
+	// and once at its end. For a fit that is its index and working
+	// memory, the paper's Table 7 comparison.
+	Peak uint64
+	// Retained is the live-heap growth the call left reachable.
+	Retained uint64
+}
+
+// heapObjects is the runtime/metrics name of the bytes held by heap
+// objects, reachable or not yet swept.
+const heapObjects = "/memory/classes/heap/objects:bytes"
+
+// MeasureMem runs fn and returns its peak and retained heap growth. It
+// collects garbage before fn, so neither figure counts earlier garbage,
+// and after it, so Retained counts only what fn left reachable — for a
 // fit, the result the caller keeps alive past this call (with
-// runtime.KeepAlive) plus anything fn cached globally.
-func MeasureMem(fn func()) uint64 {
+// runtime.KeepAlive) plus anything fn cached globally. Peak comes from a
+// sampling goroutine; an allocation that lives less than a millisecond
+// and is collected before fn ends can escape it.
+func MeasureMem(fn func()) Mem {
 	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	s := []metrics.Sample{{Name: heapObjects}}
+	metrics.Read(s)
+	base := s[0].Value.Uint64()
+	peak := base
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s := []metrics.Sample{{Name: heapObjects}}
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				metrics.Read(s)
+				peak = max(peak, s[0].Value.Uint64())
+			}
+		}
+	}()
 	fn()
+	close(stop)
+	<-done
+	metrics.Read(s)
+	peak = max(peak, s[0].Value.Uint64())
 	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if after.HeapAlloc <= before.HeapAlloc {
-		return 0
+	metrics.Read(s)
+	// The heap after the final collection was a heap fn's call held too,
+	// so it bounds the peak from below.
+	peak = max(peak, s[0].Value.Uint64())
+	m := Mem{Peak: peak - base}
+	if after := s[0].Value.Uint64(); after > base {
+		m.Retained = after - base
 	}
-	return after.HeapAlloc - before.HeapAlloc
+	return m
 }
 
 // FormatMB renders bytes as a Table 7 style megabyte string, to a

@@ -157,21 +157,36 @@ func TestMeasureMem(t *testing.T) {
 			sink = append(sink, make([]byte, 1<<20))
 		}
 	})
-	if got < 32<<20 {
-		t.Errorf("MeasureMem reported %d bytes for a retained 64MB allocation", got)
+	if got.Retained < 32<<20 || got.Peak < got.Retained {
+		t.Errorf("MeasureMem reported %+v for a retained 64MB allocation", got)
 	}
 	runtime.KeepAlive(sink)
-	// Garbage fn drops before it returns is collected, not counted —
-	// even when no automatic collection ran while fn did.
+	sink = nil
+	// Garbage fn drops before it returns is collected, not counted as
+	// retained — even when no automatic collection ran while fn did.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if got := MeasureMem(func() {
 		for i := 0; i < 64; i++ {
 			garbage = make([]byte, 1<<20)
 		}
-	}); got > 8<<20 {
-		t.Errorf("MeasureMem reported %d bytes for 63MB of garbage and 1MB retained", got)
+	}); got.Retained > 8<<20 {
+		t.Errorf("MeasureMem reported %+v for 63MB of garbage and 1MB retained", got)
 	}
 	garbage = nil
+	// A transient 64MB working buffer, dropped before fn returns, is the
+	// peak but not retained; automatic collection is back on, so it may
+	// be collected before fn ends.
+	debug.SetGCPercent(100)
+	got = MeasureMem(func() {
+		work := make([]byte, 64<<20)
+		for i := range work {
+			work[i] = byte(i)
+		}
+		runtime.KeepAlive(work)
+	})
+	if got.Peak < 64<<20 || got.Retained > 8<<20 {
+		t.Errorf("MeasureMem reported %+v for a transient 64MB buffer", got)
+	}
 	if FormatMB(64<<20) != "64.0" {
 		t.Errorf("FormatMB = %q", FormatMB(64<<20))
 	}

@@ -118,7 +118,7 @@ func checkAll(t *testing.T, name string, ds *geom.Dataset, members []int32, extr
 	for i := 0; i < ds.N; i++ {
 		queries = append(queries, ds.At(i))
 	}
-	tr := Build(ds, slices.Clone(members))
+	tr := Build(ds, slices.Clone(members), 1)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -25,13 +25,18 @@
 // Bulk construction splits on the dimension of largest spread at each
 // level (median split via in-place quickselect), yielding the
 // O(n^{1-1/d} + k) range-search guarantee the paper's analysis relies
-// on. Trees are read-only once built, so any number of goroutines may
+// on. The build is parallel: large subtrees are built by up to the
+// caller's worker count of goroutines, each into preorder slots fixed
+// by subtree sizes, so the tree is identical for any worker count.
+// Trees are read-only once built, so any number of goroutines may
 // query one.
 package kdtree
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -72,35 +77,52 @@ type Tree struct {
 // coord returns coordinate dim of dataset point id.
 func (t *Tree) coord(id int32, dim int) float64 { return t.ds.Coord(id, dim) }
 
-// Build bulk-loads a balanced tree over the given point indices. The
-// ids slice is reordered in place and kept by the tree, so the caller
-// must not modify it afterwards.
-func Build(ds *geom.Dataset, ids []int32) *Tree {
+// forkMin is the smallest subtree the build hands to another
+// goroutine: below it, starting one costs more than it saves. Tests
+// lower it to fork near the leaves.
+var forkMin = 4096
+
+// Build bulk-loads a balanced tree over the given point indices with up
+// to workers goroutines (<= 1 builds on the caller's alone). The ids
+// slice is reordered in place and kept by the tree, so the caller must
+// not modify it afterwards. Subtrees are independent — each permutes
+// only its own ids and fills nodes slots fixed by its size — so the
+// tree is the same, ids and nodes, for every worker count.
+func Build(ds *geom.Dataset, ids []int32, workers int) *Tree {
 	if ds.N == 0 {
 		panic("kdtree: Build over empty dataset")
 	}
 	t := &Tree{ds: ds, ids: ids, dim: ds.Dim}
 	if len(ids) > 0 {
-		// Split leaves hold at least leafSize/2 points, so there are at
-		// most 2n/(leafSize/2) nodes.
-		t.nodes = make([]node, 0, 4*len(ids)/leafSize+1)
-		t.build(0, int32(len(ids)))
+		t.nodes = make([]node, nodeCount(len(ids)))
+		b := &builder{t: t, keys: make([]float64, len(ids))}
+		b.spare.Store(int32(max(workers, 1) - 1))
+		b.build(0, 0, int32(len(ids)), b.scratch())
+		b.wg.Wait()
 	}
 	t.rows = ds.Select(ids)
 	return t
 }
 
-// BuildAll bulk-loads a tree over every point of the dataset.
-func BuildAll(ds *geom.Dataset) *Tree {
+// BuildAll bulk-loads a tree over every point of the dataset on the
+// caller's goroutine.
+func BuildAll(ds *geom.Dataset) *Tree { return BuildAllWorkers(ds, 1) }
+
+// BuildAllWorkers is BuildAll with up to workers goroutines; the tree
+// is the same for every worker count.
+func BuildAllWorkers(ds *geom.Dataset, workers int) *Tree {
 	ids := make([]int32, ds.N)
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	return Build(ds, ids)
+	return Build(ds, ids, workers)
 }
 
 // Len returns the number of points in the tree.
 func (t *Tree) Len() int { return len(t.ids) }
+
+// Dim returns the dimension of the tree's points.
+func (t *Tree) Dim() int { return t.dim }
 
 // Order returns the tree's dataset ids in row order: leaf by leaf, so
 // consecutive ids are spatial neighbors. A whole-dataset query pass run
@@ -121,44 +143,85 @@ func (t *Tree) scan(lo, hi int32, q []float64, limit float64, buf *[leafSize]flo
 	return out
 }
 
-// build appends the subtree over ids[lo:hi] in preorder and returns its
-// node index.
-func (t *Tree) build(lo, hi int32) int32 {
-	me := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{lo: lo, hi: hi, l: nilNode, r: nilNode})
-	if hi-lo <= leafSize {
-		return me
+// nodeCount is the number of nodes the build makes for m points: the
+// size of every subtree's run of preorder slots.
+func nodeCount(m int) int {
+	if m <= leafSize {
+		return 1
 	}
-	ids := t.ids[lo:hi]
-	dim := t.widestDim(ids)
-	mid := len(ids) / 2
-	t.selectNth(ids, mid, dim)
-	split := t.coord(ids[mid], dim)
-	l := t.build(lo, lo+int32(mid))
-	r := t.build(lo+int32(mid), hi)
+	return 1 + nodeCount(m/2) + nodeCount(m-m/2)
+}
+
+// builder is one Build in progress.
+type builder struct {
+	t     *Tree
+	keys  []float64    // keys[k]: row k's coordinate in its node's split dimension
+	spare atomic.Int32 // goroutines the build may still start
+	wg    sync.WaitGroup
+}
+
+// scratch is one goroutine's per-dimension buffers for widestDim.
+type scratch struct{ lo, hi, row []float64 }
+
+func (b *builder) scratch() *scratch {
+	d := b.t.dim
+	return &scratch{lo: make([]float64, d), hi: make([]float64, d), row: make([]float64, d)}
+}
+
+// build writes the subtree over rows [lo, hi) into the nodes from slot
+// me on, in preorder, and returns the slot after its last node. Each
+// node gathers its split dimension's coordinates into keys and
+// quickselects keys and ids together. While the build may still start
+// goroutines, a subtree of at least forkMin points hands its left child
+// to a new one: the right child's slot follows from the left child's
+// size alone, so both halves fill their own slots concurrently.
+func (b *builder) build(me, lo, hi int32, s *scratch) int32 {
+	t := b.t
+	if hi-lo <= leafSize {
+		t.nodes[me] = node{lo: lo, hi: hi, l: nilNode, r: nilNode}
+		return me + 1
+	}
+	ids, keys := t.ids[lo:hi], b.keys[lo:hi]
+	dim := t.widestDim(ids, s)
+	for k, id := range ids {
+		keys[k] = t.coord(id, dim)
+	}
+	half := len(ids) / 2
+	selectNth(keys, ids, half)
+	split := keys[half] // read before the children reuse keys
+	mid := lo + int32(half)
+	l := me + 1
+	var r, end int32
+	if hi-lo >= int32(forkMin) && b.spare.Add(-1) >= 0 {
+		r = l + int32(nodeCount(half))
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			b.build(l, lo, mid, b.scratch())
+		}()
+		end = b.build(r, mid, hi, s)
+	} else {
+		r = b.build(l, lo, mid, s)
+		end = b.build(r, mid, hi, s)
+	}
 	t.nodes[me] = node{split: split, lo: lo, hi: hi, dim: int32(dim), l: l, r: r}
-	return me
+	return end
 }
 
 // widestDim returns the dimension with the largest coordinate spread among
 // the given points; ties resolve to the lowest dimension.
-func (t *Tree) widestDim(ids []int32) int {
-	lo := make([]float64, t.dim)
-	hi := make([]float64, t.dim)
+func (t *Tree) widestDim(ids []int32, s *scratch) int {
+	lo, hi := s.lo, s.hi
 	for j := 0; j < t.dim; j++ {
 		lo[j] = math.Inf(1)
 		hi[j] = math.Inf(-1)
 	}
-	buf := make([]float64, t.dim)
 	for _, id := range ids {
-		p := t.ds.AtBuf(int(id), buf)
-		for j := 0; j < t.dim; j++ {
-			if p[j] < lo[j] {
-				lo[j] = p[j]
-			}
-			if p[j] > hi[j] {
-				hi[j] = p[j]
-			}
+		p := t.ds.AtBuf(int(id), s.row)
+		lo, hi := lo[:len(p)], hi[:len(p)]
+		for j, x := range p {
+			lo[j] = min(lo[j], x)
+			hi[j] = max(hi[j], x)
 		}
 	}
 	best, spread := 0, hi[0]-lo[0]
@@ -170,14 +233,19 @@ func (t *Tree) widestDim(ids []int32) int {
 	return best
 }
 
-// selectNth partially sorts ids so that ids[n] holds the element of rank n
-// by coordinate dim (Hoare quickselect with median-of-three pivots).
-func (t *Tree) selectNth(ids []int32, n, dim int) {
-	lo, hi := 0, len(ids)-1
+// selectNth partially sorts keys, moving ids in step, so that keys[n]
+// holds the element of rank n (Hoare quickselect with median-of-three
+// pivots).
+func selectNth(keys []float64, ids []int32, n int) {
+	swap := func(a, b int) {
+		keys[a], keys[b] = keys[b], keys[a]
+		ids[a], ids[b] = ids[b], ids[a]
+	}
+	lo, hi := 0, len(keys)-1
 	for lo < hi {
 		// Median-of-three pivot to dodge quadratic behaviour on sorted input.
 		mid := lo + (hi-lo)/2
-		a, b, c := t.coord(ids[lo], dim), t.coord(ids[mid], dim), t.coord(ids[hi], dim)
+		a, b, c := keys[lo], keys[mid], keys[hi]
 		var pi int
 		switch {
 		case (a <= b) == (b <= c):
@@ -187,16 +255,16 @@ func (t *Tree) selectNth(ids []int32, n, dim int) {
 		default:
 			pi = hi
 		}
-		ids[pi], ids[hi] = ids[hi], ids[pi]
-		pivot := t.coord(ids[hi], dim)
+		swap(pi, hi)
+		pivot := keys[hi]
 		i := lo
 		for j := lo; j < hi; j++ {
-			if t.coord(ids[j], dim) < pivot {
-				ids[i], ids[j] = ids[j], ids[i]
+			if keys[j] < pivot {
+				swap(i, j)
 				i++
 			}
 		}
-		ids[i], ids[hi] = ids[hi], ids[i]
+		swap(i, hi)
 		switch {
 		case n == i:
 			return

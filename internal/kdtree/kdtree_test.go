@@ -1,8 +1,11 @@
 package kdtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -160,7 +163,7 @@ func TestNNMatchesBrute(t *testing.T) {
 }
 
 func TestNNEmpty(t *testing.T) {
-	tr := Build(geom.MustFromRows([][]float64{{5, 5}}), nil)
+	tr := Build(geom.MustFromRows([][]float64{{5, 5}}), nil, 1)
 	if id, sq := tr.NN([]float64{0, 0}); id != -1 || !math.IsInf(sq, 1) {
 		t.Errorf("NN on empty tree = (%d, %v), want (-1, +Inf)", id, sq)
 	}
@@ -173,7 +176,7 @@ func TestBuildSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randPts(rng, 200, 2, 10)
 	ids := []int32{5, 17, 99, 150, 151, 152}
-	tr := Build(geom.MustFromRows(pts), append([]int32(nil), ids...))
+	tr := Build(geom.MustFromRows(pts), append([]int32(nil), ids...), 1)
 	if tr.Len() != len(ids) {
 		t.Fatalf("subset Len = %d", tr.Len())
 	}
@@ -206,24 +209,70 @@ func TestQuickPropertyRangeConsistency(t *testing.T) {
 
 func TestSelectNth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	pts := randPts(rng, 101, 1, 1000)
-	tr := &Tree{ds: geom.MustFromRows(pts), dim: 1}
-	ids := make([]int32, len(pts))
-	for i := range ids {
-		ids[i] = int32(i)
+	vals := make([]float64, 101)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
 	}
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
 	for _, n := range []int{0, 1, 50, 99, 100} {
-		shuffled := append([]int32(nil), ids...)
-		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		tr.selectNth(shuffled, n, 0)
-		vals := make([]float64, len(pts))
-		for i, id := range shuffled {
-			vals[i] = pts[id][0]
+		ids := make([]int32, len(vals))
+		for i := range ids {
+			ids[i] = int32(i)
 		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		if vals[n] != sorted[n] {
-			t.Fatalf("selectNth(%d) = %v, want %v", n, vals[n], sorted[n])
+		rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+		keys := make([]float64, len(ids))
+		for k, id := range ids {
+			keys[k] = vals[id]
+		}
+		selectNth(keys, ids, n)
+		if keys[n] != sorted[n] {
+			t.Fatalf("selectNth(%d) = %v, want %v", n, keys[n], sorted[n])
+		}
+		for k, id := range ids {
+			if keys[k] != vals[id] {
+				t.Fatalf("selectNth(%d): key %d is %v, its id %d has %v", n, k, keys[k], id, vals[id])
+			}
+		}
+	}
+}
+
+// TestBuildWorkerInvariance requires the same tree — ids, nodes and
+// copied rows — at 1, 2 and 3 workers, on random, duplicate-heavy, f32
+// and subset fixtures, both at the default fork threshold and with
+// forks allowed down to a few leaves.
+func TestBuildWorkerInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	random := geom.MustFromRows(randPts(rng, 3*forkMin, 3, 100))
+	dups := geom.MustFromRows(dupPts(rng, 3*forkMin, 2))
+	fixtures := map[string]struct {
+		ds  *geom.Dataset
+		ids []int32
+	}{
+		"random":     {random, allIDs(random.N)},
+		"duplicates": {dups, allIDs(dups.N)},
+		"f32 random": {random.ToFloat32(), allIDs(random.N)},
+		"8-d f32":    {geom.MustFromRows(randPts(rng, 2*forkMin+5, 8, 10)).ToFloat32(), allIDs(2*forkMin + 5)},
+		"subset":     {random, permKey(rng, random.N)[:forkMin+forkMin/2]},
+	}
+	old := forkMin
+	defer func() { forkMin = old }()
+	for _, fork := range []int{old, 3 * leafSize} {
+		forkMin = fork
+		for name, f := range fixtures {
+			want := Build(f.ds, slices.Clone(f.ids), 1)
+			if err := want.Validate(); err != nil {
+				t.Fatalf("fork=%d %s: %v", fork, name, err)
+			}
+			for _, workers := range []int{2, 3} {
+				got := Build(f.ds, slices.Clone(f.ids), workers)
+				if !slices.Equal(got.ids, want.ids) || !slices.Equal(got.nodes, want.nodes) {
+					t.Fatalf("fork=%d %s: the %d-worker tree differs from the 1-worker tree", fork, name, workers)
+				}
+				if !slices.Equal(got.rows.Coords, want.rows.Coords) || !slices.Equal(got.rows.Coords32, want.rows.Coords32) {
+					t.Fatalf("fork=%d %s: the %d-worker rows differ", fork, name, workers)
+				}
+			}
 		}
 	}
 }
@@ -245,5 +294,20 @@ func BenchmarkNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.NN(pts[i%len(pts)])
+	}
+}
+
+// BenchmarkBuildAll builds a tree over 20,000 random 8-d points on one
+// worker and on every CPU.
+func BenchmarkBuildAll(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	ds := geom.MustFromRows(randPts(rng, 20000, 8, 100))
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildAllWorkers(ds, workers)
+			}
+		})
 	}
 }

@@ -71,7 +71,7 @@ func TestKNNSmallTree(t *testing.T) {
 	if ids, _ := tr.KNN([]float64{0, 0}, 0); ids != nil {
 		t.Error("k=0 should return nil")
 	}
-	empty := Build(geom.MustFromRows(pts), nil)
+	empty := Build(geom.MustFromRows(pts), nil, 1)
 	if ids, _ := empty.KNN([]float64{0, 0}, 3); ids != nil {
 		t.Error("empty tree should return nil")
 	}

@@ -35,12 +35,16 @@ func (t *Tree) SubtreeMin(key []int32) []int32 {
 // the bits of geom.SqDistIdxPartial(ds, q, j, bestSq) at either
 // precision.
 //
+// buf, when it has room for Dim values, receives q's widened row on an
+// f32 dataset, so a pass that walks from every point can widen into one
+// buffer per worker instead of allocating a row per point.
+//
 // With key the density rank this is the dependent point of q
 // (Definition 2 of the paper) over a whole-dataset tree.
-func (t *Tree) NNLowerKey(q int32, key, sub []int32) (int32, float64) {
+func (t *Tree) NNLowerKey(q int32, key, sub []int32, buf []float64) (int32, float64) {
 	w := lowerKeyWalk{t: t, key: key, sub: sub, qKey: key[q], best: -1, bestSq: math.Inf(1)}
 	if len(t.nodes) > 0 {
-		w.q = t.ds.At(int(q))
+		w.q = t.ds.AtBuf(int(q), buf)
 		w.walk(0)
 	}
 	return w.best, w.bestSq

@@ -33,9 +33,10 @@ func checkLowerKey(t *testing.T, name string, tr *Tree, ds *geom.Dataset, member
 	byKey := append([]int32(nil), members...)
 	sort.Slice(byKey, func(a, b int) bool { return key[byKey[a]] < key[byKey[b]] })
 	sub := tr.SubtreeMin(key)
+	buf := make([]float64, ds.Dim) // reused across queries, as WalkDependents does
 	for q := int32(0); int(q) < ds.N; q++ {
 		want, wantSq := bruteLowerKey(ds, byKey, key, q)
-		got, gotSq := tr.NNLowerKey(q, key, sub)
+		got, gotSq := tr.NNLowerKey(q, key, sub, buf)
 		if got != want || math.Float64bits(gotSq) != math.Float64bits(wantSq) {
 			t.Fatalf("%s: query %d (key %d): got (%d, %v), want (%d, %v)",
 				name, q, key[q], got, gotSq, want, wantSq)
@@ -94,7 +95,7 @@ func TestNNLowerKeyMatchesBrute(t *testing.T) {
 				members := allIDs(ds.N)
 				rng.Shuffle(len(members), func(a, b int) { members[a], members[b] = members[b], members[a] })
 				members = members[:ds.N/2]
-				half := Build(ds, append([]int32(nil), members...))
+				half := Build(ds, append([]int32(nil), members...), 1)
 				checkLowerKey(t, name+" subset", half, ds, members, key)
 			}
 		}
@@ -106,11 +107,11 @@ func TestNNLowerKeyEdges(t *testing.T) {
 	tr := BuildAll(ds)
 	// Key 0 has nothing below it; an empty tree has nothing at all.
 	key := []int32{0, 1, 2, 3}
-	if id, sq := tr.NNLowerKey(0, key, tr.SubtreeMin(key)); id != -1 || !math.IsInf(sq, 1) {
+	if id, sq := tr.NNLowerKey(0, key, tr.SubtreeMin(key), nil); id != -1 || !math.IsInf(sq, 1) {
 		t.Errorf("lowest key: got (%d, %v), want (-1, +Inf)", id, sq)
 	}
-	empty := Build(ds, nil)
-	if id, sq := empty.NNLowerKey(3, key, empty.SubtreeMin(key)); id != -1 || !math.IsInf(sq, 1) {
+	empty := Build(ds, nil, 1)
+	if id, sq := empty.NNLowerKey(3, key, empty.SubtreeMin(key), nil); id != -1 || !math.IsInf(sq, 1) {
 		t.Errorf("empty tree: got (%d, %v), want (-1, +Inf)", id, sq)
 	}
 	// Points 1 and 2 coincide: from point 3 both sit at squared
@@ -120,7 +121,7 @@ func TestNNLowerKeyEdges(t *testing.T) {
 		if k[2] < k[1] {
 			want = 2
 		}
-		if id, sq := tr.NNLowerKey(3, k, tr.SubtreeMin(k)); id != want || sq != 4 {
+		if id, sq := tr.NNLowerKey(3, k, tr.SubtreeMin(k), nil); id != want || sq != 4 {
 			t.Errorf("keys %v: got (%d, %v), want (%d, 4)", k, id, sq, want)
 		}
 	}
@@ -141,7 +142,7 @@ func TestLeafLayout(t *testing.T) {
 			subset = append(subset, int32(id))
 		}
 		key := permKey(rng, ds.N)
-		for name, tr := range map[string]*Tree{"build": BuildAll(ds), "subset": Build(ds, subset)} {
+		for name, tr := range map[string]*Tree{"build": BuildAll(ds), "subset": Build(ds, subset, 1)} {
 			name = ds.Precision() + " " + name
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("%s: %v", name, err)

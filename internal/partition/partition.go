@@ -19,68 +19,46 @@ import (
 // workers with dynamic self-scheduling. fn must be safe for concurrent
 // invocation on distinct indices.
 func Dynamic(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
+	DynamicWorkers(n, workers, 1, func() func(int) { return fn })
 }
 
 // DynamicChunked is Dynamic with a claim granularity of chunk indices,
 // which reduces contention on the shared counter when tasks are tiny.
 func DynamicChunked(n, workers, chunk int, fn func(i int)) {
-	if chunk <= 1 {
-		Dynamic(n, workers, fn)
-		return
-	}
+	DynamicWorkers(n, workers, chunk, func() func(int) { return fn })
+}
+
+// DynamicWorkers is DynamicChunked for tasks that need scratch space:
+// each worker calls newWorker once and runs every index it claims
+// through the function it returned, so per-worker buffers (a widened
+// query row, say) are made once per worker rather than once per task.
+// Run serially, newWorker is called once.
+func DynamicWorkers(n, workers, chunk int, newWorker func() func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 1 {
+	chunk = max(chunk, 1)
+	if workers <= 1 || n == 1 {
+		fn := newWorker()
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
+	workers = min(workers, (n+chunk-1)/chunk)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			fn := newWorker()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
+				for i := lo; i < min(lo+chunk, n); i++ {
 					fn(i)
 				}
 			}

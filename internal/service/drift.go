@@ -525,10 +525,11 @@ func appendDataset(old *geom.Dataset, expire int, pts [][]float64) *geom.Dataset
 // updateIndex maintains the dataset's density index across an append:
 // when an index is resident (ready, at the pre-append version) it is
 // updated incrementally — expired edges filtered, appended points
-// range-searched against a tree over just the appended rows — and the
-// result adopted at the new version; any other state drops the index
-// (rebuilt on demand, the correctness fallback). Reports whether the
-// incremental update succeeded.
+// range-searched against the new version's whole-dataset kd-tree,
+// which the updated index keeps for the refit's cut and its assigner —
+// and the result adopted at the new version; any other state drops the
+// index (rebuilt on demand, the correctness fallback). Reports whether
+// the incremental update succeeded.
 func (s *Service) updateIndex(name string, oldVersion, newVersion uint64, nds *geom.Dataset, expired, appended int) bool {
 	s.indexMu.Lock()
 	ent := s.indexes[name]

@@ -61,7 +61,8 @@ e2e-stream:
 
 # bench runs the memory-layout micro-benchmarks (flat Dataset vs row
 # slices; committed baseline in BENCH_flat_layout.json), the kd-tree
-# build at one worker and every CPU, the density index's sliding-window
+# build at one worker and every CPU, the grid build Approx-DPC runs on
+# the 20k PAMAP2 stand-in, the density index's sliding-window
 # update, the serving layer benchmarks (cached fit, assign batch,
 # snapshot cold start), and the param-sweep experiment (one density
 # index vs K fresh fits; committed record in BENCH_param_sweep.json).
@@ -70,6 +71,7 @@ SWEEPN ?= 20000
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSqDist|ExDPC(Rows|Flat)' -benchmem -benchtime=$(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll' -benchmem -benchtime=$(BENCHTIME) ./internal/kdtree
+	$(GO) test -run '^$$' -bench 'BenchmarkGridBuild' -benchmem -benchtime=$(BENCHTIME) ./internal/grid
 	$(GO) test -run '^$$' -bench 'BenchmarkUpdate' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=$(BENCHTIME) ./internal/service
 	$(GO) run ./cmd/dpcbench -exp sweep -n $(SWEEPN)

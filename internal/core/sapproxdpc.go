@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/geom"
@@ -77,26 +76,12 @@ func (a SApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tr
 	// Ex-DPC's density phase (§5, "Implementation for parallel processing").
 	start = time.Now()
 	partition.DynamicWorkers(nc, workers, 1, func() func(int) {
-		buf := make([]float64, ds.Dim)
+		s := newCellSearch(ds.Dim)
 		return func(c int) {
-			cell := &g.Cells[c]
 			pi := picked[c]
-			count := 0
-			seen := make(map[int32]struct{})
-			tree.RangeSearch(ds.AtBuf(int(pi), buf), p.DCut, func(id int32, _ float64) {
-				count++
-				if xc := g.PointCell[id]; xc != int32(c) {
-					if _, ok := seen[xc]; !ok {
-						seen[xc] = struct{}{}
-						cell.Neighbors = append(cell.Neighbors, xc)
-					}
-				}
-			})
-			// Ascending cell order, as in Approx-DPC: the first phase keeps
-			// the first of equally near denser picked points, which must not
-			// depend on the tree's visit order.
-			sort.Slice(cell.Neighbors, func(a, b int) bool { return cell.Neighbors[a] < cell.Neighbors[b] })
-			res.Rho[pi] = float64(count) + jitter(int(pi))
+			r := s.search(tree, ds.AtBuf(int(pi), s.row), p.DCut)
+			g.Cells[c].Neighbors = s.neighborCells(g, int32(c), r)
+			res.Rho[pi] = float64(len(r)) + jitter(int(pi))
 		}
 	})
 	// Non-picked points inherit the picked density (rho_min is "not

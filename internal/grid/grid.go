@@ -11,11 +11,22 @@
 // density, and the neighbor-cell id set N(c). The grid itself only manages
 // membership and coordinates; the clustering algorithms fill the rest
 // during their local-density phase, exactly as described in the paper.
+// Where Approx-DPC's joint range search is centered within a cell is the
+// algorithm's choice: it uses the middle of the members' bounding box,
+// not the cell center.
+//
+// The build is flat: every point's cell coordinates are computed once,
+// cells are found through an open-addressing table of cell ids keyed by
+// a hash of the coordinates, and the members of all cells share one
+// slab, in dataset order. Cells are created on first touch in dataset
+// order, so cell ids, member orders and neighbor enumeration orders are
+// deterministic.
 package grid
 
 import (
-	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -24,7 +35,7 @@ import (
 type Cell struct {
 	// Coords are the integer cell coordinates (floor(p/side) per dim).
 	Coords []int64
-	// Points are dataset indices of the members P(c).
+	// Points are dataset indices of the members P(c), ascending.
 	Points []int32
 	// Best is p*(c), the member with maximum local density; -1 until the
 	// owning algorithm sets it.
@@ -43,8 +54,14 @@ type Grid struct {
 	Cells []Cell
 	// PointCell maps every dataset index to the id of its cell.
 	PointCell []int32
-	index     map[string]int32
-	keyBuf    []byte
+	// coords holds the cell coordinates, cell c's at [c*Dim, (c+1)*Dim);
+	// every Cells[c].Coords is a capped view of it. find reads it during
+	// the build, so it grows as cells are created.
+	coords []int64
+	// table maps coordinates to cell ids by linear probing from
+	// hashCoords; -1 marks an empty slot. Its length is a power of two
+	// above twice the point count, so it always has an empty slot.
+	table []int32
 	// coordLo/coordHi bound the occupied cell coordinates per dimension
 	// (valid when at least one cell exists); MaxRing uses them.
 	coordLo, coordHi []int64
@@ -57,40 +74,95 @@ func Build(ds *geom.Dataset, side float64) *Grid {
 	if side <= 0 {
 		panic("grid: non-positive side length")
 	}
-	d := ds.Dim
-	if ds.N == 0 {
+	n, d := ds.N, ds.Dim
+	if n == 0 {
 		d = 0
 	}
 	g := &Grid{
 		Side:      side,
 		Dim:       d,
-		PointCell: make([]int32, ds.N),
-		index:     make(map[string]int32),
-		keyBuf:    make([]byte, 8*d),
+		PointCell: make([]int32, n),
+		table:     make([]int32, 1<<bits.Len(uint(2*n))), // at most half full
+		coordLo:   make([]int64, d),
+		coordHi:   make([]int64, d),
 	}
-	g.coordLo = make([]int64, d)
-	g.coordHi = make([]int64, d)
-	coords := make([]int64, d)
-	for i := 0; i < ds.N; i++ {
-		g.coordsOf(ds.At(i), coords)
-		if i == 0 {
-			copy(g.coordLo, coords)
-			copy(g.coordHi, coords)
-		} else {
-			for j, v := range coords {
-				if v < g.coordLo[j] {
-					g.coordLo[j] = v
-				}
-				if v > g.coordHi[j] {
-					g.coordHi[j] = v
-				}
-			}
+	pc := make([]int64, n*d)
+	if ds.Coords32 != nil {
+		for k, x := range ds.Coords32[:n*d] {
+			pc[k] = int64(math.Floor(float64(x) / side))
 		}
-		id := g.lookupOrCreate(coords)
-		g.Cells[id].Points = append(g.Cells[id].Points, int32(i))
+	} else {
+		for k, x := range ds.Coords[:n*d] {
+			pc[k] = int64(math.Floor(x / side))
+		}
+	}
+	for s := range g.table {
+		g.table[s] = -1
+	}
+	// The cell coordinates are compacted into pc in place: cell c's are
+	// the row of its first member i, and c <= i, so each row moves down
+	// over rows already read, never over one still to read.
+	size := make([]int32, n) // size[c] is the member count of cell c
+	nc := 0
+	for i := 0; i < n; i++ {
+		row := pc[i*d : (i+1)*d]
+		slot, id := g.find(row)
+		if id < 0 {
+			id = int32(nc)
+			nc++
+			g.table[slot] = id
+			copy(pc[int(id)*d:], row)
+			g.coords = pc[:nc*d]
+		}
+		size[id]++
 		g.PointCell[i] = id
 	}
+
+	members := make([]int32, n)
+	g.Cells = make([]Cell, nc)
+	for c := range g.Cells {
+		g.Cells[c] = Cell{Coords: g.coords[c*d : (c+1)*d : (c+1)*d], Points: members[:0:size[c]], Best: -1}
+		members = members[size[c]:]
+	}
+	for i, c := range g.PointCell {
+		cell := &g.Cells[c]
+		cell.Points = append(cell.Points, int32(i))
+	}
+	if len(g.Cells) > 0 {
+		copy(g.coordLo, g.Cells[0].Coords)
+		copy(g.coordHi, g.Cells[0].Coords)
+	}
+	for _, cell := range g.Cells {
+		for j, v := range cell.Coords {
+			g.coordLo[j] = min(g.coordLo[j], v)
+			g.coordHi[j] = max(g.coordHi[j], v)
+		}
+	}
 	return g
+}
+
+// hashCoords mixes a coordinate row into a table hash.
+func hashCoords(coords []int64) uint64 {
+	h := uint64(len(coords))
+	for _, v := range coords {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// find returns the table slot holding the cell with the given
+// coordinates and its id, or the empty slot where that cell belongs
+// and -1. Lookups are safe for concurrent use once Build returns.
+func (g *Grid) find(coords []int64) (int, int32) {
+	mask := len(g.table) - 1
+	for s := int(hashCoords(coords)) & mask; ; s = (s + 1) & mask {
+		id := g.table[s]
+		if id < 0 || slices.Equal(g.coords[int(id)*g.Dim:int(id+1)*g.Dim], coords) {
+			return s, id
+		}
+	}
 }
 
 // SideForDCut returns the Approx-DPC cell edge d_cut/sqrt(d), which makes
@@ -102,71 +174,6 @@ func SideForDCut(dcut float64, d int) float64 {
 
 // NumCells returns the number of non-empty cells.
 func (g *Grid) NumCells() int { return len(g.Cells) }
-
-// coordsOf writes floor(p/side) per dimension into out.
-func (g *Grid) coordsOf(p []float64, out []int64) {
-	for j := range p {
-		out[j] = int64(math.Floor(p[j] / g.Side))
-	}
-}
-
-// key encodes coords using the grid's build-time buffer. It is NOT safe
-// for concurrent use; Build is the only caller. Concurrent readers go
-// through keyInto with their own buffer.
-func (g *Grid) key(coords []int64) string {
-	return keyInto(g.keyBuf, coords)
-}
-
-// keyInto encodes coords into buf (len >= 8*len(coords)) and returns the
-// map key. Safe for concurrent use with distinct buffers.
-func keyInto(buf []byte, coords []int64) string {
-	for j, c := range coords {
-		binary.LittleEndian.PutUint64(buf[8*j:], uint64(c))
-	}
-	return string(buf[:8*len(coords)])
-}
-
-func (g *Grid) lookupOrCreate(coords []int64) int32 {
-	k := g.key(coords)
-	if id, ok := g.index[k]; ok {
-		return id
-	}
-	id := int32(len(g.Cells))
-	cc := make([]int64, len(coords))
-	copy(cc, coords)
-	g.Cells = append(g.Cells, Cell{Coords: cc, Best: -1})
-	g.index[k] = id
-	return id
-}
-
-// CellID returns the id of the cell containing p, or -1 when that cell is
-// empty (was never created).
-func (g *Grid) CellID(p []float64) int32 {
-	coords := make([]int64, g.Dim)
-	g.coordsOf(p, coords)
-	return g.CellIDAt(coords)
-}
-
-// CellIDAt returns the id of the cell with the given integer coordinates,
-// or -1 when it does not exist.
-func (g *Grid) CellIDAt(coords []int64) int32 {
-	buf := make([]byte, 8*g.Dim)
-	if id, ok := g.index[keyInto(buf, coords)]; ok {
-		return id
-	}
-	return -1
-}
-
-// Center returns the center point of cell c (cp_i in the paper's joint
-// range search).
-func (g *Grid) Center(c int32) []float64 {
-	cell := &g.Cells[c]
-	cp := make([]float64, g.Dim)
-	for j, v := range cell.Coords {
-		cp[j] = (float64(v) + 0.5) * g.Side
-	}
-	return cp
-}
 
 // ForEachNeighborCell invokes fn with the id of every existing cell whose
 // integer coordinates differ from cell c's by at most `reach` in every
@@ -188,16 +195,14 @@ func (g *Grid) ForEachNeighborCell(c int32, reach int64, fn func(id int32)) {
 		}
 		return
 	}
-	cur := make([]int64, g.Dim)
-	copy(cur, base)
-	buf := make([]byte, 8*g.Dim)
+	cur := slices.Clone(base)
 	var rec func(dim int, moved bool)
 	rec = func(dim int, moved bool) {
 		if dim == g.Dim {
 			if !moved {
 				return
 			}
-			if id, ok := g.index[keyInto(buf, cur)]; ok {
+			if _, id := g.find(cur); id >= 0 {
 				fn(id)
 			}
 			return

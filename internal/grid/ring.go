@@ -1,5 +1,7 @@
 package grid
 
+import "slices"
+
 // ForEachNeighborRing invokes fn with the id of every existing cell at
 // Chebyshev distance exactly `ring` from cell c (ring >= 1). Each surface
 // cell is visited once: for each dimension j, the j-th coordinate is
@@ -22,13 +24,11 @@ func (g *Grid) ForEachNeighborRing(c int32, ring int64, fn func(id int32)) {
 		}
 		return
 	}
-	cur := make([]int64, g.Dim)
-	copy(cur, base)
-	buf := make([]byte, 8*g.Dim)
+	cur := slices.Clone(base)
 	for pin := 0; pin < g.Dim; pin++ {
 		for _, side := range []int64{-ring, ring} {
 			cur[pin] = base[pin] + side
-			g.ringRec(cur, base, buf, pin, 0, ring, fn)
+			g.ringRec(cur, base, pin, 0, ring, fn)
 			cur[pin] = base[pin]
 		}
 	}
@@ -36,15 +36,15 @@ func (g *Grid) ForEachNeighborRing(c int32, ring int64, fn func(id int32)) {
 
 // ringRec fills the non-pinned dimensions: dims < pin range in
 // (-ring, ring), dims > pin range in [-ring, ring].
-func (g *Grid) ringRec(cur, base []int64, buf []byte, pin, dim int, ring int64, fn func(id int32)) {
+func (g *Grid) ringRec(cur, base []int64, pin, dim int, ring int64, fn func(id int32)) {
 	if dim == g.Dim {
-		if id, ok := g.index[keyInto(buf, cur)]; ok {
+		if _, id := g.find(cur); id >= 0 {
 			fn(id)
 		}
 		return
 	}
 	if dim == pin {
-		g.ringRec(cur, base, buf, pin, dim+1, ring, fn)
+		g.ringRec(cur, base, pin, dim+1, ring, fn)
 		return
 	}
 	lo, hi := -ring, ring
@@ -53,7 +53,7 @@ func (g *Grid) ringRec(cur, base []int64, buf []byte, pin, dim int, ring int64, 
 	}
 	for dv := lo; dv <= hi; dv++ {
 		cur[dim] = base[dim] + dv
-		g.ringRec(cur, base, buf, pin, dim+1, ring, fn)
+		g.ringRec(cur, base, pin, dim+1, ring, fn)
 	}
 	cur[dim] = base[dim]
 }

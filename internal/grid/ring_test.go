@@ -30,7 +30,7 @@ func denseGrid(t *testing.T, dims []int) *Grid {
 
 func TestRingEnumerationExactDistance(t *testing.T) {
 	g := denseGrid(t, []int{9, 9})
-	center := g.CellIDAt([]int64{4, 4})
+	center := lookup(g, []int64{4, 4})
 	for ring := int64(1); ring <= 4; ring++ {
 		seen := map[int32]bool{}
 		g.ForEachNeighborRing(center, ring, func(id int32) {
@@ -63,7 +63,7 @@ func TestRingEnumerationExactDistance(t *testing.T) {
 
 func TestRingEnumeration3D(t *testing.T) {
 	g := denseGrid(t, []int{5, 5, 5})
-	center := g.CellIDAt([]int64{2, 2, 2})
+	center := lookup(g, []int64{2, 2, 2})
 	count := 0
 	g.ForEachNeighborRing(center, 1, func(int32) { count++ })
 	if count != 26 { // 3^3 - 1
@@ -79,7 +79,7 @@ func TestRingEnumeration3D(t *testing.T) {
 func TestRingsPartitionNeighborhood(t *testing.T) {
 	// Union of rings 1..r == ForEachNeighborCell with reach r.
 	g := denseGrid(t, []int{7, 7})
-	center := g.CellIDAt([]int64{3, 3})
+	center := lookup(g, []int64{3, 3})
 	union := map[int32]bool{}
 	for ring := int64(1); ring <= 3; ring++ {
 		g.ForEachNeighborRing(center, ring, func(id int32) {
@@ -106,7 +106,7 @@ func TestRingSparseGrid(t *testing.T) {
 	// ones at the right distance.
 	pts := [][]float64{{0.5, 0.5}, {3.5, 0.5}, {0.5, 3.5}}
 	g := Build(geom.MustFromRows(pts), 1.0)
-	origin := g.CellIDAt([]int64{0, 0})
+	origin := lookup(g, []int64{0, 0})
 	count := 0
 	g.ForEachNeighborRing(origin, 3, func(int32) { count++ })
 	if count != 2 {
@@ -122,11 +122,11 @@ func TestRingSparseGrid(t *testing.T) {
 func TestMaxRing(t *testing.T) {
 	pts := [][]float64{{0.5, 0.5}, {10.5, 0.5}, {0.5, 6.5}}
 	g := Build(geom.MustFromRows(pts), 1.0)
-	origin := g.CellIDAt([]int64{0, 0})
+	origin := lookup(g, []int64{0, 0})
 	if got := g.MaxRing(origin); got != 10 {
 		t.Errorf("MaxRing = %d, want 10", got)
 	}
-	far := g.CellIDAt([]int64{10, 0})
+	far := lookup(g, []int64{10, 0})
 	if got := g.MaxRing(far); got != 10 {
 		t.Errorf("MaxRing from far corner = %d, want 10", got)
 	}
@@ -134,13 +134,13 @@ func TestMaxRing(t *testing.T) {
 
 func TestRingZeroAndConcurrent(t *testing.T) {
 	g := denseGrid(t, []int{4, 4})
-	c := g.CellIDAt([]int64{1, 1})
+	c := lookup(g, []int64{1, 1})
 	called := false
 	g.ForEachNeighborRing(c, 0, func(int32) { called = true })
 	if called {
 		t.Error("ring 0 must be empty")
 	}
-	// Concurrent ring walks must not interfere (keyInto buffers are local).
+	// Concurrent ring walks and lookups must not interfere.
 	done := make(chan bool)
 	for w := 0; w < 8; w++ {
 		go func() {
@@ -148,7 +148,7 @@ func TestRingZeroAndConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				cell := int32(rng.Intn(g.NumCells()))
 				g.ForEachNeighborRing(cell, 1+int64(rng.Intn(3)), func(int32) {})
-				g.CellID([]float64{rng.Float64() * 4, rng.Float64() * 4})
+				lookup(g, []int64{int64(rng.Intn(6)) - 1, int64(rng.Intn(6)) - 1})
 			}
 			done <- true
 		}()

@@ -9,11 +9,12 @@
 // walk the same whole-dataset tree with NNLowerKey.
 //
 // Inner nodes hold only a split plane (dimension and coordinate); points
-// live in leaves of at most leafSize. After the build the tree copies
-// its points contiguously in tree order, at the dataset's own precision,
-// so every leaf is one run of rows: each query scans a leaf with one
-// call of the canonical early-exit kernel (geom.SqDistToRun) into a
-// leafSize buffer, then applies its own accept rule to the buffer.
+// live in leaves of at most leafSize. As the build finishes each leaf,
+// it copies the leaf's points into one contiguous slab in tree order, at
+// the dataset's own precision, so every leaf is one run of rows: each
+// query scans a leaf with one call of the canonical early-exit kernel
+// (geom.SqDistToRun) into a leafSize buffer, then applies its own accept
+// rule to the buffer.
 // Counts and distances keep their bits, whichever tree computed them.
 // ids maps each copied row back to its dataset id, every answer is
 // reported in dataset ids, and Order exposes the row order, in which a
@@ -92,7 +93,12 @@ func Build(ds *geom.Dataset, ids []int32, workers int) *Tree {
 	if ds.N == 0 {
 		panic("kdtree: Build over empty dataset")
 	}
-	t := &Tree{ds: ds, ids: ids, dim: ds.Dim}
+	t := &Tree{ds: ds, ids: ids, dim: ds.Dim, rows: &geom.Dataset{N: len(ids), Dim: ds.Dim}}
+	if ds.Coords32 != nil {
+		t.rows.Coords32 = make([]float32, len(ids)*ds.Dim)
+	} else {
+		t.rows.Coords = make([]float64, len(ids)*ds.Dim)
+	}
 	if len(ids) > 0 {
 		t.nodes = make([]node, nodeCount(len(ids)))
 		b := &builder{t: t, keys: make([]float64, len(ids))}
@@ -100,7 +106,6 @@ func Build(ds *geom.Dataset, ids []int32, workers int) *Tree {
 		b.build(0, 0, int32(len(ids)), b.scratch())
 		b.wg.Wait()
 	}
-	t.rows = ds.Select(ids)
 	return t
 }
 
@@ -179,6 +184,7 @@ func (b *builder) build(me, lo, hi int32, s *scratch) int32 {
 	t := b.t
 	if hi-lo <= leafSize {
 		t.nodes[me] = node{lo: lo, hi: hi, l: nilNode, r: nilNode}
+		t.copyRows(lo, hi)
 		return me + 1
 	}
 	ids, keys := t.ids[lo:hi], b.keys[lo:hi]
@@ -206,6 +212,24 @@ func (b *builder) build(me, lo, hi int32, s *scratch) int32 {
 	}
 	t.nodes[me] = node{split: split, lo: lo, hi: hi, dim: int32(dim), l: l, r: r}
 	return end
+}
+
+// copyRows copies the dataset rows of ids[lo:hi], a finished leaf, into
+// rows [lo, hi) of the tree's copy.
+func (t *Tree) copyRows(lo, hi int32) {
+	d := t.dim
+	a, b := int(lo)*d, int(hi)*d
+	if src := t.ds.Coords32; src != nil {
+		dst := t.rows.Coords32[a:b]
+		for k, id := range t.ids[lo:hi] {
+			copy(dst[k*d:(k+1)*d], src[int(id)*d:])
+		}
+		return
+	}
+	dst := t.rows.Coords[a:b]
+	for k, id := range t.ids[lo:hi] {
+		copy(dst[k*d:(k+1)*d], t.ds.Coords[int(id)*d:])
+	}
 }
 
 // widestDim returns the dimension with the largest coordinate spread among

@@ -61,7 +61,9 @@ e2e-stream:
 
 # bench runs the memory-layout micro-benchmarks (flat Dataset vs row
 # slices; committed baseline in BENCH_flat_layout.json), the kd-tree
-# build at one worker and every CPU, the grid build Approx-DPC runs on
+# build at one worker and every CPU, Ex-DPC's density pass on the 20k
+# S2 and PAMAP2 stand-ins as per-point range counts and as the
+# leaf-pair self-join (BenchmarkSelfCounts), the grid build Approx-DPC runs on
 # the 20k PAMAP2 stand-in, the density index's sliding-window
 # update, the serving layer benchmarks (cached fit, assign batch,
 # snapshot cold start), and the param-sweep experiment (one density
@@ -70,7 +72,7 @@ e2e-stream:
 SWEEPN ?= 20000
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSqDist|ExDPC(Rows|Flat)' -benchmem -benchtime=$(BENCHTIME) .
-	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll' -benchmem -benchtime=$(BENCHTIME) ./internal/kdtree
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll|BenchmarkSelfCounts' -benchmem -benchtime=$(BENCHTIME) ./internal/kdtree
 	$(GO) test -run '^$$' -bench 'BenchmarkGridBuild' -benchmem -benchtime=$(BENCHTIME) ./internal/grid
 	$(GO) test -run '^$$' -bench 'BenchmarkUpdate' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=$(BENCHTIME) ./internal/service
@@ -88,15 +90,17 @@ bench-json:
 # the wire frame decoder, the Ex-DPC-equals-Scan oracle on tie-heavy
 # point sets, and the kd-tree-equals-brute-force oracle for every tree
 # query. `go test -fuzz` takes one target per invocation, hence the
-# seven runs.
+# seven runs. Each new interesting input is minimized for at most 100
+# runs: at go test's default of 60s, the first find used up the rest of
+# the budget while no new input ran.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime $(FUZZTIME) ./internal/data
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime $(FUZZTIME) ./internal/data
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIndexSnapshot$$' -fuzztime $(FUZZTIME) ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzExDPCMatchesScan$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzKDTreeMatchesBrute$$' -fuzztime $(FUZZTIME) ./internal/kdtree
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/data
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/data
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIndexSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzExDPCMatchesScan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzKDTreeMatchesBrute$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/kdtree
 
 # examples builds and runs every directory under examples/ — each one is
 # self-verifying and exits non-zero when the behavior it demonstrates

@@ -5,15 +5,22 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/kdtree"
-	"repro/internal/partition"
 )
 
 // ExDPC is the paper's exact algorithm (§3).
 //
-// One kd-tree over every point serves the whole fit. Local densities are
-// one range count per point — O(n(n^{1-1/d} + rho_avg)) total —
-// parallelized with dynamic self-scheduling because per-point cost
-// tracks the unknown local density.
+// One kd-tree over every point serves the whole fit. The paper counts
+// local densities with one range count per point, parallelized with
+// dynamic self-scheduling because per-point cost tracks the unknown
+// local density. Here one self-join over the tree's leaf pairs
+// (kdtree.Tree.SelfCounts) counts them all, still dynamically scheduled,
+// over blocks of one leaf: each pair of points is measured once and
+// counted for both, and each block walks the tree once instead of each
+// point. The counts are the range counts bit for bit. The kernel's
+// squared distance is exactly symmetric: per dimension it squares a
+// rounded difference, and swapping the two points only flips that
+// difference's sign. Its accumulation order is fixed, so from either
+// end a pair sums the same terms in the same order.
 //
 // Dependent points come from the same tree. The paper destroys it and
 // re-inserts points in descending density order, querying each before
@@ -57,24 +64,17 @@ func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, err
 	tree := kdtree.BuildAllWorkers(ds, workers)
 	res.Timing.Build = time.Since(start)
 
-	// Local density: one range count per point, dynamically scheduled
-	// ("#pragma omp parallel for schedule(dynamic)" in the paper). The
-	// points go in tree order, so consecutive counts walk the same paths
-	// and scan the same leaves while they are still in cache.
+	// Local density: one symmetric self-join over the tree's leaf pairs,
+	// dynamically scheduled over query blocks.
 	start = time.Now()
-	byLeaf := tree.Order()
-	partition.DynamicWorkers(n, workers, 4, func() func(int) {
-		buf := make([]float64, ds.Dim)
-		return func(k int) {
-			i := int(byLeaf[k])
-			res.Rho[i] = float64(tree.RangeCount(ds.AtBuf(i, buf), p.DCut)) + jitter(i)
-		}
-	})
+	for i, c := range tree.SelfCounts(p.DCut, workers) {
+		res.Rho[i] = float64(c) + jitter(i)
+	}
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()
 	_, rank := densityRank(res.Rho, workers)
-	WalkDependents(tree, rank, byLeaf, res.Delta, res.Dep, workers)
+	WalkDependents(tree, rank, tree.Order(), res.Delta, res.Dep, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()

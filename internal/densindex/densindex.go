@@ -105,8 +105,10 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 	if ds == nil || ds.N == 0 {
 		return nil, fmt.Errorf("densindex: empty dataset")
 	}
-	if !(dcMax > 0) || math.IsInf(dcMax, 1) {
-		return nil, fmt.Errorf("densindex: dcut ceiling must be a positive finite number, got %g", dcMax)
+	// A ceiling whose square underflows to 0 counts no point, not even
+	// itself, which would leave every count below the self it excludes.
+	if !(dcMax > 0) || !(dcMax*dcMax > 0) || math.IsInf(dcMax, 1) {
+		return nil, fmt.Errorf("densindex: dcut ceiling must be a positive finite number with a positive square, got %g", dcMax)
 	}
 	n := ds.N
 	workers = core.Params{Workers: workers}.WorkerCount()
@@ -114,21 +116,15 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 
 	// Count pass: exact per-point neighbor counts size the CSR slabs, so
 	// the fill pass never reallocates and the edge budget is checked
-	// before the big allocation. Both passes visit points in tree order,
-	// so consecutive searches scan the same leaves while they are cached.
-	byLeaf := tree.Order()
-	counts := make([]int64, n)
-	partition.DynamicWorkers(n, workers, 4, func() func(int) {
-		buf := make([]float64, ds.Dim)
-		return func(k int) {
-			i := int(byLeaf[k])
-			counts[i] = int64(tree.RangeCount(ds.AtBuf(i, buf), dcMax)) - 1 // exclude self
-		}
-	})
+	// before the big allocation. The counts come from one symmetric
+	// self-join, the same density pass an Ex-DPC fit runs, minus self.
+	// The fill pass visits points in tree order, so consecutive searches
+	// scan the same leaves while they are cached.
 	start := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		start[i+1] = start[i] + counts[i]
+	for i, c := range tree.SelfCounts(dcMax, workers) {
+		start[i+1] = start[i] + int64(c) - 1 // exclude self
 	}
+	byLeaf := tree.Order()
 	total := start[n]
 	if maxEdges > 0 && total > maxEdges {
 		return nil, fmt.Errorf("%w: %d entries at dcut<=%g, budget %d — lower the requested dcut or raise the index edge budget",

@@ -128,6 +128,17 @@ func TestCutRejectsBeyondCeiling(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsCeiling: a ceiling that is not positive and finite,
+// or whose square underflows to 0, is an error, not a panic.
+func TestBuildRejectsCeiling(t *testing.T) {
+	d := data.SSet(1, 50, 1)
+	for _, dc := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-200} {
+		if _, err := Build(d.Points, dc, 2, 0); err == nil {
+			t.Errorf("Build accepted dcut ceiling %v", dc)
+		}
+	}
+}
+
 func TestBuildEdgeBudget(t *testing.T) {
 	d := data.SSet(4, 400, 2)
 	if _, err := Build(d.Points, 1e5, 2, 50); err == nil {

@@ -190,7 +190,7 @@ type Status struct {
 }
 
 // Tracker accumulates assign-path observations for one served model.
-// All methods are safe for concurrent use; ObserveBatch takes one lock
+// All methods are safe for concurrent use; ObserveSampled takes one lock
 // per batch, not per point.
 type Tracker struct {
 	cfg Config
@@ -224,36 +224,6 @@ func (t *Tracker) Config() Config { return t.cfg }
 
 // Reference returns the fit-time reference the tracker scores against.
 func (t *Tracker) Reference() Reference { return t.ref }
-
-// ObserveBatch folds one labeled batch into the tracker: dists holds
-// each point's distance to its assigned cluster's center, NaN for
-// points labeled noise. It reports whether this batch newly tripped the
-// tracker (a latched trip is reported once).
-func (t *Tracker) ObserveBatch(dists []float64) (tripped bool) {
-	if len(dists) == 0 {
-		return false
-	}
-	win := int64(t.cfg.windowPoints())
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, d := range dists {
-		t.observed++
-		t.winCount++
-		if math.IsNaN(d) {
-			t.halo++
-			t.winHalo++
-		} else {
-			t.q50.observe(d)
-			t.q90.observe(d)
-		}
-		if t.winCount >= win {
-			if t.closeWindowLocked() {
-				tripped = true
-			}
-		}
-	}
-	return tripped
-}
 
 // ObserveSampled folds one labeled batch into the tracker in bulk:
 // total points were assigned, halo of them were labeled noise, and

@@ -93,7 +93,7 @@ func TestTrackerScoreTrip(t *testing.T) {
 		inDist[i] = 2
 	}
 	for i := 0; i < 5; i++ {
-		if tr.ObserveBatch(inDist) {
+		if observeEach(tr, inDist) {
 			t.Fatalf("tripped on in-distribution window %d", i)
 		}
 	}
@@ -109,10 +109,10 @@ func TestTrackerScoreTrip(t *testing.T) {
 	for i := range shifted {
 		shifted[i] = 20 // 10x the reference q50
 	}
-	if !tr.ObserveBatch(shifted) {
+	if !observeEach(tr, shifted) {
 		t.Fatal("shifted window did not trip")
 	}
-	if tr.ObserveBatch(shifted) {
+	if observeEach(tr, shifted) {
 		t.Fatal("trip reported twice (must latch)")
 	}
 	st = tr.Status()
@@ -138,7 +138,7 @@ func TestTrackerHaloTrip(t *testing.T) {
 			batch[i] = 2
 		}
 	}
-	if !tr.ObserveBatch(batch) {
+	if !observeEach(tr, batch) {
 		t.Fatal("50% halo window did not trip at threshold 0.5")
 	}
 	st := tr.Status()
@@ -158,11 +158,11 @@ func TestTrackerMinPoints(t *testing.T) {
 	tr := NewTracker(cfg, ref)
 	far := []float64{50, 50, 50, 50, 50, 50, 50, 50, 50, 50}
 	for i := 0; i < 9; i++ {
-		if tr.ObserveBatch(far) {
+		if observeEach(tr, far) {
 			t.Fatalf("tripped at %d observations, MinPoints=100", (i+1)*10)
 		}
 	}
-	if !tr.ObserveBatch(far) {
+	if !observeEach(tr, far) {
 		t.Fatal("did not trip once past MinPoints")
 	}
 }
@@ -173,7 +173,7 @@ func TestTrackerDisabledThresholds(t *testing.T) {
 	tr := NewTracker(Config{WindowPoints: 10, MinPoints: 1}, NewReference([]float64{1}))
 	far := []float64{99, 99, 99, 99, 99, 99, 99, 99, 99, 99}
 	for i := 0; i < 20; i++ {
-		if tr.ObserveBatch(far) {
+		if observeEach(tr, far) {
 			t.Fatal("tripped with both thresholds disabled")
 		}
 	}
@@ -186,7 +186,7 @@ func TestTrackerDisabledThresholds(t *testing.T) {
 // status reflects the live partial window.
 func TestTrackerPartialWindowStatus(t *testing.T) {
 	tr := NewTracker(Config{WindowPoints: 1000}, NewReference([]float64{1, 2, 3}))
-	tr.ObserveBatch([]float64{4, 4, 4, 4, math.NaN()})
+	observeEach(tr, []float64{4, 4, 4, 4, math.NaN()})
 	st := tr.Status()
 	if st.Observed != 5 || st.Halo != 1 {
 		t.Fatalf("observed=%d halo=%d, want 5/1", st.Observed, st.Halo)
@@ -221,7 +221,7 @@ func TestTrackerConcurrent(t *testing.T) {
 						batch[i] = rng.Float64() * 10
 					}
 				}
-				tr.ObserveBatch(batch)
+				observeEach(tr, batch)
 				_ = tr.Status()
 				_ = tr.Tripped()
 			}
@@ -251,4 +251,21 @@ func TestConfigDefaults(t *testing.T) {
 	if c.RefSample() != 4096 {
 		t.Errorf("RefSample = %d", c.RefSample())
 	}
+}
+
+// observeEach folds dists into tr one point at a time, each a batch of
+// one with its own noise count and, unless noise, its distance sampled:
+// windows close at exactly the point that fills them. It reports
+// whether any point newly tripped the tracker.
+func observeEach(tr *Tracker, dists []float64) (tripped bool) {
+	for _, d := range dists {
+		halo := int64(0)
+		if math.IsNaN(d) {
+			halo = 1
+		}
+		if tr.ObserveSampled(1, halo, []float64{d}) {
+			tripped = true
+		}
+	}
+	return tripped
 }

@@ -101,6 +101,40 @@ func checkQueries(t *testing.T, name string, tr *Tree, b brute, queries [][]floa
 	}
 }
 
+// checkSelfCounts compares SelfCounts on tr at 1, 2 and 3 workers
+// against brute force for every radius: each member's count of members
+// whose distance from it, computed with the member as the query, is
+// below r. It returns how many ordered member pairs sat exactly on a
+// radius, where the strict rule decides.
+func checkSelfCounts(t *testing.T, name string, tr *Tree, b brute, radii []float64) (boundary int) {
+	t.Helper()
+	want := make([][]int32, len(radii))
+	for ri := range radii {
+		want[ri] = make([]int32, b.ds.N)
+	}
+	for _, m := range b.members {
+		q := b.ds.At(int(m))
+		for _, j := range b.members {
+			sq := geom.SqDistToIdx(b.ds, q, j)
+			for ri, r := range radii {
+				if sq < r*r {
+					want[ri][m]++
+				} else if sq == r*r {
+					boundary++
+				}
+			}
+		}
+	}
+	for ri, r := range radii {
+		for _, workers := range []int{1, 2, 3} {
+			if got := tr.SelfCounts(r, workers); !slices.Equal(got, want[ri]) {
+				t.Fatalf("%s: r=%v workers=%d: SelfCounts = %v, want %v", name, r, workers, got, want[ri])
+			}
+		}
+	}
+	return boundary
+}
+
 // sameItems compares (sq, id) lists exactly, distance bits included.
 func sameItems(a, b []knnItem) bool {
 	return slices.EqualFunc(a, b, func(x, y knnItem) bool {
@@ -110,9 +144,10 @@ func sameItems(a, b []knnItem) bool {
 
 // checkAll builds a tree over members of ds, validates it, and checks
 // every query kind against brute force: the five point queries from
-// every dataset point plus extra, and NNLowerKey from every dataset
-// point.
-func checkAll(t *testing.T, name string, ds *geom.Dataset, members []int32, extra [][]float64, radii []float64, key []int32) {
+// every dataset point plus extra, SelfCounts over the members, and
+// NNLowerKey from every dataset point. It returns checkSelfCounts's
+// count of pairs on a radius.
+func checkAll(t *testing.T, name string, ds *geom.Dataset, members []int32, extra [][]float64, radii []float64, key []int32) int {
 	t.Helper()
 	queries := slices.Clone(extra)
 	for i := 0; i < ds.N; i++ {
@@ -122,18 +157,24 @@ func checkAll(t *testing.T, name string, ds *geom.Dataset, members []int32, extr
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	checkQueries(t, name, tr, newBrute(ds, members), queries, radii)
+	b := newBrute(ds, members)
+	checkQueries(t, name, tr, b, queries, radii)
+	boundary := checkSelfCounts(t, name, tr, b, radii)
 	checkLowerKey(t, name, tr, ds, members, key)
+	return boundary
 }
 
 // TestTreeMatchesBrute checks every query kind against brute force on
 // random, duplicate-grid and float32 fixtures, for whole and subset
-// trees at sizes around the leaf boundary. The 2-d and 3-d fixtures
+// trees at sizes around the leaf boundary, one-leaf trees included. On
+// the integer grids, radii 1 and 2 are exact pair distances, so
+// SelfCounts meets the strict boundary. The 2-d and 3-d fixtures
 // exercise only the distance kernel's tail; the 4-d ones a single
 // 4-lane chunk, and the 8-d one two chunks with an exit between them.
 func TestTreeMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	radii := []float64{0, 0.5, 1, math.Sqrt2, 2, 3.7}
+	boundary := 0
 	for _, n := range []int{0, 1, 15, 16, 17, 33, 600} {
 		fixtures := map[string]*geom.Dataset{}
 		for _, whole := range []bool{true, false} {
@@ -164,13 +205,17 @@ func TestTreeMatchesBrute(t *testing.T) {
 				members = members[:n]
 			}
 			extra := [][]float64{make([]float64, ds.Dim), randPts(rng, 1, ds.Dim, 5)[0]}
-			checkAll(t, fmt.Sprintf("n=%d %s", n, name), ds, members, extra, radii, permKey(rng, ds.N))
+			boundary += checkAll(t, fmt.Sprintf("n=%d %s", n, name), ds, members, extra, radii, permKey(rng, ds.N))
 		}
+	}
+	if boundary == 0 {
+		t.Fatal("no member pair sat exactly on a radius; the strict boundary went untested")
 	}
 }
 
-// FuzzKDTreeMatchesBrute checks every query kind against brute force on
-// up to 300 points in 1-9 dimensions — tail-only rows, one and two
+// FuzzKDTreeMatchesBrute checks every query kind, SelfCounts at 1-3
+// workers included, against brute force on up to 300 points in 1-9
+// dimensions — tail-only rows, one and two
 // 4-lane chunks, and chunks plus a tail — with coordinates quantized to
 // sixteen values so exact distance ties are common. mode picks the
 // precision (bit 0), a whole or subset tree (bit 1), and which points
@@ -216,6 +261,11 @@ func FuzzKDTreeMatchesBrute(f *testing.F) {
 		}
 		extra := [][]float64{make([]float64, d)}
 		radii := []float64{0, 1.0 / 3, 1, 2, float64(mode%16) / 3}
+		// The first and last points' distance, when it squares back
+		// exactly: a pair on the strict boundary.
+		if r := math.Sqrt(geom.SqDistIdx(ds, 0, int32(n-1))); r*r == geom.SqDistIdx(ds, 0, int32(n-1)) {
+			radii = append(radii, r)
+		}
 		checkAll(t, fmt.Sprintf("d=%d mode=%d", d, mode), ds, members, extra, radii, rank)
 	})
 }

@@ -1,12 +1,21 @@
 // Package kdtree implements a static, bucketed kd-tree (Friedman,
 // Bentley & Finkel, TOMS 1977) over the points of a flat geom.Dataset.
 //
-// It is the workhorse index of the paper's algorithms: Ex-DPC issues one
-// circular range count per point for local densities and, over the same
-// tree, one rank-pruned nearest-neighbor walk per point (NNLowerKey) for
-// dependent points; Approx-DPC issues one joint range search per grid
-// cell, and the exact dependent-point fallbacks of the approximations
-// walk the same whole-dataset tree with NNLowerKey.
+// It is the workhorse index of the paper's algorithms. Ex-DPC counts
+// local densities with one self-join over the tree's leaf pairs
+// (SelfCounts), and over the same tree runs one rank-pruned
+// nearest-neighbor walk per point (NNLowerKey) for dependent points;
+// Approx-DPC issues one joint range search per grid cell, and the exact
+// dependent-point fallbacks of the approximations walk the same
+// whole-dataset tree with NNLowerKey.
+//
+// The paper counts densities with one circular range count per point,
+// which measures every close pair twice, once from each end. SelfCounts
+// measures each pair once and counts it for both points, and returns
+// RangeCount's counts bit for bit: the kernel's squared distance is
+// exactly symmetric, since per dimension it squares a rounded
+// difference whose sign alone depends on which point comes first, and
+// its accumulation order is fixed.
 //
 // Inner nodes hold only a split plane (dimension and coordinate); points
 // live in leaves of at most leafSize. As the build finishes each leaf,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/data"
 	"repro/internal/geom"
 )
 
@@ -307,6 +308,32 @@ func BenchmarkBuildAll(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				BuildAllWorkers(ds, workers)
+			}
+		})
+	}
+}
+
+// countSink keeps BenchmarkSelfCounts's results live.
+var countSink int
+
+// BenchmarkSelfCounts runs Ex-DPC's density pass at d_cut on the 20k S2
+// and PAMAP2 stand-ins on one worker, both ways: one RangeCount per
+// point in tree order, and the SelfCounts leaf-pair join.
+func BenchmarkSelfCounts(b *testing.B) {
+	for _, d := range []*data.Dataset{data.SSet(2, 20000, 1), data.PAMAP2Like(20000, 1)} {
+		tr := BuildAll(d.Points)
+		b.Run(d.Name+"/range-count", func(b *testing.B) {
+			buf := make([]float64, d.Points.Dim)
+			for i := 0; i < b.N; i++ {
+				for _, id := range tr.Order() {
+					countSink += tr.RangeCount(d.Points.AtBuf(int(id), buf), d.DCut)
+				}
+			}
+		})
+		b.Run(d.Name+"/self-join", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				countSink += int(tr.SelfCounts(d.DCut, 1)[0])
 			}
 		})
 	}

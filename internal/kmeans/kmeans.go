@@ -136,13 +136,3 @@ func seedPlusPlus(ds *geom.Dataset, k int, rng *rand.Rand) [][]float64 {
 	}
 	return centroids
 }
-
-// Inertia returns the sum of squared distances of points to their assigned
-// centroids — the k-means objective, exposed for tests.
-func Inertia(ds *geom.Dataset, r *Result) float64 {
-	var s float64
-	for i := 0; i < ds.N; i++ {
-		s += geom.SqDist(ds.At(i), r.Centroids[r.Assign[i]])
-	}
-	return s
-}

@@ -45,8 +45,17 @@ func TestSeparatedClusters(t *testing.T) {
 func TestInertiaDecreasesWithK(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := gauss2(rng, 0, 0, 50, 400)
-	i1 := Inertia(geom.MustFromRows(pts), Run(geom.MustFromRows(pts), 1, 30, 3))
-	i8 := Inertia(geom.MustFromRows(pts), Run(geom.MustFromRows(pts), 8, 30, 3))
+	// inertia is the k-means objective: the sum of squared distances of
+	// points to their assigned centroids.
+	inertia := func(k int) float64 {
+		r := Run(geom.MustFromRows(pts), k, 30, 3)
+		var s float64
+		for i, p := range pts {
+			s += geom.SqDist(p, r.Centroids[r.Assign[i]])
+		}
+		return s
+	}
+	i1, i8 := inertia(1), inertia(8)
 	if i8 >= i1 {
 		t.Errorf("inertia with k=8 (%v) should be below k=1 (%v)", i8, i1)
 	}

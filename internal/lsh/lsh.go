@@ -124,18 +124,3 @@ func (f *Forest) Candidates(i int32, stamp []int32, epoch int32, fn func(j int32
 		}
 	}
 }
-
-// BucketSizes returns the size of every bucket in every table; the paper's
-// complexity expression O(M * sum b^2) is in terms of these.
-func (f *Forest) BucketSizes() []int {
-	var out []int
-	for t := range f.tables {
-		for _, b := range f.tables[t].buckets {
-			out = append(out, len(b))
-		}
-	}
-	return out
-}
-
-// NumTables returns M.
-func (f *Forest) NumTables() int { return len(f.tables) }

@@ -107,7 +107,7 @@ func TestDeterminism(t *testing.T) {
 	pts := randPts(rng, 200, 3, 50)
 	p := Params{Tables: 3, Hashes: 2, Width: 10, Seed: 42}
 	a, b := Build(geom.MustFromRows(pts), p), Build(geom.MustFromRows(pts), p)
-	sa, sb := a.BucketSizes(), b.BucketSizes()
+	sa, sb := bucketSizes(a), bucketSizes(b)
 	if len(sa) != len(sb) {
 		t.Fatal("bucket structure differs between identical builds")
 	}
@@ -116,8 +116,8 @@ func TestDeterminism(t *testing.T) {
 func TestParamCoercion(t *testing.T) {
 	pts := [][]float64{{1, 2}, {3, 4}}
 	f := Build(geom.MustFromRows(pts), Params{Tables: 0, Hashes: 0, Width: 5})
-	if f.NumTables() != 1 {
-		t.Errorf("Tables coerced to %d, want 1", f.NumTables())
+	if len(f.tables) != 1 {
+		t.Errorf("Tables coerced to %d, want 1", len(f.tables))
 	}
 	defer func() {
 		if recover() == nil {
@@ -132,10 +132,22 @@ func TestBucketSizesSumPerTable(t *testing.T) {
 	pts := randPts(rng, 300, 2, 100)
 	f := Build(geom.MustFromRows(pts), Params{Tables: 3, Hashes: 1, Width: 25, Seed: 9})
 	total := 0
-	for _, s := range f.BucketSizes() {
+	for _, s := range bucketSizes(f) {
 		total += s
 	}
 	if total != 3*len(pts) {
 		t.Errorf("bucket sizes sum to %d, want %d", total, 3*len(pts))
 	}
+}
+
+// bucketSizes returns the size of every bucket in every table; the
+// paper's complexity expression O(M * sum b^2) is in terms of these.
+func bucketSizes(f *Forest) []int {
+	var out []int
+	for t := range f.tables {
+		for _, b := range f.tables[t].buckets {
+			out = append(out, len(b))
+		}
+	}
+	return out
 }

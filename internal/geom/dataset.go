@@ -213,24 +213,6 @@ func (ds *Dataset) Rows() [][]float64 {
 	return rows
 }
 
-// Select gather-copies the given point indices into a new compact
-// Dataset, preserving order and precision. Used when an algorithm
-// re-indexes a subset of points into its own dense id space.
-func (ds *Dataset) Select(ids []int32) *Dataset {
-	if ds.Coords32 != nil {
-		coords := make([]float32, 0, len(ids)*ds.Dim)
-		for _, id := range ids {
-			coords = append(coords, ds.row32(id)...)
-		}
-		return &Dataset{Coords32: coords, N: len(ids), Dim: ds.Dim}
-	}
-	coords := make([]float64, 0, len(ids)*ds.Dim)
-	for _, id := range ids {
-		coords = append(coords, ds.At(int(id))...)
-	}
-	return &Dataset{Coords: coords, N: len(ids), Dim: ds.Dim}
-}
-
 // Validate checks that the dataset is non-empty, at least 1-dimensional,
 // and free of NaN/Inf coordinates — the flat counterpart of
 // ValidateDataset.

@@ -86,25 +86,6 @@ func TestNewDatasetPanics(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	ds := MustFromRows([][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
-	sub := ds.Select([]int32{3, 1})
-	if sub.N != 2 || sub.Dim != 2 {
-		t.Fatalf("Select shape N=%d Dim=%d", sub.N, sub.Dim)
-	}
-	if sub.At(0)[0] != 3 || sub.At(1)[0] != 1 {
-		t.Errorf("Select order wrong: %v", sub.Coords)
-	}
-	// Select copies.
-	sub.At(0)[0] = -5
-	if ds.At(3)[0] == -5 {
-		t.Error("Select aliased the parent dataset")
-	}
-}
-
-// TestIdxKernelsMatchSliceOracle checks the flat-index kernels against the
-// slice-based SqDist/SqDistPartial on random data: identical inputs must
-// give bit-identical outputs, since both iterate dimensions in order.
 func TestIdxKernelsMatchSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{1, 2, 3, 8} {

@@ -313,14 +313,6 @@ func (m *Monitor) liveLocked(peers []string) []string {
 	return live
 }
 
-// Live returns the current live set (self included), sorted.
-func (m *Monitor) Live() []string {
-	peers := m.currentPeers()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.liveLocked(peers)
-}
-
 // Status returns a diagnostic snapshot of every probed peer, sorted by
 // address. Self is not listed — it is axiomatically alive.
 func (m *Monitor) Status() []PeerStatus {

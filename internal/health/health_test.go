@@ -66,6 +66,15 @@ func staticPeers(peers ...string) func() []string {
 	return func() []string { return peers }
 }
 
+// live is the monitor's current live set (self included, sorted): the
+// set Tick hands to onChange when it changes.
+func live(m *Monitor) []string {
+	peers := m.currentPeers()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.liveLocked(peers)
+}
+
 // TestSuspectDoesNotEvict: with DeadAfter=3 a peer that misses one or
 // two heartbeats goes suspect but stays in the live set — the damping
 // that keeps a loaded shard from triggering eviction/reload churn.
@@ -84,7 +93,7 @@ func TestSuspectDoesNotEvict(t *testing.T) {
 	if st[0].Peer != "a" || st[0].State != "suspect" || st[0].Fails != 2 {
 		t.Fatalf("peer a status = %+v, want suspect with 2 fails", st[0])
 	}
-	if got, want := m.Live(), []string{"a", "b", "self"}; !reflect.DeepEqual(got, want) {
+	if got, want := live(m), []string{"a", "b", "self"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Live() = %v, want %v (suspect peers stay live)", got, want)
 	}
 	if rec.count() != 0 {
@@ -162,7 +171,7 @@ func TestPeerSetChanges(t *testing.T) {
 
 	fp.set("a", true)
 	m.Tick(context.Background()) // a dies (DeadAfter=1)
-	if got, want := m.Live(), []string{"b", "self"}; !reflect.DeepEqual(got, want) {
+	if got, want := live(m), []string{"b", "self"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Live() = %v, want %v", got, want)
 	}
 
@@ -171,7 +180,7 @@ func TestPeerSetChanges(t *testing.T) {
 	mu.Unlock()
 	fp.set("a", false)
 	m.Tick(context.Background())
-	if got, want := m.Live(), []string{"b", "c", "self"}; !reflect.DeepEqual(got, want) {
+	if got, want := live(m), []string{"b", "c", "self"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Live() after reconfigure = %v, want %v", got, want)
 	}
 
@@ -179,7 +188,7 @@ func TestPeerSetChanges(t *testing.T) {
 	mu.Lock()
 	peers = []string{"a", "b", "c"}
 	mu.Unlock()
-	if got, want := m.Live(), []string{"a", "b", "c", "self"}; !reflect.DeepEqual(got, want) {
+	if got, want := live(m), []string{"a", "b", "c", "self"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Live() with returned peer = %v, want %v (fresh peers start alive)", got, want)
 	}
 }
@@ -202,7 +211,7 @@ func TestSelfNeverProbed(t *testing.T) {
 	if probed["a"] != 1 {
 		t.Fatalf("peer a probed %d times, want 1", probed["a"])
 	}
-	if got, want := m.Live(), []string{"self"}; !reflect.DeepEqual(got, want) {
+	if got, want := live(m), []string{"self"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Live() = %v, want self always present: %v", got, want)
 	}
 }
@@ -323,7 +332,7 @@ func TestConcurrentTickAndReads(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				_ = m.Status()
-				_ = m.Live()
+				_ = live(m)
 			}
 		}()
 	}

@@ -145,35 +145,3 @@ func (s *Store) SaveIndex(snap *IndexSnapshot) error {
 	}
 	return nil
 }
-
-// RestoreIndexesOwned loads every index snapshot whose dataset the owns
-// filter accepts (nil accepts everything). Damage is logged and skipped
-// — a lost index costs one rebuild on the next decision-graph or sweep
-// request, never a failed startup. Callers must still pair each
-// snapshot with its restored dataset (matching version and fingerprint)
-// before rebuilding the index structure.
-func (s *Store) RestoreIndexesOwned(owns func(dataset string) bool) []*IndexSnapshot {
-	s.mu.Lock()
-	entries := append([]manifestIndex(nil), s.m.Indexes...)
-	s.mu.Unlock()
-
-	var out []*IndexSnapshot
-	for _, e := range entries {
-		if owns != nil && !owns(e.Dataset) {
-			continue
-		}
-		v, err := s.readSnapshot(e.File, kindIndex)
-		if err != nil {
-			s.logf("persist: skipping index %s: %v", e.Dataset, err)
-			continue
-		}
-		snap := v.(*IndexSnapshot)
-		if snap.Dataset != e.Dataset || snap.Version != e.Version {
-			s.logf("persist: skipping index %s: file holds %q v%d, manifest expects v%d",
-				e.Dataset, snap.Dataset, snap.Version, e.Version)
-			continue
-		}
-		out = append(out, snap)
-	}
-	return out
-}

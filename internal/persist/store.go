@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -264,41 +265,30 @@ func (s *Store) EnsureDataset(name string, version uint64, ds *geom.Dataset) err
 	return s.SaveDataset(name, version, ds)
 }
 
-// RestoredModel pairs a decoded model snapshot with the Model rebuilt
-// against its restored dataset.
-type RestoredModel struct {
-	Key   ModelKey
-	Model *core.Model
-}
-
-// Restore loads every manifest entry it can: datasets first, then models
-// rebuilt against them via core.Restore (which re-derives the kd-tree).
-// Anything missing, truncated, corrupt, or mismatched — wrong name or
-// version inside the file, a fingerprint that no longer matches the
-// dataset — is logged and skipped; a damaged snapshot costs one refit,
-// never a failed startup. workers is baked into the restored models'
-// Params so they are indistinguishable from freshly fitted ones.
-func (s *Store) Restore(workers int) (datasets []*DatasetSnapshot, models []RestoredModel) {
-	return s.RestoreOwned(workers, nil)
-}
-
-// RestoreOwned is Restore limited to datasets (and the models fitted on
-// them) whose name the owns filter accepts; nil accepts everything. It is
-// the ring-rebalance hook: a shard that stops owning a key skips its
-// snapshots — without decoding them — and a shard that starts owning one
-// warm-loads it with zero refits. Skipped snapshots stay on disk
-// untouched, so ownership can come back cheaply.
-func (s *Store) RestoreOwned(workers int, owns func(dataset string) bool) (datasets []*DatasetSnapshot, models []RestoredModel) {
+// RestoreOwned reads and decodes every manifest entry whose dataset the
+// owns filter accepts (nil accepts everything): datasets, density
+// indexes and models, each list in manifest order — for models that is
+// persist order, oldest first. Anything missing, truncated, corrupt, or
+// holding another name, version or key than its manifest entry is
+// logged and skipped; a damaged snapshot costs one refit or rebuild,
+// never a failed startup. Pairing indexes and models with their dataset
+// (version and fingerprint) and rebuilding them is the caller's job.
+// Filtered-out snapshots are not even read and stay on disk untouched:
+// it is the ring-rebalance hook — a shard that starts owning a key
+// warm-loads it with zero refits, and ownership can come back cheaply.
+func (s *Store) RestoreOwned(owns func(dataset string) bool) (datasets []*DatasetSnapshot, indexes []*IndexSnapshot, models []*ModelSnapshot) {
 	s.mu.Lock()
 	m := manifestFile{
-		Datasets: append([]manifestDataset(nil), s.m.Datasets...),
-		Models:   append([]manifestModel(nil), s.m.Models...),
+		Datasets: slices.Clone(s.m.Datasets),
+		Models:   slices.Clone(s.m.Models),
+		Indexes:  slices.Clone(s.m.Indexes),
 	}
 	s.mu.Unlock()
 
-	byName := make(map[string]*DatasetSnapshot, len(m.Datasets))
+	// A filtered-out entry is not damage, so it gets no log line.
+	owned := func(name string) bool { return owns == nil || owns(name) }
 	for _, e := range m.Datasets {
-		if owns != nil && !owns(e.Name) {
+		if !owned(e.Name) {
 			continue
 		}
 		snap, err := s.readDataset(e)
@@ -306,12 +296,21 @@ func (s *Store) RestoreOwned(workers int, owns func(dataset string) bool) (datas
 			s.logf("persist: skipping dataset %q: %v", e.Name, err)
 			continue
 		}
-		byName[e.Name] = snap
 		datasets = append(datasets, snap)
 	}
+	for _, e := range m.Indexes {
+		if !owned(e.Dataset) {
+			continue
+		}
+		snap, err := s.readIndex(e)
+		if err != nil {
+			s.logf("persist: skipping index %s: %v", e.Dataset, err)
+			continue
+		}
+		indexes = append(indexes, snap)
+	}
 	for _, e := range m.Models {
-		if owns != nil && !owns(e.Dataset) {
-			// Filtered out with its dataset — not damage, so no log line.
+		if !owned(e.Dataset) {
 			continue
 		}
 		snap, err := s.readModel(e)
@@ -319,27 +318,9 @@ func (s *Store) RestoreOwned(workers int, owns func(dataset string) bool) (datas
 			s.logf("persist: skipping model %s/%s: %v", e.Dataset, e.Algorithm, err)
 			continue
 		}
-		ds, ok := byName[snap.Key.Dataset]
-		if !ok || ds.Version != snap.Key.Version {
-			s.logf("persist: skipping model %s/%s: its dataset version %d was not restored",
-				e.Dataset, e.Algorithm, snap.Key.Version)
-			continue
-		}
-		if ds.Fingerprint != snap.DatasetFingerprint {
-			s.logf("persist: skipping model %s/%s: dataset fingerprint %#x, model fitted on %#x",
-				e.Dataset, e.Algorithm, ds.Fingerprint, snap.DatasetFingerprint)
-			continue
-		}
-		p := snap.Key.Params
-		p.Workers = workers
-		model, err := core.Restore(snap.Key.Algorithm, ds.Points, snap.Result, p, snap.FitTime, nil)
-		if err != nil {
-			s.logf("persist: skipping model %s/%s: %v", e.Dataset, e.Algorithm, err)
-			continue
-		}
-		models = append(models, RestoredModel{Key: snap.Key, Model: model})
+		models = append(models, snap)
 	}
-	return datasets, models
+	return datasets, indexes, models
 }
 
 func (s *Store) readDataset(e manifestDataset) (*DatasetSnapshot, error) {
@@ -365,6 +346,18 @@ func (s *Store) readModel(e manifestModel) (*ModelSnapshot, error) {
 	snap := v.(*ModelSnapshot)
 	if snap.Key != e.key() {
 		return nil, fmt.Errorf("file holds key %+v, manifest expects %+v", snap.Key, e.key())
+	}
+	return snap, nil
+}
+
+func (s *Store) readIndex(e manifestIndex) (*IndexSnapshot, error) {
+	v, err := s.readSnapshot(e.File, kindIndex)
+	if err != nil {
+		return nil, err
+	}
+	snap := v.(*IndexSnapshot)
+	if snap.Dataset != e.Dataset || snap.Version != e.Version {
+		return nil, fmt.Errorf("file holds %q v%d, manifest expects v%d", snap.Dataset, snap.Version, e.Version)
 	}
 	return snap, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,42 +62,34 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A brand-new store over the same directory must restore both.
+	// A brand-new store over the same directory must read both back.
 	st2, err := Open(dir, logs.logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dss, models := st2.Restore(4)
+	dss, _, models := st2.RestoreOwned(nil)
 	if len(dss) != 1 || len(models) != 1 {
 		t.Fatalf("restored %d datasets, %d models; want 1/1 (logs: %v)", len(dss), len(models), logs.lines)
 	}
 	if dss[0].Name != "s2" || dss[0].Version != 1 || dss[0].Points.Fingerprint() != d.Points.Fingerprint() {
 		t.Errorf("dataset identity drifted: %q v%d", dss[0].Name, dss[0].Version)
 	}
-	rm := models[0]
-	if rm.Key.Params.Workers != 0 {
-		t.Errorf("persisted key retains Workers=%d", rm.Key.Params.Workers)
+	ms := models[0]
+	if ms.Key.Params.Workers != 0 {
+		t.Errorf("persisted key retains Workers=%d", ms.Key.Params.Workers)
 	}
-	if rm.Model.Params().Workers != 4 {
-		t.Errorf("restored model Workers = %d, want the value passed to Restore", rm.Model.Params().Workers)
+	if ms.Key.Dataset != "s2" || ms.Key.Version != 1 || ms.DatasetFingerprint != d.Points.Fingerprint() {
+		t.Errorf("model snapshot not tied to its dataset: %+v, fingerprint %#x", ms.Key, ms.DatasetFingerprint)
 	}
-	// Restored assignments must be byte-identical to the original's.
-	queries := d.Points.Rows()[:64]
-	want, err := m.AssignAll(queries, 1)
-	if err != nil {
-		t.Fatal(err)
+	// The fitted result comes back bit for bit; rebuilding a servable
+	// model from it is the serving layer's job (TestRestartServesWithoutRefit).
+	want := m.Result()
+	if !slices.Equal(ms.Result.Labels, want.Labels) || !slices.Equal(ms.Result.Centers, want.Centers) ||
+		!slices.Equal(ms.Result.Dep, want.Dep) || !slices.Equal(ms.Result.Rho, want.Rho) {
+		t.Error("restored result differs from the fitted one")
 	}
-	got, err := rm.Model.AssignAll(queries, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("restored assign %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if rm.Model.FitTime() != m.FitTime() {
-		t.Errorf("fit time not preserved: %v != %v", rm.Model.FitTime(), m.FitTime())
+	if ms.FitTime != m.FitTime() {
+		t.Errorf("fit time not preserved: %v != %v", ms.FitTime, m.FitTime())
 	}
 }
 
@@ -120,7 +113,7 @@ func TestStoreReplaceDatasetPrunesOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dss, models := st.Restore(1)
+	dss, _, models := st.RestoreOwned(nil)
 	if len(dss) != 1 || dss[0].Version != 2 {
 		t.Fatalf("restore after replace: %d datasets (v%d)", len(dss), dss[0].Version)
 	}
@@ -131,7 +124,7 @@ func TestStoreReplaceDatasetPrunesOldVersion(t *testing.T) {
 	if err := st.SaveDataset("s2", 1, d1.Points); err != nil {
 		t.Fatal(err)
 	}
-	if dss, _ := st.Restore(1); dss[0].Version != 2 {
+	if dss, _, _ := st.RestoreOwned(nil); dss[0].Version != 2 {
 		t.Errorf("stale version-1 save replaced version 2")
 	}
 	// Only the live snapshots remain on disk.
@@ -179,7 +172,7 @@ func TestStoreRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, m := st.Restore(1)
+		d, _, m := st.RestoreOwned(nil)
 		return len(d), len(m), logs
 	}
 	truncate := func(t *testing.T, path string) {
@@ -226,12 +219,15 @@ func TestStoreRecovery(t *testing.T) {
 			t.Errorf("restored %d/%d, want 1/1", ds, models)
 		}
 	})
-	t.Run("corrupt dataset drops its models too", func(t *testing.T) {
+	// Reading does not pair models with datasets: a model whose dataset
+	// snapshot is lost still decodes, and the serving layer's installer
+	// refuses it (TestRestartCorruptDatasetDropsItsModels).
+	t.Run("corrupt dataset is skipped", func(t *testing.T) {
 		ds, models, logs := one(t, "datasets/*.snap", flip)
-		if ds != 0 || models != 0 {
-			t.Errorf("restored %d/%d from a corrupt dataset, want 0/0", ds, models)
+		if ds != 0 || models != 2 {
+			t.Errorf("restored %d/%d from a corrupt dataset, want 0 datasets and both models", ds, models)
 		}
-		if !logs.contains("skipping dataset") || !logs.contains("skipping model") {
+		if !logs.contains("skipping dataset") {
 			t.Errorf("recovery not logged: %v", logs.lines)
 		}
 	})
@@ -275,7 +271,7 @@ func TestStoreRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, models := st.Restore(1); len(models) != 0 {
+		if _, _, models := st.RestoreOwned(nil); len(models) != 0 {
 			t.Errorf("swapped snapshots restored: %d models", len(models))
 		}
 	})
@@ -295,8 +291,8 @@ func TestOpenCreatesLayout(t *testing.T) {
 			t.Errorf("missing %s/: %v", sub, err)
 		}
 	}
-	if ds, models := st.Restore(1); len(ds) != 0 || len(models) != 0 {
-		t.Errorf("fresh store restored %d/%d", len(ds), len(models))
+	if ds, idxs, models := st.RestoreOwned(nil); len(ds) != 0 || len(idxs) != 0 || len(models) != 0 {
+		t.Errorf("fresh store restored %d/%d/%d", len(ds), len(idxs), len(models))
 	}
 }
 
@@ -363,7 +359,7 @@ func TestEnsureDatasetHeals(t *testing.T) {
 	if err := st.EnsureDataset("s2", 1, d.Points); err != nil {
 		t.Fatal(err)
 	}
-	if dss, _ := st.Restore(1); len(dss) != 1 {
+	if dss, _, _ := st.RestoreOwned(nil); len(dss) != 1 {
 		t.Error("EnsureDataset did not heal the damaged snapshot")
 	}
 }
@@ -393,14 +389,14 @@ func TestSaveModelKeepsRecencyOrder(t *testing.T) {
 		fitModel(t, d.Points, "Scan", p)); err != nil {
 		t.Fatal(err)
 	}
-	_, models := st.Restore(1)
+	_, _, models := st.RestoreOwned(nil)
 	if len(models) != 3 {
 		t.Fatalf("restored %d models", len(models))
 	}
 	want := []string{"Ex-DPC", "Approx-DPC", "Scan"}
-	for i, rm := range models {
-		if rm.Key.Algorithm != want[i] {
-			t.Errorf("restore order[%d] = %s, want %s", i, rm.Key.Algorithm, want[i])
+	for i, ms := range models {
+		if ms.Key.Algorithm != want[i] {
+			t.Errorf("restore order[%d] = %s, want %s", i, ms.Key.Algorithm, want[i])
 		}
 	}
 }
@@ -462,7 +458,7 @@ func TestRestoreOwned(t *testing.T) {
 		}
 	}
 	owned := map[string]bool{"alpha": true, "gamma": true}
-	dss, models := st.RestoreOwned(1, func(name string) bool { return owned[name] })
+	dss, _, models := st.RestoreOwned(func(name string) bool { return owned[name] })
 	if len(dss) != 2 || len(models) != 2 {
 		t.Fatalf("RestoreOwned loaded %d datasets / %d models, want 2/2", len(dss), len(models))
 	}
@@ -480,8 +476,8 @@ func TestRestoreOwned(t *testing.T) {
 		t.Errorf("filtered snapshots were logged as damage: %v", logs.lines)
 	}
 	// Nothing was deleted: a full restore still sees all three.
-	dss, models = st.Restore(1)
+	dss, _, models = st.RestoreOwned(nil)
 	if len(dss) != 3 || len(models) != 3 {
-		t.Fatalf("full Restore after RestoreOwned got %d datasets / %d models, want 3/3", len(dss), len(models))
+		t.Fatalf("unfiltered RestoreOwned after a filtered one got %d datasets / %d models, want 3/3", len(dss), len(models))
 	}
 }

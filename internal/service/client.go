@@ -190,11 +190,6 @@ func marshal(v any) []byte {
 	return raw
 }
 
-// Health reports whether the instance answers its liveness probe.
-func (c *Client) Health() error {
-	return c.call(http.MethodGet, "/healthz", "", nil, false, nil)
-}
-
 // PutDataset uploads a dataset body in the given format ("csv" or
 // "binary") at the server's default (float64) storage precision.
 func (c *Client) PutDataset(name, format string, body []byte) (api.DatasetInfo, error) {
@@ -372,34 +367,23 @@ func (c *Client) stream(ctx context.Context, method, path, contentType, accept s
 // returned StreamReader yields label chunks as the server emits them, so
 // neither side ever holds more than one chunk in memory.
 func (c *Client) AssignStream(req api.FitRequest, points io.Reader) (*StreamReader, error) {
-	return c.AssignStreamContext(context.Background(), req, points)
-}
-
-// AssignStreamContext is AssignStream with caller-owned cancellation.
-func (c *Client) AssignStreamContext(ctx context.Context, req api.FitRequest, points io.Reader) (*StreamReader, error) {
 	body := io.MultiReader(bytes.NewReader(append(marshal(req), '\n')), points)
-	return c.openStream(ctx, ndjsonContentType, body)
+	return c.openStream(ndjsonContentType, body)
 }
 
 // AssignStreamFrames is AssignStream over the binary frame codec in both
 // directions: points must be a stream of wire points frames (see
 // wire.EncodePoints); the header frame is prepended here.
 func (c *Client) AssignStreamFrames(req api.FitRequest, points io.Reader) (*StreamReader, error) {
-	return c.AssignStreamFramesContext(context.Background(), req, points)
-}
-
-// AssignStreamFramesContext is AssignStreamFrames with caller-owned
-// cancellation.
-func (c *Client) AssignStreamFramesContext(ctx context.Context, req api.FitRequest, points io.Reader) (*StreamReader, error) {
 	body := io.MultiReader(bytes.NewReader(wire.AppendHeader(nil, fitToHeader(req))), points)
-	return c.openStream(ctx, wire.ContentType, body)
+	return c.openStream(wire.ContentType, body)
 }
 
 // openStream starts one streaming assign and wraps the live response in
 // a StreamReader for whichever codec the server chose (the response
 // Content-Type decides — a relay hop may legitimately answer in the
 // request codec even if this client could read either).
-func (c *Client) openStream(ctx context.Context, contentType string, body io.Reader) (*StreamReader, error) {
+func (c *Client) openStream(contentType string, body io.Reader) (*StreamReader, error) {
 	var extra http.Header
 	if c.gzipStream {
 		// Compress through a pipe so memory stays O(chunk): the request
@@ -422,7 +406,7 @@ func (c *Client) openStream(ctx context.Context, contentType string, body io.Rea
 			"Accept-Encoding":  {"gzip"},
 		}
 	}
-	resp, err := c.stream(ctx, http.MethodPost, "/v1/assign/stream", contentType, contentType, body, false, extra)
+	resp, err := c.stream(context.Background(), http.MethodPost, "/v1/assign/stream", contentType, contentType, body, false, extra)
 	if err != nil {
 		return nil, err
 	}

@@ -402,3 +402,60 @@ func TestIdenticalReuploadHealsDamagedSnapshot(t *testing.T) {
 		t.Errorf("after heal restored %d/%d, want 1/1", st.DatasetsRestored, st.ModelsRestored)
 	}
 }
+
+// TestRestartCorruptDatasetDropsItsModels: a restart that loses a
+// dataset snapshot to damage also drops the index and every model
+// computed on it — their installer refuses a snapshot whose dataset is
+// not resident — and logs each skip, so the loss costs refits, never a
+// model serving points it was not fitted on.
+func TestRestartCorruptDatasetDropsItsModels(t *testing.T) {
+	dir := t.TempDir()
+	d, p := fixture(t, 400)
+	s1 := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if _, err := s1.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.DecisionGraph("s2", p.DCut, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"Scan", "Approx-DPC"} {
+		if _, err := s1.Fit("s2", alg, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "datasets", "*.snap"))
+	if len(paths) != 1 {
+		t.Fatal("want one dataset snapshot")
+	}
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x40
+	if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	store, err := persist.Open(dir, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Options{Workers: 2, Store: store})
+	st := s2.Stats()
+	if st.DatasetsRestored != 0 || st.IndexesRestored != 0 || st.ModelsRestored != 0 || st.ModelsCached != 0 {
+		t.Errorf("restored %d/%d/%d datasets/indexes/models (%d cached) from a corrupt dataset, want none",
+			st.DatasetsRestored, st.IndexesRestored, st.ModelsRestored, st.ModelsCached)
+	}
+	for _, want := range []string{"skipping dataset", "skipping index", "skipping model"} {
+		found := false
+		for _, l := range logged {
+			found = found || strings.Contains(l, want)
+		}
+		if !found {
+			t.Errorf("no %q line logged: %v", want, logged)
+		}
+	}
+}

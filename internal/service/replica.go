@@ -6,30 +6,50 @@ import (
 	"repro/api"
 	"repro/internal/core"
 	"repro/internal/densindex"
+	"repro/internal/kdtree"
 	"repro/internal/persist"
 )
 
-// Replication is snapshot shipping, not consensus: fitted models are
-// immutable and datasets are versioned, so the primary for a key simply
-// encodes the same persist snapshot images it writes to its own disk and
-// POSTs them to the key's replicas, which install them as warm state.
-// An install is exactly a restart warm-load — the kd-tree is rebuilt,
-// the clustering is not re-run — so replica state never costs a refit
-// and never counts as a cache miss. Installs are idempotent and
-// version-ordered, which makes re-shipping after membership changes (the
-// router's self-heal pass) safe to do eagerly.
+// Warm state comes from snapshots, never from a refit: a dataset, a
+// fitted model (its Result; the kd-tree is rebuilt) or a density index,
+// each in the persist snapshot format. Restart (New), ring rebalance
+// (Reconcile) and replication (InstallSnapshot) all pass every snapshot,
+// datasets first, then indexes, then models, through the one installer
+// per kind below; only the snapshot's source differs. Replication is
+// snapshot shipping, not consensus: fitted models are immutable and
+// datasets are versioned, so the primary for a key encodes the same
+// images it writes to its own disk and POSTs them to the key's
+// replicas. Installs never count as cache misses, and they are
+// idempotent and version-ordered, which makes re-shipping after
+// membership changes (the router's self-heal pass) safe to do eagerly.
 
 // snapshotContentType is the media type of a shipped snapshot image: the
 // DPS1 container from internal/persist, byte-identical to the on-disk
 // snapshot files.
 const snapshotContentType = "application/x-dpc-snapshot"
 
-// InstallSnapshot decodes one shipped snapshot image (dataset or model)
-// and installs it as warm local state, exactly as a restart warm-load
-// would: no refit, no cache miss. Stale ships — an older dataset
-// version, a model for a version no longer resident — are refused or
-// no-oped rather than regressing local state, so replays from a lagging
-// primary are harmless.
+// snapshotSource is where a snapshot being installed came from. It
+// decides three things only: which counter an install moves (restored
+// or replicated), whether the install is persisted again, and who wins
+// a dataset conflict.
+type snapshotSource uint8
+
+const (
+	// fromDisk is this node's own snapshot directory (restart or
+	// rebalance). The snapshot is already on disk, and any resident
+	// dataset entry wins over it: an upload racing a reconcile keeps
+	// its points.
+	fromDisk snapshotSource = iota
+	// fromPrimary is a key's primary shipping to its replicas. The
+	// install is persisted locally, and the newer dataset version wins.
+	fromPrimary
+)
+
+// InstallSnapshot decodes one shipped snapshot image (dataset, index or
+// model) and installs it as warm local state. Stale ships — an older
+// dataset version, an index or model for a version no longer resident —
+// are refused or no-oped rather than regressing local state, so replays
+// from a lagging primary are harmless.
 func (s *Service) InstallSnapshot(raw []byte) (api.InstallResult, error) {
 	snap, err := persist.DecodeSnapshot(raw)
 	if err != nil {
@@ -37,27 +57,56 @@ func (s *Service) InstallSnapshot(raw []byte) (api.InstallResult, error) {
 	}
 	switch sn := snap.(type) {
 	case *persist.DatasetSnapshot:
-		return s.installDataset(sn)
+		return s.installDataset(sn, fromPrimary)
 	case *persist.ModelSnapshot:
-		return s.installModel(sn)
+		return s.installModel(sn, fromPrimary)
 	case *persist.IndexSnapshot:
-		return s.installIndex(sn)
+		return s.installIndex(sn, fromPrimary)
 	default:
 		return api.InstallResult{}, fmt.Errorf("service: unknown snapshot type %T", snap)
 	}
 }
 
-// installDataset registers a shipped dataset unless an equal-or-newer
-// version is already resident. Versions are assigned by the key's
-// primary and travel with every snapshot, so replicas order ships
-// without any clock. A fresh install purges cached models of older
-// versions, mirroring PutDataset.
-func (s *Service) installDataset(sn *persist.DatasetSnapshot) (api.InstallResult, error) {
+// warmLoad installs the snapshots persist read from this node's own
+// store, in install order, and reports how many datasets and models
+// landed. A snapshot the installer refuses (its dataset was damaged or
+// has moved on) is logged and skipped: it costs one refit or rebuild on
+// demand, never a failed startup.
+func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, idxs []*persist.IndexSnapshot, models []*persist.ModelSnapshot) (datasetsLoaded, modelsLoaded int) {
+	landed := func(res api.InstallResult, err error) bool {
+		if err != nil {
+			s.store.Log("service: skipping %s %s v%d: %v", res.Kind, res.Dataset, res.Version, err)
+		}
+		return res.Installed
+	}
+	for _, sn := range dss {
+		if landed(s.installDataset(sn, fromDisk)) {
+			datasetsLoaded++
+		}
+	}
+	for _, sn := range idxs {
+		landed(s.installIndex(sn, fromDisk))
+	}
+	for _, sn := range models {
+		if landed(s.installModel(sn, fromDisk)) {
+			modelsLoaded++
+		}
+	}
+	return datasetsLoaded, modelsLoaded
+}
+
+// installDataset registers a snapshot's dataset version. From disk it
+// yields to any resident entry; from a primary it lands unless an
+// equal-or-newer version is resident — versions are assigned by the
+// key's primary and travel with every snapshot, so replicas order ships
+// without any clock. A fresh install purges the cached models and the
+// density index of the version it replaces, as PutDataset does.
+func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource) (api.InstallResult, error) {
 	res := api.InstallResult{Kind: "dataset", Dataset: sn.Name, Version: sn.Version}
 	s.mu.Lock()
-	if old, ok := s.datasets[sn.Name]; ok && old.version >= sn.Version {
+	if old, ok := s.datasets[sn.Name]; ok && (src == fromDisk || old.version >= sn.Version) {
 		s.mu.Unlock()
-		if s.store != nil && old.version == sn.Version {
+		if src == fromPrimary && s.store != nil && old.version == sn.Version {
 			// Same self-heal opportunity as an idempotent re-upload: if this
 			// version's snapshot never made it to disk, write it now.
 			if err := s.store.EnsureDataset(sn.Name, sn.Version, sn.Points); err != nil {
@@ -67,10 +116,17 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot) (api.InstallResult
 		}
 		return res, nil
 	}
-	s.datasets[sn.Name] = &datasetEntry{points: sn.Points, version: sn.Version}
+	e := &datasetEntry{points: sn.Points, version: sn.Version}
+	e.fpOnce.Do(func() { e.fp = sn.Fingerprint })
+	s.datasets[sn.Name] = e
 	s.mu.Unlock()
 	s.cache.purgeStale(sn.Name, sn.Version)
+	s.dropIndex(sn.Name)
 	res.Installed = true
+	if src == fromDisk {
+		s.datasetsRestored.Add(1)
+		return res, nil
+	}
 	s.datasetsReplicated.Add(1)
 	if s.store != nil {
 		if err := s.store.SaveDataset(sn.Name, sn.Version, sn.Points); err != nil {
@@ -81,39 +137,88 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot) (api.InstallResult
 	return res, nil
 }
 
-// installModel rebuilds a shipped model against the resident dataset and
-// puts it in the cache as a completed entry. The dataset must already be
-// resident at the snapshot's exact version with a matching fingerprint —
-// the primary always ships the dataset before its models, so a mismatch
-// means the ship is stale and is an error the primary's counters surface.
-func (s *Service) installModel(sn *persist.ModelSnapshot) (api.InstallResult, error) {
-	res := api.InstallResult{Kind: "model", Dataset: sn.Key.Dataset, Version: sn.Key.Version}
+// installTarget returns the resident dataset an index or model snapshot
+// attaches to. It must be resident at the snapshot's exact version and
+// hold the very points the snapshot was computed on: installs run
+// datasets first, so anything else means the snapshot is stale (or its
+// dataset snapshot was lost) and is refused.
+func (s *Service) installTarget(kind, name string, version, fingerprint uint64) (*datasetEntry, error) {
 	s.mu.RLock()
-	e, ok := s.datasets[sn.Key.Dataset]
+	e, ok := s.datasets[name]
 	s.mu.RUnlock()
-	if !ok {
-		return res, fmt.Errorf("service: model snapshot for absent dataset %q", sn.Key.Dataset)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("service: %s snapshot for absent dataset %q", kind, name)
+	case e.version != version:
+		return nil, fmt.Errorf("service: %s snapshot for %q v%d but resident version is v%d", kind, name, version, e.version)
+	case e.fingerprint() != fingerprint:
+		return nil, fmt.Errorf("service: %s snapshot for %q v%d computed on different points (fingerprint mismatch)", kind, name, version)
 	}
-	if e.version != sn.Key.Version {
-		return res, fmt.Errorf("service: model snapshot for %q v%d but resident version is v%d",
-			sn.Key.Dataset, sn.Key.Version, e.version)
+	return e, nil
+}
+
+// installIndex adopts a density-index snapshot, so decision-graph and
+// sweep requests (and index re-cuts) skip the build. FromParts
+// re-validates the CSR invariants, so a damaged or forged snapshot costs
+// one rebuild on demand, nothing more. Index installs are never
+// persisted again: a replica that restarts without the index rebuilds
+// it on demand.
+func (s *Service) installIndex(sn *persist.IndexSnapshot, src snapshotSource) (api.InstallResult, error) {
+	res := api.InstallResult{Kind: "index", Dataset: sn.Dataset, Version: sn.Version}
+	e, err := s.installTarget(res.Kind, sn.Dataset, sn.Version, sn.DatasetFingerprint)
+	if err != nil {
+		return res, err
 	}
-	if e.points.Fingerprint() != sn.DatasetFingerprint {
-		return res, fmt.Errorf("service: model snapshot for %q v%d fitted on different points (fingerprint mismatch)",
-			sn.Key.Dataset, sn.Key.Version)
+	idx, err := densindex.FromParts(e.points, sn.DCutMax, sn.Start, sn.IDs, sn.Sq)
+	if err != nil {
+		return res, fmt.Errorf("service: rebuilding index for %q: %w", sn.Dataset, err)
 	}
-	key := s.restoredKey(sn.Key)
+	if !s.adoptIndex(sn.Dataset, sn.Version, idx) {
+		return res, nil // a resident index already covers at least this ceiling
+	}
+	res.Installed = true
+	if src == fromDisk {
+		s.indexesRestored.Add(1)
+	}
+	return res, nil
+}
+
+// installModel rebuilds a model snapshot against its resident dataset —
+// core.Restore re-derives only the assigner's kd-tree, sharing the
+// dataset's resident index tree when one is installed — and puts it in
+// the cache as a completed entry.
+func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (api.InstallResult, error) {
+	res := api.InstallResult{Kind: "model", Dataset: sn.Key.Dataset, Version: sn.Key.Version}
+	e, err := s.installTarget(res.Kind, sn.Key.Dataset, sn.Key.Version, sn.DatasetFingerprint)
+	if err != nil {
+		return res, err
+	}
+	// Workers is zeroed in the snapshot; in memory it is this host's policy.
+	key := modelKey{
+		dataset:   sn.Key.Dataset,
+		version:   sn.Key.Version,
+		algorithm: sn.Key.Algorithm,
+		params:    s.normalize(sn.Key.Algorithm, sn.Key.Params),
+	}
 	if s.cache.has(key) {
 		return res, nil
 	}
-	m, err := core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime, nil)
+	var tree *kdtree.Tree
+	if idx, ok := s.residentIndex(sn.Key.Dataset, sn.Key.Version, 0); ok {
+		tree = idx.Tree()
+	}
+	m, err := core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime, tree)
 	if err != nil {
-		return res, fmt.Errorf("service: rebuilding replicated model %s/%s: %w", sn.Key.Dataset, sn.Key.Algorithm, err)
+		return res, fmt.Errorf("service: rebuilding model %s/%s: %w", sn.Key.Dataset, sn.Key.Algorithm, err)
 	}
 	if !s.cache.put(key, m) {
 		return res, nil // a concurrent install or fit won the race
 	}
 	res.Installed = true
+	if src == fromDisk {
+		s.modelsRestored.Add(1)
+		return res, nil
+	}
 	s.modelsReplicated.Add(1)
 	if s.store != nil {
 		if err := s.store.SaveModel(sn.Key, m); err != nil {
@@ -124,49 +229,15 @@ func (s *Service) installModel(sn *persist.ModelSnapshot) (api.InstallResult, er
 	return res, nil
 }
 
-// installIndex adopts a shipped density-index snapshot as warm state,
-// the same way restart warm-loading does. The primary ships its index
-// alongside dataset and model snapshots once a build completes, so a
-// promoted replica answers decision-graph and sweep requests without
-// re-paying the build; a replica that never received one still rebuilds
-// on demand. Mismatched dataset version or fingerprint is a stale
-// ship — refused.
-func (s *Service) installIndex(sn *persist.IndexSnapshot) (api.InstallResult, error) {
-	res := api.InstallResult{Kind: "index", Dataset: sn.Dataset, Version: sn.Version}
-	s.mu.RLock()
-	e, ok := s.datasets[sn.Dataset]
-	s.mu.RUnlock()
-	if !ok {
-		return res, fmt.Errorf("service: index snapshot for absent dataset %q", sn.Dataset)
-	}
-	if e.version != sn.Version {
-		return res, fmt.Errorf("service: index snapshot for %q v%d but resident version is v%d",
-			sn.Dataset, sn.Version, e.version)
-	}
-	if e.points.Fingerprint() != sn.DatasetFingerprint {
-		return res, fmt.Errorf("service: index snapshot for %q v%d built on different points (fingerprint mismatch)",
-			sn.Dataset, sn.Version)
-	}
-	idx, err := densindex.FromParts(e.points, sn.DCutMax, sn.Start, sn.IDs, sn.Sq)
-	if err != nil {
-		return res, fmt.Errorf("service: rebuilding shipped index for %q: %w", sn.Dataset, err)
-	}
-	if !s.adoptIndex(sn.Dataset, sn.Version, idx) {
-		return res, nil // a resident index already covers at least this ceiling
-	}
-	res.Installed = true
-	return res, nil
-}
-
 // ReplicationSnapshots encodes everything a replica needs for one
-// resident dataset: the dataset snapshot first (installs must see it
-// before any model or index), then one model snapshot per completed
-// cache entry fitted on the current version, then — when a density
-// index for the current version is resident and ready — that index's
-// snapshot, so a promoted replica serves decision-graph and sweep
-// requests without re-paying the build. nil when the dataset is not
-// resident. In-flight fits and builds are skipped — they ship when they
-// finish via the router's post-write replication.
+// resident dataset, in install order: the dataset snapshot, then — when
+// a density index for the current version is resident and ready — that
+// index's snapshot, so a promoted replica serves decision-graph and
+// sweep requests without re-paying the build and its models share the
+// index's kd-tree, then one model snapshot per completed cache entry
+// fitted on the current version. nil when the dataset is not resident.
+// In-flight fits and builds are skipped — they ship when they finish
+// via the router's post-write replication.
 func (s *Service) ReplicationSnapshots(name string) [][]byte {
 	s.mu.RLock()
 	e, ok := s.datasets[name]
@@ -175,7 +246,11 @@ func (s *Service) ReplicationSnapshots(name string) [][]byte {
 		return nil
 	}
 	out := [][]byte{persist.EncodeDataset(name, e.version, e.points)}
-	fp := e.points.Fingerprint()
+	// Only a ready index built on exactly this version ships; otherwise
+	// (absent, in flight, failed, stale) a replica rebuilds on demand.
+	if idx, ok := s.residentIndex(name, e.version, 0); ok {
+		out = append(out, persist.EncodeIndex(indexImage(name, e, idx)))
+	}
 	for _, cm := range s.cache.completed(name, e.version) {
 		pk := persist.ModelKey{
 			Dataset:   cm.key.dataset,
@@ -186,39 +261,9 @@ func (s *Service) ReplicationSnapshots(name string) [][]byte {
 		// Thread count is host policy, not model identity — zeroed on the
 		// wire exactly as SaveModel zeroes it on disk.
 		pk.Params.Workers = 0
-		out = append(out, persist.EncodeModel(pk, fp, cm.model.FitTime(), cm.model.Result()))
-	}
-	if raw := s.indexSnapshot(name, e.version, fp); raw != nil {
-		out = append(out, raw)
+		out = append(out, persist.EncodeModel(pk, e.fingerprint(), cm.model.FitTime(), cm.model.Result()))
 	}
 	return out
-}
-
-// indexSnapshot encodes the dataset's resident density index when it is
-// ready and built on exactly this version; nil otherwise (absent, in
-// flight, failed, or stale — a replica rebuilds on demand in those
-// cases, as before).
-func (s *Service) indexSnapshot(name string, version uint64, fingerprint uint64) []byte {
-	s.indexMu.Lock()
-	ent := s.indexes[name]
-	s.indexMu.Unlock()
-	if ent == nil || ent.version != version {
-		return nil
-	}
-	select {
-	case <-ent.ready:
-	default:
-		return nil
-	}
-	if ent.err != nil || ent.idx == nil {
-		return nil
-	}
-	dcMax, start, ids, sq := ent.idx.Parts()
-	return persist.EncodeIndex(&persist.IndexSnapshot{
-		Dataset: name, Version: version,
-		DatasetFingerprint: fingerprint,
-		DCutMax:            dcMax, Start: start, IDs: ids, Sq: sq,
-	})
 }
 
 // completedModel is one snapshot-able cache entry.

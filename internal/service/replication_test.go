@@ -2,8 +2,12 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/api"
@@ -444,5 +448,165 @@ func TestOwnsFuncMatchesRouter(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInstallNewerDatasetDropsIndex: a replica that installs a newer
+// dataset version forgets the replaced version's density index at once,
+// as PutDataset does. Kept resident, the old index would pin the old
+// rows and their kd-tree until a rebuild replaced it.
+func TestInstallNewerDatasetDropsIndex(t *testing.T) {
+	d1 := data.SSet(2, 300, 1)
+	primary := New(Options{Workers: 1})
+	if _, err := primary.PutDataset("ds", d1.Points); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.DecisionGraph("ds", d1.DCut, 5); err != nil {
+		t.Fatal(err)
+	}
+	v1 := primary.ReplicationSnapshots("ds")
+	if len(v1) != 2 {
+		t.Fatalf("primary exported %d snapshots at v1, want dataset+index", len(v1))
+	}
+	d2 := data.SSet(2, 350, 2)
+	if _, err := primary.PutDataset("ds", d2.Points); err != nil {
+		t.Fatal(err)
+	}
+	v2 := primary.ReplicationSnapshots("ds")
+	if len(v2) != 1 {
+		t.Fatalf("primary exported %d snapshots at v2, want the dataset alone", len(v2))
+	}
+
+	replica := New(Options{Workers: 1})
+	for i, raw := range v1 {
+		if res, err := replica.InstallSnapshot(raw); err != nil || !res.Installed {
+			t.Fatalf("install v1 snapshot %d: %+v, %v", i, res, err)
+		}
+	}
+	if _, ok := replica.residentIndex("ds", 1, d1.DCut); !ok {
+		t.Fatal("v1 index not resident after its install")
+	}
+	if res, err := replica.InstallSnapshot(v2[0]); err != nil || !res.Installed {
+		t.Fatalf("install v2 dataset: %+v, %v", res, err)
+	}
+	replica.indexMu.Lock()
+	_, kept := replica.indexes["ds"]
+	replica.indexMu.Unlock()
+	if kept {
+		t.Error("the replaced version's index is still resident after the v2 install")
+	}
+}
+
+// TestReplicationShipsIndexBeforeModels: snapshots ship in install
+// order — dataset, index, models — so a replica's models are rebuilt on
+// the shipped index's kd-tree. The replica, and a restart over the
+// primary's snapshot directory, assign the primary's labels exactly,
+// with zero fits and zero index builds.
+func TestReplicationShipsIndexBeforeModels(t *testing.T) {
+	dir := t.TempDir()
+	d, p := fixture(t, 500)
+	queries := d.Points.Rows()[:128]
+	algs := []string{"Ex-DPC", "Approx-DPC"}
+	primary := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if _, err := primary.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.DecisionGraph("s2", p.DCut, 5); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]int32{}
+	for _, alg := range algs {
+		labels, _, err := primary.Assign("s2", alg, p, queries)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		want[alg] = labels
+	}
+
+	replica := New(Options{Workers: 1})
+	var kinds []string
+	for _, raw := range primary.ReplicationSnapshots("s2") {
+		res, err := replica.InstallSnapshot(raw)
+		if err != nil || !res.Installed {
+			t.Fatalf("install %s: %+v, %v", res.Kind, res, err)
+		}
+		kinds = append(kinds, res.Kind)
+	}
+	if got := strings.Join(kinds, ","); got != "dataset,index,model,model" {
+		t.Errorf("shipped kinds %s, want dataset,index,model,model", got)
+	}
+	restarted := New(Options{Workers: 1, Store: openStore(t, dir)})
+	if st := restarted.Stats(); st.DatasetsRestored != 1 || st.IndexesRestored != 1 || st.ModelsRestored != len(algs) {
+		t.Fatalf("restart restored %d/%d/%d datasets/indexes/models, want 1/1/%d",
+			st.DatasetsRestored, st.IndexesRestored, st.ModelsRestored, len(algs))
+	}
+	for name, s := range map[string]*Service{"replica": replica, "restart": restarted} {
+		for _, alg := range algs {
+			labels, fr, err := s.Assign("s2", alg, p, queries)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, alg, err)
+			}
+			if !fr.CacheHit {
+				t.Errorf("%s %s missed the installed model", name, alg)
+			}
+			labelsEqual(t, name+" "+alg, labels, want[alg])
+		}
+		if st := s.Stats(); st.CacheMisses != 0 || st.IndexBuilds != 0 {
+			t.Errorf("%s paid %d fits and %d index builds, want none", name, st.CacheMisses, st.IndexBuilds)
+		}
+	}
+}
+
+// TestReplicateShipsModelsPastRefusedIndex: the index ships before the
+// models, so a replica that answers and refuses the index image (one
+// over its upload cap, say) must still be sent the models behind it —
+// they install without an index. Only an unreachable replica ends its
+// batch early.
+func TestReplicateShipsModelsPastRefusedIndex(t *testing.T) {
+	replica := New(Options{Workers: 1})
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if snap, _ := persist.DecodeSnapshot(raw); snap != nil {
+			if _, ok := snap.(*persist.IndexSnapshot); ok {
+				writeError(w, http.StatusRequestEntityTooLarge, errors.New("snapshot over the upload cap"))
+				return
+			}
+		}
+		res, err := replica.InstallSnapshot(raw)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
+	}))
+	defer fake.Close()
+
+	self := "http://primary.invalid"
+	primary := New(Options{Workers: 1})
+	rt, err := NewRouter(primary, self, []string{self, fake.URL}, RouterOptions{Vnodes: 16, RF: 2, Client: testClientOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, p := fixture(t, 300)
+	if _, err := primary.PutDataset("ds", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.DecisionGraph("ds", p.DCut, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Fit("ds", "Approx-DPC", p); err != nil {
+		t.Fatal(err)
+	}
+	rt.replicate("ds", []string{self, fake.URL})
+
+	if got := rt.replicationErrors.Load(); got != 1 {
+		t.Errorf("%d ship errors, want 1 (the refused index)", got)
+	}
+	if st := replica.Stats(); st.DatasetsReplicated != 1 || st.ModelsReplicated != 1 {
+		t.Errorf("replica installed %d datasets / %d models, want 1/1", st.DatasetsReplicated, st.ModelsReplicated)
 	}
 }

@@ -370,14 +370,20 @@ func (rt *Router) replicate(name string, owners []string) {
 			continue
 		}
 		for _, raw := range snaps {
-			if _, err := c.ShipSnapshot(raw); err != nil {
-				rt.replicationErrors.Add(1)
-				// The dataset snapshot must land before its models can; skip
-				// the rest of this replica's batch and let the next self-heal
-				// or write retry it.
+			_, err := c.ShipSnapshot(raw)
+			if err == nil {
+				rt.replicated.Add(1)
+				continue
+			}
+			rt.replicationErrors.Add(1)
+			// An unreachable replica gets the rest of its batch from the
+			// next self-heal or write. One that answered and refused an
+			// image (an index over the upload cap, say) still takes the
+			// models behind it, which install without an index.
+			var refused *api.APIError
+			if !errors.As(err, &refused) {
 				break
 			}
-			rt.replicated.Add(1)
 		}
 	}
 }

@@ -94,7 +94,11 @@ func (rt *Router) Handler() http.Handler {
 		if rte.ring && !rt.ringMode() {
 			continue
 		}
-		mux.HandleFunc(rte.pattern, rt.dispatch(rte))
+		h := rt.dispatch(rte)
+		if rte.key == keyStream {
+			h = fullDuplex(h)
+		}
+		mux.HandleFunc(rte.pattern, h)
 	}
 	return mux
 }
@@ -225,9 +229,6 @@ func peekBody(w http.ResponseWriter, r *http.Request, limit int64) (string, []by
 // The rest of the chunked body is never buffered, so a relay hop adds
 // O(chunk) memory, not O(stream).
 func peekStream(w http.ResponseWriter, r *http.Request) (string, io.Reader, bool) {
-	// A relay keeps reading the request stream while label records flow
-	// back — the same duplex opt-in the serving handler needs.
-	_ = http.NewResponseController(w).EnableFullDuplex()
 	br := bufio.NewReaderSize(r.Body, 64<<10)
 	src := br
 	var captured *bytes.Buffer

@@ -166,6 +166,16 @@ type datasetEntry struct {
 	// version increments on re-upload so cached models fitted on the old
 	// points can never serve the new name.
 	version uint64
+	// fp caches points.Fingerprint(), which hashes every coordinate:
+	// each snapshot install and every replication ship checks or encodes
+	// it. A dataset installed from a snapshot takes the snapshot's.
+	fpOnce sync.Once
+	fp     uint64
+}
+
+func (e *datasetEntry) fingerprint() uint64 {
+	e.fpOnce.Do(func() { e.fp = e.points.Fingerprint() })
+	return e.fp
 }
 
 // dsInfo is the one place a dataset becomes its wire description, so
@@ -176,10 +186,10 @@ func dsInfo(name string, ds *geom.Dataset) api.DatasetInfo {
 }
 
 // New creates a service. With Options.Store set it warm-loads the
-// dataset registry and repopulates the model cache from the snapshot
-// directory — the kd-trees are rebuilt, the clustering itself is not
-// re-run. Damaged snapshots are skipped (the store logs them); they cost
-// a refit on first request, nothing more.
+// dataset registry, the density indexes and the model cache from the
+// snapshot directory — the kd-trees are rebuilt, the clustering itself
+// is not re-run. Damaged snapshots are skipped and logged; they cost a
+// refit or rebuild on first request, nothing more.
 func New(opts Options) *Service {
 	s := &Service{
 		opts:      opts,
@@ -191,12 +201,7 @@ func New(opts Options) *Service {
 	}
 	if opts.Store != nil {
 		s.store = opts.Store
-		dss, models := opts.Store.RestoreOwned(opts.Workers, opts.Owns)
-		for _, d := range dss {
-			s.datasets[d.Name] = &datasetEntry{points: d.Points, version: d.Version}
-			s.datasetsRestored.Add(1)
-		}
-		s.restoreIndexes(dss, opts.Owns)
+		dss, idxs, models := opts.Store.RestoreOwned(opts.Owns)
 		// More snapshots than cache slots: keep the most recently
 		// persisted (manifest order is persist order), so ModelsRestored
 		// counts what is actually resident and no phantom evictions show
@@ -204,24 +209,9 @@ func New(opts Options) *Service {
 		if cap := opts.cacheSize(); len(models) > cap {
 			models = models[len(models)-cap:]
 		}
-		for _, rm := range models {
-			if s.cache.put(s.restoredKey(rm.Key), rm.Model) {
-				s.modelsRestored.Add(1)
-			}
-		}
+		s.warmLoad(dss, idxs, models)
 	}
 	return s
-}
-
-// restoredKey maps a persisted model key (Workers zeroed on disk) onto
-// the in-memory cache key (Workers is this host's policy).
-func (s *Service) restoredKey(k persist.ModelKey) modelKey {
-	return modelKey{
-		dataset:   k.Dataset,
-		version:   k.Version,
-		algorithm: k.Algorithm,
-		params:    s.normalize(k.Algorithm, k.Params),
-	}
 }
 
 // indexEntry is one dataset's density index, single-flight like a cache
@@ -234,38 +224,6 @@ type indexEntry struct {
 	ready   chan struct{}
 	idx     *densindex.Index
 	err     error
-}
-
-// restoreIndexes rebuilds warm-loaded index snapshots against the
-// restored datasets. Version and fingerprint must both match — an index
-// must never serve different points — and FromParts re-validates the
-// CSR invariants, so a damaged or forged snapshot costs one rebuild on
-// demand, nothing more.
-func (s *Service) restoreIndexes(dss []*persist.DatasetSnapshot, owns func(string) bool) {
-	byName := make(map[string]*persist.DatasetSnapshot, len(dss))
-	for _, d := range dss {
-		byName[d.Name] = d
-	}
-	for _, snap := range s.store.RestoreIndexesOwned(owns) {
-		d, ok := byName[snap.Dataset]
-		if !ok || d.Version != snap.Version || d.Fingerprint != snap.DatasetFingerprint {
-			s.store.Log("service: skipping index %s: its dataset v%d was not restored or changed", snap.Dataset, snap.Version)
-			continue
-		}
-		idx, err := densindex.FromParts(d.Points, snap.DCutMax, snap.Start, snap.IDs, snap.Sq)
-		if err != nil {
-			s.store.Log("service: skipping index %s: %v", snap.Dataset, err)
-			continue
-		}
-		ready := make(chan struct{})
-		close(ready)
-		s.indexMu.Lock()
-		s.indexes[snap.Dataset] = &indexEntry{
-			version: snap.Version, dcMax: idx.DCutMax(), ready: ready, idx: idx,
-		}
-		s.indexMu.Unlock()
-		s.indexesRestored.Add(1)
-	}
 }
 
 // dropIndex forgets a dataset's resident index (re-upload, eviction).
@@ -401,15 +359,19 @@ func (s *Service) persistIndex(name string, version uint64, idx *densindex.Index
 	if !ok || e.version != version {
 		return // replaced while building; nothing worth persisting
 	}
-	dcMax, start, ids, sq := idx.Parts()
-	snap := &persist.IndexSnapshot{
-		Dataset: name, Version: version,
-		DatasetFingerprint: e.points.Fingerprint(),
-		DCutMax:            dcMax, Start: start, IDs: ids, Sq: sq,
-	}
-	if err := s.store.SaveIndex(snap); err != nil {
+	if err := s.store.SaveIndex(indexImage(name, e, idx)); err != nil {
 		s.persistErrors.Add(1)
 		s.store.Log("service: persisting index %q v%d: %v", name, version, err)
+	}
+}
+
+// indexImage is the snapshot form of idx, built on dataset version e.
+func indexImage(name string, e *datasetEntry, idx *densindex.Index) *persist.IndexSnapshot {
+	dcMax, start, ids, sq := idx.Parts()
+	return &persist.IndexSnapshot{
+		Dataset: name, Version: e.version,
+		DatasetFingerprint: e.fingerprint(),
+		DCutMax:            dcMax, Start: start, IDs: ids, Sq: sq,
 	}
 }
 
@@ -449,47 +411,12 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 	// The snapshot decode is slow, so it runs outside the lock; the
 	// resident set cannot lose entries meanwhile (evictions only happen
 	// here), so the skip condition stays valid. An upload racing the
-	// reconcile is resolved at insert time below — the upload wins.
-	dss, models := s.store.RestoreOwned(s.opts.Workers, func(name string) bool {
+	// reconcile wins at install time: a disk snapshot yields to any
+	// resident dataset, and its indexes and models then fail the
+	// installer's version and fingerprint check.
+	st.DatasetsLoaded, st.ModelsLoaded = s.warmLoad(s.store.RestoreOwned(func(name string) bool {
 		return owns(name) && !resident[name]
-	})
-	restored := make(map[string]uint64, len(dss))
-	for _, d := range dss {
-		s.mu.Lock()
-		if _, ok := s.datasets[d.Name]; ok {
-			s.mu.Unlock()
-			continue
-		}
-		s.datasets[d.Name] = &datasetEntry{points: d.Points, version: d.Version}
-		s.mu.Unlock()
-		restored[d.Name] = d.Version
-		st.DatasetsLoaded++
-		s.datasetsRestored.Add(1)
-	}
-	for _, rm := range models {
-		// Only attach models to the dataset snapshot that actually landed;
-		// if a concurrent upload won the insert race, its version differs
-		// and the snapshot model must not serve it.
-		if v, ok := restored[rm.Key.Dataset]; !ok || v != rm.Key.Version {
-			continue
-		}
-		if s.cache.put(s.restoredKey(rm.Key), rm.Model) {
-			st.ModelsLoaded++
-			s.modelsRestored.Add(1)
-		}
-	}
-	// Index snapshots ride the same rebalance: only those matching a
-	// dataset that landed in this pass are rebuilt.
-	landed := dss[:0]
-	for _, d := range dss {
-		if v, ok := restored[d.Name]; ok && v == d.Version {
-			landed = append(landed, d)
-		}
-	}
-	s.restoreIndexes(landed, func(name string) bool {
-		_, ok := restored[name]
-		return ok
-	})
+	}))
 	return st
 }
 

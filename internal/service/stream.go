@@ -351,6 +351,36 @@ func flushResponse(w http.ResponseWriter) {
 	}
 }
 
+// maxStreamDrainBytes bounds how much of an unread stream body is read
+// and discarded after the handler is done — net/http's own bound for a
+// body a handler leaves unread.
+const maxStreamDrainBytes = 256 << 10
+
+// fullDuplex wraps a stream route, served or relayed. An HTTP/1.x server
+// normally closes the request body at the first response write; a
+// stream reads points while labels flow back for its whole life, so it
+// must opt in to full duplex. (HTTP/2 is duplex natively and reports
+// unsupported.) In full duplex, net/http no longer ends an unread body
+// before the response, and a body that reaches EOF in the server's
+// post-handler cleanup starts a background connection read too late to
+// be stopped: the server panics on the connection's next request read
+// ("invalid concurrent Body.Read call") and the client's next request on
+// it is reset. So the wrapper ends the body itself once the handler
+// returns — a no-op after a clean stream, which read it to EOF; after an
+// error, read to EOF, which the server then handles as for any finished
+// body, or past maxStreamDrainBytes, which MaxBytesReader turns into
+// closing the connection after the reply.
+func fullDuplex(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		_ = http.NewResponseController(w).EnableFullDuplex()
+		body := r.Body
+		h(w, r)
+		// A read error leaves nothing to save: the connection is broken or
+		// carries a malformed body, and the server closes it.
+		_, _ = io.Copy(io.Discard, http.MaxBytesReader(w, body, maxStreamDrainBytes))
+	}
+}
+
 // handleStream is POST /v1/assign/stream. Errors before the first
 // byte of the response stream (bad header, unknown dataset, failed fit,
 // stream cap reached) are plain JSON with the same statuses as the batch
@@ -358,11 +388,6 @@ func flushResponse(w http.ResponseWriter) {
 // error record in the negotiated codec.
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	s := rt.local
-	// An HTTP/1.x server normally closes the request body at the first
-	// response write; this handler interleaves reading points with
-	// writing labels for the stream's whole life, so it must opt in to
-	// full duplex. (HTTP/2 is duplex natively and reports unsupported.)
-	_ = http.NewResponseController(w).EnableFullDuplex()
 	var sq api.StreamQuery
 	if err := api.ParseQuery(r.URL.Query(), &sq); err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -215,30 +215,6 @@ func AppendPointsFlat(dst []byte, coords []float64, dim int, float32w bool) []by
 	return endFrame(dst, mark)
 }
 
-// AppendPointsFlat32 appends one FlagFloat32 points frame straight from
-// float32 storage — the encoder a float32 dataset uses so its exact
-// values hit the wire with no widen/narrow round trip. Constraints
-// mirror AppendPointsFlat.
-func AppendPointsFlat32(dst []byte, coords []float32, dim int) []byte {
-	n := 0
-	if dim > 0 {
-		n = len(coords) / dim
-	}
-	if n*dim != len(coords) {
-		panic("wire: coords length is not a multiple of dim")
-	}
-	if 8+len(coords)*4 > MaxPayload {
-		panic("wire: points frame exceeds MaxPayload; chunk it")
-	}
-	dst, mark := beginFrame(dst, KindPoints, FlagFloat32)
-	dst = appendU32(dst, uint32(n))
-	dst = appendU32(dst, uint32(dim))
-	for _, v := range coords {
-		dst = appendU32(dst, math.Float32bits(v))
-	}
-	return endFrame(dst, mark)
-}
-
 // AppendPointsRows is AppendPointsFlat for row-slice points; all rows
 // must share one width.
 func AppendPointsRows(dst []byte, rows [][]float64, float32w bool) []byte {
@@ -651,20 +627,14 @@ func PeekDataset(body []byte) (string, error) {
 	return f.Header.Dataset, nil
 }
 
-// ReadDataset decodes an upload body — one or more points frames, all of
-// one width — into a float64 dataset, widening f32 frames losslessly.
-// The per-frame payload cap bounds each allocation; the caller bounds
-// the body as a whole.
-func ReadDataset(r io.Reader) (*geom.Dataset, error) {
-	return ReadDataset32(r, false)
-}
-
-// ReadDataset32 is ReadDataset with an explicit target precision. With
-// f32 set the dataset is stored as float32: FlagFloat32 frames keep
-// their exact wire values (no widening round trip), and float64 frames
-// are narrowed — lossy for values that do not round-trip, which is the
-// caller's explicit choice by requesting f32. With f32 unset it behaves
-// exactly like ReadDataset.
+// ReadDataset32 decodes an upload body — one or more points frames, all
+// of one width — into a dataset. The per-frame payload cap bounds each
+// allocation; the caller bounds the body as a whole. With f32 unset the
+// dataset is float64, widening f32 frames losslessly. With f32 set it is
+// stored as float32: FlagFloat32 frames keep their exact wire values (no
+// widening round trip), and float64 frames are narrowed — lossy for
+// values that do not round-trip, which is the caller's explicit choice
+// by requesting f32.
 func ReadDataset32(r io.Reader, f32 bool) (*geom.Dataset, error) {
 	fr := NewReader(bufio.NewReaderSize(r, 64<<10)).Keep32(f32)
 	var (

@@ -238,7 +238,7 @@ func TestReadDataset(t *testing.T) {
 	var raw []byte
 	raw = AppendPointsFlat(raw, []float64{1, 2, 3, 4}, 2, false)
 	raw = AppendPointsFlat(raw, []float64{5, 6}, 2, false)
-	ds, err := ReadDataset(bytes.NewReader(raw))
+	ds, err := ReadDataset32(bytes.NewReader(raw), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestReadDataset(t *testing.T) {
 	}
 	// Width disagreement across frames is an error.
 	bad := append(append([]byte(nil), raw...), AppendPointsFlat(nil, []float64{7, 8, 9}, 3, false)...)
-	if _, err := ReadDataset(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadDataset32(bytes.NewReader(bad), false); err == nil {
 		t.Error("mixed-width frames accepted")
 	}
 	// Non-points frames are rejected.
-	if _, err := ReadDataset(bytes.NewReader(AppendHeader(nil, Header{}))); err == nil {
+	if _, err := ReadDataset32(bytes.NewReader(AppendHeader(nil, Header{})), false); err == nil {
 		t.Error("header frame accepted as dataset upload")
 	}
 }

@@ -86,19 +86,19 @@ bench-json:
 	$(GO) run ./cmd/dpcbench -exp sweep -n $(SWEEPN) -sweep-json BENCH_param_sweep.json
 
 # fuzz-smoke runs each fuzz target briefly over its committed corpus —
-# the upload parsers, the snapshot decoders (generic and density-index),
-# the snapshot installers every warm load runs (restart, rebalance and
-# replica ship), the wire frame decoder, the Ex-DPC-equals-Scan oracle
-# on tie-heavy point sets, and the kd-tree-equals-brute-force oracle for
-# every tree query. `go test -fuzz` takes one target per invocation,
-# hence the eight runs. Each new interesting input is minimized for at
+# the upload parsers, the snapshot decoder, the snapshot installers
+# every warm load runs (restart, rebalance and replica ship), the wire
+# frame decoder, the Ex-DPC-equals-Scan oracle on tie-heavy point sets,
+# and the kd-tree-equals-brute-force oracle for every tree query. The
+# two snapshot targets also re-frame each input behind a valid header
+# and CRC-32, so mutations reach the payload decoders. `go test -fuzz`
+# takes one target per invocation, hence the seven runs. Each new interesting input is minimized for at
 # most 100 runs: at go test's default of 60s, the first find used up the
 # rest of the budget while no new input ran.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIndexSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzInstallSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzExDPCMatchesScan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core

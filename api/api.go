@@ -320,12 +320,10 @@ type Stats struct {
 	AssignRequests int64   `json:"assign_requests"`
 	PointsAssigned int64   `json:"points_assigned"`
 	HitRate        float64 `json:"hit_rate"`
-	// IndexBuilds counts density-index constructions, IndexCuts the
-	// parameter re-cuts served from them (each a fit avoided), and
-	// IndexesRestored the indexes warm-loaded from snapshots on start.
-	IndexBuilds     int64 `json:"index_builds"`
-	IndexCuts       int64 `json:"index_cuts"`
-	IndexesRestored int   `json:"indexes_restored"`
+	// IndexBuilds counts density-index constructions and IndexCuts the
+	// parameter re-cuts served from them (each a fit avoided).
+	IndexBuilds int64 `json:"index_builds"`
+	IndexCuts   int64 `json:"index_cuts"`
 	// DatasetsRestored and ModelsRestored count what the daemon
 	// warm-loaded from its snapshot store on start; PersistErrors counts
 	// snapshot writes that failed (serving continued, durability did not).
@@ -365,7 +363,7 @@ type ReconcileStats struct {
 // InstallResult reports what installing one shipped replication
 // snapshot did (POST /v1/replica/snapshot).
 type InstallResult struct {
-	Kind      string `json:"kind"` // "dataset", "model", or "index"
+	Kind      string `json:"kind"` // "dataset" or "model"
 	Dataset   string `json:"dataset"`
 	Version   uint64 `json:"version"`
 	Installed bool   `json:"installed"` // false: already current (idempotent no-op)
@@ -446,7 +444,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.PointsAssigned += o.PointsAssigned
 	s.IndexBuilds += o.IndexBuilds
 	s.IndexCuts += o.IndexCuts
-	s.IndexesRestored += o.IndexesRestored
 	s.DatasetsRestored += o.DatasetsRestored
 	s.ModelsRestored += o.ModelsRestored
 	s.PersistErrors += o.PersistErrors

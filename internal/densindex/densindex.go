@@ -14,11 +14,11 @@
 // neighbor; they are answered by one nearest-neighbor walk over a
 // whole-dataset kd-tree that skips every subtree holding no denser
 // point (core.WalkDependents, the walk Ex-DPC runs for every point).
-// One such tree is kept per index version, built by Build or Update
-// where the version is made, and shared with the served model's
-// assigner. Update slides the index across a window append: it
-// range-searches only the appended points, one query each against the
-// new version's own tree, and mirrors their rows onto the survivors.
+// Every index owns one such tree, built by Build or Update where the
+// version is made, and shares it with the served model's assigner.
+// Update slides the index across a window append: it range-searches
+// only the appended points, one query each against the new version's
+// own tree, and mirrors their rows onto the survivors.
 // Stored squared distances come straight out of the kd-tree's full
 // dimension-order accumulation, and the walk calls the same kernel —
 // the same float operations, in the same order, as the Scan kernels —
@@ -69,18 +69,15 @@ func CoveredAlgorithms() []string {
 }
 
 // Index is the frozen per-dataset structure. It references the dataset
-// (no copy) and is immutable after Build/FromParts/Update, apart from
-// the kd-tree built once on first need — safe for concurrent Cut and
-// Decision calls.
+// (no copy) and is immutable after Build/Update — safe for concurrent
+// Cut and Decision calls.
 type Index struct {
 	ds    *geom.Dataset
 	dcMax float64
 
-	// tree is the whole-dataset kd-tree the local-maximum walk runs on.
-	// Build and Update keep the one they ranged with; FromParts indexes
-	// build theirs on first need.
-	treeOnce sync.Once
-	tree     *kdtree.Tree
+	// tree is the whole-dataset kd-tree the local-maximum walk runs on:
+	// the one Build or Update ranged with.
+	tree *kdtree.Tree
 
 	// CSR neighbor lists: point i's neighbors strictly within dcMax are
 	// ids[start[i]:start[i+1]] with squared distances sq[...], sorted by
@@ -132,7 +129,7 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 	}
 
 	x := &Index{
-		ds: ds, dcMax: dcMax,
+		ds: ds, dcMax: dcMax, tree: tree,
 		start: start,
 		ids:   make([]int32, total),
 		sq:    make([]float64, total),
@@ -154,7 +151,6 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 			x.sortRow(lo, w)
 		}
 	})
-	x.adoptTree(tree)
 	return x, nil
 }
 
@@ -257,49 +253,6 @@ func partitionEdges(e []edge) int {
 	return i
 }
 
-// FromParts reassembles an index from persisted arrays, validating the
-// invariants an untrusted snapshot could violate: monotone row offsets,
-// in-range neighbor ids, and per-row squared distances ascending and
-// strictly below dcMax^2. The slices are adopted, not copied.
-func FromParts(ds *geom.Dataset, dcMax float64, start []int64, ids []int32, sq []float64) (*Index, error) {
-	if ds == nil || ds.N == 0 {
-		return nil, fmt.Errorf("densindex: empty dataset")
-	}
-	if !(dcMax > 0) || math.IsInf(dcMax, 1) {
-		return nil, fmt.Errorf("densindex: dcut ceiling must be a positive finite number, got %g", dcMax)
-	}
-	n := ds.N
-	if len(start) != n+1 {
-		return nil, fmt.Errorf("densindex: %d row offsets for %d points", len(start), n)
-	}
-	if start[0] != 0 || start[n] != int64(len(ids)) || len(ids) != len(sq) {
-		return nil, fmt.Errorf("densindex: offsets [%d,%d] do not frame %d ids / %d distances",
-			start[0], start[n], len(ids), len(sq))
-	}
-	limit := dcMax * dcMax
-	for i := 0; i < n; i++ {
-		lo, hi := start[i], start[i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("densindex: row %d offsets decrease (%d > %d)", i, lo, hi)
-		}
-		prev := -1.0
-		for e := lo; e < hi; e++ {
-			id, d := ids[e], sq[e]
-			if id < 0 || int(id) >= n || int(id) == i {
-				return nil, fmt.Errorf("densindex: row %d has neighbor id %d (n=%d)", i, id, n)
-			}
-			if !(d >= 0) || d >= limit { // !(d>=0) also rejects NaN
-				return nil, fmt.Errorf("densindex: row %d has squared distance %g outside [0, %g)", i, d, limit)
-			}
-			if d < prev {
-				return nil, fmt.Errorf("densindex: row %d distances not ascending", i)
-			}
-			prev = d
-		}
-	}
-	return &Index{ds: ds, dcMax: dcMax, start: start, ids: ids, sq: sq}, nil
-}
-
 // DCutMax returns the neighborhood ceiling: Cut and Decision accept any
 // d_cut in (0, DCutMax].
 func (x *Index) DCutMax() float64 { return x.dcMax }
@@ -310,36 +263,9 @@ func (x *Index) Edges() int64 { return x.start[len(x.start)-1] }
 // N returns the indexed point count.
 func (x *Index) N() int { return x.ds.N }
 
-// Parts exposes the persistable arrays (ceiling, row offsets, neighbor
-// ids, squared distances). Callers must not mutate them.
-func (x *Index) Parts() (dcMax float64, start []int64, ids []int32, sq []float64) {
-	return x.dcMax, x.start, x.ids, x.sq
-}
-
-// Tree returns the index's whole-dataset kd-tree, building it on first
-// use. It is read-only and may be shared, e.g. with the assigner of a
-// model cut from this index.
-func (x *Index) Tree() *kdtree.Tree {
-	t, _ := x.kdTree(1)
-	return t
-}
-
-// adoptTree installs tree, a kd-tree over every point of the indexed
-// dataset, as the index's own.
-func (x *Index) adoptTree(tree *kdtree.Tree) { x.treeOnce.Do(func() { x.tree = tree }) }
-
-// kdTree returns the tree, building it with workers goroutines if this
-// is its first use, and the time this call spent building it (zero
-// when it already existed).
-func (x *Index) kdTree(workers int) (*kdtree.Tree, time.Duration) {
-	var took time.Duration
-	x.treeOnce.Do(func() {
-		start := time.Now()
-		x.tree = kdtree.BuildAllWorkers(x.ds, workers)
-		took = time.Since(start)
-	})
-	return x.tree, took
-}
+// Tree returns the index's whole-dataset kd-tree. It is read-only and
+// may be shared, e.g. with the assigner of a model cut from this index.
+func (x *Index) Tree() *kdtree.Tree { return x.tree }
 
 // checkDC validates a requested cut distance against the ceiling.
 func (x *Index) checkDC(dcut float64) error {
@@ -382,9 +308,8 @@ func (x *Index) rho(dcut float64, workers int) []float64 {
 // are answered by core.WalkDependents over the index's kd-tree, the
 // rank-pruned walk Ex-DPC runs for every point, which returns the same
 // (squared distance, rank) minimum as scanDelta's scan of every denser
-// point, from the same distance kernel. build is the time spent building
-// that tree, when this call was the first to need it.
-func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int32, build time.Duration) {
+// point, from the same distance kernel.
+func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int32) {
 	n := x.ds.N
 	order := core.DensityOrder(rho, workers)
 	rank := make([]int32, n)
@@ -430,12 +355,10 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 			maxima = append(maxima, i)
 		}
 	}
-	if len(maxima) == 0 {
-		return delta, dep, 0
+	if len(maxima) > 0 {
+		core.WalkDependents(x.tree, rank, maxima, delta, dep, workers)
 	}
-	tree, build := x.kdTree(workers)
-	core.WalkDependents(tree, rank, maxima, delta, dep, workers)
-	return delta, dep, build
+	return delta, dep
 }
 
 // Decision computes the decision graph at dcut: per-point density and
@@ -446,16 +369,15 @@ func (x *Index) Decision(dcut float64, workers int) (rho, delta []float64, err e
 	}
 	workers = core.Params{Workers: workers}.WorkerCount()
 	rho = x.rho(dcut, workers)
-	delta, _, _ = x.deltaDep(rho, workers)
+	delta, _ = x.deltaDep(rho, workers)
 	return rho, delta, nil
 }
 
 // Cut derives the full clustering for p — Rho, Delta, Dep, Centers,
 // Labels — byte-identical to a fresh fit of any covered algorithm at
 // the same parameters. p.DCut must be in (0, DCutMax]; p.Workers
-// follows core.Params semantics. Timing.Build is the index's lazy
-// kd-tree build when this cut was the first to need the tree, else
-// zero; only an index from FromParts has no tree before its first cut.
+// follows core.Params semantics. Timing.Build is zero: the index's
+// kd-tree was built with the index.
 func (x *Index) Cut(p core.Params) (*core.Result, error) {
 	if err := x.checkDC(p.DCut); err != nil {
 		return nil, err
@@ -466,8 +388,8 @@ func (x *Index) Cut(p core.Params) (*core.Result, error) {
 	res.Rho = x.rho(p.DCut, workers)
 	res.Timing.Rho = time.Since(start)
 	start = time.Now()
-	res.Delta, res.Dep, res.Timing.Build = x.deltaDep(res.Rho, workers)
-	res.Timing.Delta = time.Since(start) - res.Timing.Build
+	res.Delta, res.Dep = x.deltaDep(res.Rho, workers)
+	res.Timing.Delta = time.Since(start)
 	start = time.Now()
 	core.Finalize(res, p)
 	res.Timing.Label = time.Since(start)

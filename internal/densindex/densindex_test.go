@@ -148,97 +148,6 @@ func TestBuildEdgeBudget(t *testing.T) {
 	}
 }
 
-// TestFromPartsRoundTrip rebuilds an index from its own Parts and checks
-// a cut agrees bit-for-bit — the persistence warm-load path in miniature.
-func TestFromPartsRoundTrip(t *testing.T) {
-	d := data.SSet(2, 600, 5)
-	idx, err := Build(d.Points, 3000, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcMax, start, ids, sq := idx.Parts()
-	idx2, err := FromParts(d.Points, dcMax, start, ids, sq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.Params{DCut: 2500, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 2}
-	a, err := idx.Cut(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := idx2.Cut(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "rho", a.Rho, b.Rho)
-	sameBits(t, "delta", a.Delta, b.Delta)
-	sameInt32(t, "labels", a.Labels, b.Labels)
-}
-
-func TestFromPartsRejectsDamage(t *testing.T) {
-	d := data.SSet(1, 100, 4)
-	idx, err := Build(d.Points, 5000, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcMax, start, ids, sq := idx.Parts()
-	n := d.Points.N
-
-	check := func(name string, mut func(start []int64, ids []int32, sq []float64)) {
-		s2 := append([]int64(nil), start...)
-		i2 := append([]int32(nil), ids...)
-		q2 := append([]float64(nil), sq...)
-		mut(s2, i2, q2)
-		if _, err := FromParts(d.Points, dcMax, s2, i2, q2); err == nil {
-			t.Errorf("%s: damaged parts accepted", name)
-		}
-	}
-
-	check("self edge", func(_ []int64, ids []int32, _ []float64) {
-		for r := 0; r < n; r++ {
-			if start[r] < start[r+1] {
-				ids[start[r]] = int32(r)
-				return
-			}
-		}
-		t.Skip("index has no edges")
-	})
-	check("id out of range", func(_ []int64, ids []int32, _ []float64) {
-		if len(ids) == 0 {
-			t.Skip("index has no edges")
-		}
-		ids[0] = int32(n)
-	})
-	check("descending row", func(_ []int64, _ []int32, sq []float64) {
-		for r := 0; r < n; r++ {
-			if start[r]+1 < start[r+1] {
-				sq[start[r]] = sq[start[r]+1] + 1
-				return
-			}
-		}
-		t.Skip("no row with two edges")
-	})
-	check("NaN distance", func(_ []int64, _ []int32, sq []float64) {
-		if len(sq) == 0 {
-			t.Skip("index has no edges")
-		}
-		sq[0] = math.NaN()
-	})
-	check("distance beyond ceiling", func(_ []int64, _ []int32, sq []float64) {
-		if len(sq) == 0 {
-			t.Skip("index has no edges")
-		}
-		sq[len(sq)-1] = dcMax*dcMax + 1
-	})
-	check("offsets not monotone", func(start []int64, _ []int32, _ []float64) {
-		start[1] = -1
-	})
-	if _, err := FromParts(d.Points, dcMax, start[:n], ids, sq); err == nil {
-		t.Error("short offset array accepted")
-	}
-	_ = idx
-}
-
 // TestDecisionGolden pins the decision-graph vectors on a fixed seeded
 // dataset: Decision must reproduce a fresh fit's rho/delta bit-for-bit,
 // and thresholding them at the dataset defaults must recover exactly
@@ -319,59 +228,37 @@ func localMaximaShare(x *Index, rho []float64) float64 {
 // kd-tree walk carries real weight: the noisy PAMAP2 stand-in with the
 // ceiling at d_cut itself (how the service indexes a plain fit), in
 // both storage widths. At least 10% of the points must take the walk,
-// so the fixture cannot go trivial. An index rebuilt from its parts
-// has no tree yet; its first cut builds one and reports it as
-// Timing.Build, later cuts report zero.
+// so the fixture cannot go trivial. The walk runs on the tree Build
+// made, so no cut reports a build of its own.
 func TestCutNoisyLocalMaxima(t *testing.T) {
 	d := data.PAMAP2Like(4000, 5)
 	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 4}
 	for _, ds := range []*geom.Dataset{d.Points, d.Points.ToFloat32()} {
 		t.Run(ds.Precision(), func(t *testing.T) {
-			built, err := Build(ds, d.DCut, 4, 0)
+			idx, err := Build(ds, d.DCut, 4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dcMax, start, ids, sq := built.Parts()
-			lazy, err := FromParts(ds, dcMax, start, ids, sq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first, err := lazy.Cut(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first.Timing.Build <= 0 {
-				t.Errorf("first cut of a tree-less index reports Timing.Build = %v", first.Timing.Build)
-			}
-			got, err := lazy.Cut(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mustCut(t, idx, p)
 			if got.Timing.Build != 0 {
-				t.Errorf("second cut reports Timing.Build = %v, want 0", got.Timing.Build)
+				t.Errorf("cut reports Timing.Build = %v, want 0", got.Timing.Build)
 			}
-			share := localMaximaShare(lazy, got.Rho)
+			share := localMaximaShare(idx, got.Rho)
 			if share < 0.10 {
 				t.Fatalf("only %.1f%% of points are local maxima at the ceiling; fixture too easy", 100*share)
 			}
 			t.Logf("%.1f%% of points take the kd-tree walk", 100*share)
-			cuts := []struct {
-				what string
-				res  *core.Result
-			}{{"lazy", first}, {"built", mustCut(t, built, p)}}
 			for _, name := range []string{"Scan", "Ex-DPC"} {
 				alg, _ := core.AlgorithmByName(name)
 				want, err := alg.ClusterDataset(ds, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range cuts {
-					sameBits(t, name+" "+c.what+" rho", c.res.Rho, want.Rho)
-					sameBits(t, name+" "+c.what+" delta", c.res.Delta, want.Delta)
-					sameInt32(t, name+" "+c.what+" dep", c.res.Dep, want.Dep)
-					sameInt32(t, name+" "+c.what+" labels", c.res.Labels, want.Labels)
-					sameInt32(t, name+" "+c.what+" centers", c.res.Centers, want.Centers)
-				}
+				sameBits(t, name+" rho", got.Rho, want.Rho)
+				sameBits(t, name+" delta", got.Delta, want.Delta)
+				sameInt32(t, name+" dep", got.Dep, want.Dep)
+				sameInt32(t, name+" labels", got.Labels, want.Labels)
+				sameInt32(t, name+" centers", got.Centers, want.Centers)
 			}
 		})
 	}
@@ -386,22 +273,22 @@ func mustCut(t *testing.T, x *Index, p core.Params) *core.Result {
 	return res
 }
 
-// TestConcurrentCutsShareOneTree races the lazy kd-tree build: cuts of a
-// tree-less index from several goroutines at once must build one tree
-// between them and agree bit-for-bit with a cut of the built index.
+// TestConcurrentCutsShareOneTree: cuts of one index from several
+// goroutines at once walk the index's own tree, build none of their
+// own, and agree bit-for-bit with a fresh Ex-DPC fit.
 func TestConcurrentCutsShareOneTree(t *testing.T) {
 	d := data.PAMAP2Like(1500, 9)
 	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 2}
-	built, err := Build(d.Points, d.DCut, 2, 0)
+	idx, err := Build(d.Points, d.DCut, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mustCut(t, built, p)
-	dcMax, start, ids, sq := built.Parts()
-	lazy, err := FromParts(d.Points, dcMax, start, ids, sq)
+	alg, _ := core.AlgorithmByName("Ex-DPC")
+	want, err := alg.ClusterDataset(d.Points, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := idx.Tree()
 	const cuts = 4
 	results := make([]*core.Result, cuts)
 	errs := make([]error, cuts)
@@ -410,26 +297,22 @@ func TestConcurrentCutsShareOneTree(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = lazy.Cut(p)
+			results[g], errs[g] = idx.Cut(p)
 		}(g)
 	}
 	wg.Wait()
-	builds := 0
 	for g, res := range results {
 		if errs[g] != nil {
 			t.Fatal(errs[g])
 		}
-		if res.Timing.Build > 0 {
-			builds++
+		if res.Timing.Build != 0 {
+			t.Errorf("cut %d reports a tree build (%v)", g, res.Timing.Build)
 		}
 		sameBits(t, "delta", res.Delta, want.Delta)
 		sameInt32(t, "dep", res.Dep, want.Dep)
 		sameInt32(t, "labels", res.Labels, want.Labels)
 	}
-	if builds != 1 {
-		t.Errorf("%d cuts reported a tree build, want exactly 1", builds)
-	}
-	if lazy.Tree() != lazy.Tree() || lazy.Tree().Len() != d.Points.N {
+	if idx.Tree() != tree || tree.Len() != d.Points.N {
 		t.Error("Tree() is not one whole-dataset tree")
 	}
 }

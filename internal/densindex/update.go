@@ -126,7 +126,7 @@ func Update(x *Index, ds *geom.Dataset, expired, appended, workers int, maxEdges
 	}
 
 	nx := &Index{
-		ds: ds, dcMax: x.dcMax,
+		ds: ds, dcMax: x.dcMax, tree: tree,
 		start: start,
 		ids:   make([]int32, total),
 		sq:    make([]float64, total),
@@ -175,6 +175,5 @@ func Update(x *Index, ds *geom.Dataset, expired, appended, workers int, maxEdges
 			w++
 		}
 	})
-	nx.adoptTree(tree)
 	return nx, nil
 }

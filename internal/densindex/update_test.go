@@ -13,26 +13,19 @@ import (
 	"repro/internal/kdtree"
 )
 
-// sameIndex requires bit-exact equality of two indexes' persistable
-// parts — the update contract is byte-identity with a fresh build, the
-// same bar the index itself holds against fresh fits.
+// sameIndex requires bit-exact equality of two indexes' CSR arrays —
+// the update contract is byte-identity with a fresh build, the same bar
+// the index itself holds against fresh fits.
 func sameIndex(t *testing.T, got, want *Index) {
 	t.Helper()
-	gd, gs, gi, gq := got.Parts()
-	wd, ws, wi, wq := want.Parts()
-	if gd != wd {
-		t.Fatalf("dcMax = %g, want %g", gd, wd)
+	if got.dcMax != want.dcMax {
+		t.Fatalf("dcMax = %g, want %g", got.dcMax, want.dcMax)
 	}
-	if len(gs) != len(ws) {
-		t.Fatalf("start: length %d, want %d", len(gs), len(ws))
+	if !slices.Equal(got.start, want.start) {
+		t.Fatalf("start offsets differ (lengths %d, %d)", len(got.start), len(want.start))
 	}
-	for i := range gs {
-		if gs[i] != ws[i] {
-			t.Fatalf("start[%d] = %d, want %d", i, gs[i], ws[i])
-		}
-	}
-	sameInt32(t, "ids", gi, wi)
-	sameBits(t, "sq", gq, wq)
+	sameInt32(t, "ids", got.ids, want.ids)
+	sameBits(t, "sq", got.sq, want.sq)
 }
 
 // window cuts a zero-copy row window [lo, hi) out of a backing dataset,

@@ -7,7 +7,9 @@
 //
 //	magic      uint32  "DPS1"
 //	version    uint16  format version (currently 1)
-//	kind       uint8   1 = dataset, 2 = model, 3 = density index
+//	kind       uint8   1 = dataset, 2 = model, 4 = f32 dataset (3, a
+//	                   density index in older versions, is refused as
+//	                   unknown: the index is rebuilt from its dataset)
 //	reserved   uint8
 //	payloadLen uint64  must equal the bytes that follow the header
 //	crc        uint32  IEEE CRC-32 of the payload
@@ -40,7 +42,6 @@ const (
 
 	kindDataset = byte(1)
 	kindModel   = byte(2)
-	kindIndex   = byte(3)
 	// kindDataset32 is an f32-precision dataset: same layout as
 	// kindDataset but coordinates stored as float32 bit patterns, so a
 	// replica installs exactly the bytes (and fingerprint) the primary
@@ -155,12 +156,6 @@ func (e *encoder) i32s(vs []int32) {
 	}
 }
 
-func (e *encoder) i64s(vs []int64) {
-	for _, v := range vs {
-		e.i64(v)
-	}
-}
-
 // decoder walks a payload with a sticky error; every read is
 // bounds-checked against the bytes remaining, and the element-count
 // readers reject counts whose total size exceeds what is present before
@@ -248,17 +243,6 @@ func (d *decoder) i32s(n int) []int32 {
 	return out
 }
 
-func (d *decoder) i64s(n int) []int64 {
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.i64()
-	}
-	return out
-}
-
 func (d *decoder) done() error {
 	if d.err != nil {
 		return d.err
@@ -297,7 +281,7 @@ func decodeHeader(raw []byte) (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("persist: unsupported format version %d (want %d)", v, snapVersion)
 	}
 	kind = raw[6]
-	if kind != kindDataset && kind != kindModel && kind != kindIndex && kind != kindDataset32 {
+	if kind != kindDataset && kind != kindModel && kind != kindDataset32 {
 		return 0, nil, fmt.Errorf("persist: unknown snapshot kind %d", kind)
 	}
 	if raw[7] != 0 {
@@ -315,7 +299,7 @@ func decodeHeader(raw []byte) (kind byte, payload []byte, err error) {
 }
 
 // DecodeSnapshot decodes one snapshot file image into a
-// *DatasetSnapshot, *ModelSnapshot, or *IndexSnapshot. It is total:
+// *DatasetSnapshot or *ModelSnapshot. It is total:
 // corrupt, truncated, or hostile inputs return an error without
 // panicking or allocating beyond the input size.
 func DecodeSnapshot(raw []byte) (any, error) {
@@ -328,8 +312,6 @@ func DecodeSnapshot(raw []byte) (any, error) {
 		return decodeDataset(payload)
 	case kindDataset32:
 		return decodeDataset32(payload)
-	case kindIndex:
-		return decodeIndex(payload)
 	}
 	return decodeModel(payload)
 }

@@ -14,61 +14,10 @@ import (
 // FuzzLoadCSV/FuzzLoadBinary guard uploads: arbitrary file images must
 // decode or error, never panic or allocate past the input size, and an
 // accepted snapshot must be internally consistent and re-encode to the
-// exact bytes it was decoded from (the codec is canonical).
-// FuzzDecodeIndexSnapshot targets the kind-3 (density index) snapshot
-// codec specifically: the CSR arrays carry three independently sized
-// slabs whose declared counts must be validated against the bytes
-// present before allocation, and an accepted image must re-encode
-// canonically. Structural CSR invariants (monotone offsets, sorted
-// rows) are *not* the codec's job — densindex.FromParts enforces those
-// on restore — so this fuzz only checks framing-level consistency.
-func FuzzDecodeIndexSnapshot(f *testing.F) {
-	good := EncodeIndex(&IndexSnapshot{
-		Dataset:            "s2",
-		Version:            3,
-		DatasetFingerprint: 0xfeedface,
-		DCutMax:            2500,
-		Start:              []int64{0, 2, 3, 3},
-		IDs:                []int32{1, 2, 0},
-		Sq:                 []float64{1.5, 4.25, 1.5},
-	})
-	empty := EncodeIndex(&IndexSnapshot{Dataset: "e", Version: 1, DCutMax: 1,
-		Start: []int64{0}, IDs: nil, Sq: nil})
-
-	f.Add(good)
-	f.Add(empty)
-	f.Add(good[:len(good)-8]) // truncated edge slab
-	f.Add(good[:headerSize])  // header only
-	hugeCounts := append([]byte(nil), good...)
-	for i := 0; i < 8; i++ { // declared row count far beyond the payload
-		hugeCounts[headerSize+4+len("s2")+24+i] = 0xff
-	}
-	f.Add(hugeCounts)
-	crc := append([]byte(nil), good...)
-	crc[len(crc)-1] ^= 0x01
-	f.Add(crc)
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		v, err := DecodeSnapshot(raw)
-		if err != nil {
-			return
-		}
-		snap, ok := v.(*IndexSnapshot)
-		if !ok {
-			return // a non-index snapshot kind; FuzzDecodeSnapshot covers those
-		}
-		if len(snap.IDs) != len(snap.Sq) {
-			t.Fatalf("ragged CSR slabs: %d ids, %d distances", len(snap.IDs), len(snap.Sq))
-		}
-		if len(snap.Start) == 0 {
-			t.Fatal("accepted index snapshot with no row offsets")
-		}
-		if !bytes.Equal(EncodeIndex(snap), raw) {
-			t.Fatal("accepted index snapshot did not re-encode canonically")
-		}
-	})
-}
-
+// exact bytes it was decoded from (the codec is canonical). A mutated
+// image almost never passes the CRC-32, so each input is also decoded
+// re-framed: its payload behind a valid header, length and checksum,
+// which lets mutations reach the payload decoders.
 func FuzzDecodeSnapshot(f *testing.F) {
 	ds := geom.MustFromRows([][]float64{{1, 2}, {3, 4}, {5.5, -6.5}})
 	res := &core.Result{
@@ -95,35 +44,45 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		v, err := DecodeSnapshot(raw)
-		if err != nil {
-			return
-		}
-		switch snap := v.(type) {
-		case *DatasetSnapshot:
-			p := snap.Points
-			if p.N*p.Dim != len(p.Coords) || p.N == 0 || p.Dim == 0 {
-				t.Fatalf("inconsistent dataset: N=%d Dim=%d coords=%d", p.N, p.Dim, len(p.Coords))
-			}
-			re := EncodeDataset(snap.Name, snap.Version, p)
-			if !bytes.Equal(re, raw) {
-				t.Fatal("accepted dataset snapshot did not re-encode canonically")
-			}
-		case *ModelSnapshot:
-			r := snap.Result
-			n := len(r.Rho)
-			if len(r.Delta) != n || len(r.Dep) != n || len(r.Labels) != n {
-				t.Fatalf("ragged result arrays: %d/%d/%d/%d", n, len(r.Delta), len(r.Dep), len(r.Labels))
-			}
-			if len(r.Centers) > n {
-				t.Fatalf("%d centers for %d points", len(r.Centers), n)
-			}
-			re := EncodeModel(snap.Key, snap.DatasetFingerprint, snap.FitTime, r)
-			if !bytes.Equal(re, raw) {
-				t.Fatal("accepted model snapshot did not re-encode canonically")
-			}
-		default:
-			t.Fatalf("DecodeSnapshot returned %T", v)
+		checkDecode(t, raw)
+		if len(raw) >= headerSize {
+			checkDecode(t, encodeSnapshot(raw[6], raw[headerSize:]))
 		}
 	})
+}
+
+// checkDecode decodes one image and, if it is accepted, checks it is
+// consistent and canonical.
+func checkDecode(t *testing.T, raw []byte) {
+	v, err := DecodeSnapshot(raw)
+	if err != nil {
+		return
+	}
+	switch snap := v.(type) {
+	case *DatasetSnapshot:
+		p := snap.Points
+		// One of the two coordinate slabs is set, by precision.
+		if p.N*p.Dim != len(p.Coords)+len(p.Coords32) || p.N == 0 || p.Dim == 0 {
+			t.Fatalf("inconsistent dataset: N=%d Dim=%d coords=%d+%d", p.N, p.Dim, len(p.Coords), len(p.Coords32))
+		}
+		re := EncodeDataset(snap.Name, snap.Version, p)
+		if !bytes.Equal(re, raw) {
+			t.Fatal("accepted dataset snapshot did not re-encode canonically")
+		}
+	case *ModelSnapshot:
+		r := snap.Result
+		n := len(r.Rho)
+		if len(r.Delta) != n || len(r.Dep) != n || len(r.Labels) != n {
+			t.Fatalf("ragged result arrays: %d/%d/%d/%d", n, len(r.Delta), len(r.Dep), len(r.Labels))
+		}
+		if len(r.Centers) > n {
+			t.Fatalf("%d centers for %d points", len(r.Centers), n)
+		}
+		re := EncodeModel(snap.Key, snap.DatasetFingerprint, snap.FitTime, r)
+		if !bytes.Equal(re, raw) {
+			t.Fatal("accepted model snapshot did not re-encode canonically")
+		}
+	default:
+		t.Fatalf("DecodeSnapshot returned %T", v)
+	}
 }

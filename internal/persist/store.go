@@ -24,14 +24,13 @@ const manifestName = "manifest.json"
 // manifestFile is the on-disk registry of live snapshots. Snapshot files
 // not referenced here are ignored on restore (orphans from interrupted
 // replacements), so the manifest is the single source of truth.
+// A manifest from an older version may also list density-index
+// snapshots under "indexes"; decoding ignores the unknown field, so the
+// next save drops it.
 type manifestFile struct {
 	Format   int               `json:"format"`
 	Datasets []manifestDataset `json:"datasets"`
 	Models   []manifestModel   `json:"models"`
-	// Indexes holds density-index snapshots (index.go). omitempty plus
-	// JSON's ignore-unknown-fields rule keeps the manifest readable in
-	// both directions across this addition, so Format stays 1.
-	Indexes []manifestIndex `json:"indexes,omitempty"`
 }
 
 type manifestDataset struct {
@@ -90,7 +89,7 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	for _, d := range []string{dir, filepath.Join(dir, "datasets"), filepath.Join(dir, "models"), filepath.Join(dir, "indexes")} {
+	for _, d := range []string{dir, filepath.Join(dir, "datasets"), filepath.Join(dir, "models")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
@@ -165,15 +164,6 @@ func (s *Store) SaveDataset(name string, version uint64, ds *geom.Dataset) error
 		keptM = append(keptM, e)
 	}
 	s.m.Models = keptM
-	keptI := s.m.Indexes[:0]
-	for _, e := range s.m.Indexes {
-		if e.Dataset == name && e.Version != version {
-			remove = append(remove, e.File)
-			continue
-		}
-		keptI = append(keptI, e)
-	}
-	s.m.Indexes = keptI
 	if err := s.saveManifestLocked(); err != nil {
 		return err
 	}
@@ -266,22 +256,21 @@ func (s *Store) EnsureDataset(name string, version uint64, ds *geom.Dataset) err
 }
 
 // RestoreOwned reads and decodes every manifest entry whose dataset the
-// owns filter accepts (nil accepts everything): datasets, density
-// indexes and models, each list in manifest order — for models that is
-// persist order, oldest first. Anything missing, truncated, corrupt, or
-// holding another name, version or key than its manifest entry is
-// logged and skipped; a damaged snapshot costs one refit or rebuild,
-// never a failed startup. Pairing indexes and models with their dataset
-// (version and fingerprint) and rebuilding them is the caller's job.
+// owns filter accepts (nil accepts everything): datasets and models,
+// each list in manifest order — for models that is persist order,
+// oldest first. Anything missing, truncated, corrupt, or holding another
+// name, version or key than its manifest entry is logged and skipped; a
+// damaged snapshot costs one refit, never a failed startup. Pairing
+// models with their dataset (version and fingerprint) and rebuilding
+// them is the caller's job.
 // Filtered-out snapshots are not even read and stay on disk untouched:
 // it is the ring-rebalance hook — a shard that starts owning a key
 // warm-loads it with zero refits, and ownership can come back cheaply.
-func (s *Store) RestoreOwned(owns func(dataset string) bool) (datasets []*DatasetSnapshot, indexes []*IndexSnapshot, models []*ModelSnapshot) {
+func (s *Store) RestoreOwned(owns func(dataset string) bool) (datasets []*DatasetSnapshot, models []*ModelSnapshot) {
 	s.mu.Lock()
 	m := manifestFile{
 		Datasets: slices.Clone(s.m.Datasets),
 		Models:   slices.Clone(s.m.Models),
-		Indexes:  slices.Clone(s.m.Indexes),
 	}
 	s.mu.Unlock()
 
@@ -298,17 +287,6 @@ func (s *Store) RestoreOwned(owns func(dataset string) bool) (datasets []*Datase
 		}
 		datasets = append(datasets, snap)
 	}
-	for _, e := range m.Indexes {
-		if !owned(e.Dataset) {
-			continue
-		}
-		snap, err := s.readIndex(e)
-		if err != nil {
-			s.logf("persist: skipping index %s: %v", e.Dataset, err)
-			continue
-		}
-		indexes = append(indexes, snap)
-	}
 	for _, e := range m.Models {
 		if !owned(e.Dataset) {
 			continue
@@ -320,7 +298,7 @@ func (s *Store) RestoreOwned(owns func(dataset string) bool) (datasets []*Datase
 		}
 		models = append(models, snap)
 	}
-	return datasets, indexes, models
+	return datasets, models
 }
 
 func (s *Store) readDataset(e manifestDataset) (*DatasetSnapshot, error) {
@@ -346,18 +324,6 @@ func (s *Store) readModel(e manifestModel) (*ModelSnapshot, error) {
 	snap := v.(*ModelSnapshot)
 	if snap.Key != e.key() {
 		return nil, fmt.Errorf("file holds key %+v, manifest expects %+v", snap.Key, e.key())
-	}
-	return snap, nil
-}
-
-func (s *Store) readIndex(e manifestIndex) (*IndexSnapshot, error) {
-	v, err := s.readSnapshot(e.File, kindIndex)
-	if err != nil {
-		return nil, err
-	}
-	snap := v.(*IndexSnapshot)
-	if snap.Dataset != e.Dataset || snap.Version != e.Version {
-		return nil, fmt.Errorf("file holds %q v%d, manifest expects v%d", snap.Dataset, snap.Version, e.Version)
 	}
 	return snap, nil
 }

@@ -67,7 +67,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dss, _, models := st2.RestoreOwned(nil)
+	dss, models := st2.RestoreOwned(nil)
 	if len(dss) != 1 || len(models) != 1 {
 		t.Fatalf("restored %d datasets, %d models; want 1/1 (logs: %v)", len(dss), len(models), logs.lines)
 	}
@@ -113,7 +113,7 @@ func TestStoreReplaceDatasetPrunesOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dss, _, models := st.RestoreOwned(nil)
+	dss, models := st.RestoreOwned(nil)
 	if len(dss) != 1 || dss[0].Version != 2 {
 		t.Fatalf("restore after replace: %d datasets (v%d)", len(dss), dss[0].Version)
 	}
@@ -124,7 +124,7 @@ func TestStoreReplaceDatasetPrunesOldVersion(t *testing.T) {
 	if err := st.SaveDataset("s2", 1, d1.Points); err != nil {
 		t.Fatal(err)
 	}
-	if dss, _, _ := st.RestoreOwned(nil); dss[0].Version != 2 {
+	if dss, _ := st.RestoreOwned(nil); dss[0].Version != 2 {
 		t.Errorf("stale version-1 save replaced version 2")
 	}
 	// Only the live snapshots remain on disk.
@@ -172,7 +172,7 @@ func TestStoreRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _, m := st.RestoreOwned(nil)
+		d, m := st.RestoreOwned(nil)
 		return len(d), len(m), logs
 	}
 	truncate := func(t *testing.T, path string) {
@@ -271,7 +271,7 @@ func TestStoreRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, models := st.RestoreOwned(nil); len(models) != 0 {
+		if _, models := st.RestoreOwned(nil); len(models) != 0 {
 			t.Errorf("swapped snapshots restored: %d models", len(models))
 		}
 	})
@@ -291,8 +291,8 @@ func TestOpenCreatesLayout(t *testing.T) {
 			t.Errorf("missing %s/: %v", sub, err)
 		}
 	}
-	if ds, idxs, models := st.RestoreOwned(nil); len(ds) != 0 || len(idxs) != 0 || len(models) != 0 {
-		t.Errorf("fresh store restored %d/%d/%d", len(ds), len(idxs), len(models))
+	if ds, models := st.RestoreOwned(nil); len(ds) != 0 || len(models) != 0 {
+		t.Errorf("fresh store restored %d/%d", len(ds), len(models))
 	}
 }
 
@@ -359,7 +359,7 @@ func TestEnsureDatasetHeals(t *testing.T) {
 	if err := st.EnsureDataset("s2", 1, d.Points); err != nil {
 		t.Fatal(err)
 	}
-	if dss, _, _ := st.RestoreOwned(nil); len(dss) != 1 {
+	if dss, _ := st.RestoreOwned(nil); len(dss) != 1 {
 		t.Error("EnsureDataset did not heal the damaged snapshot")
 	}
 }
@@ -389,7 +389,7 @@ func TestSaveModelKeepsRecencyOrder(t *testing.T) {
 		fitModel(t, d.Points, "Scan", p)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, models := st.RestoreOwned(nil)
+	_, models := st.RestoreOwned(nil)
 	if len(models) != 3 {
 		t.Fatalf("restored %d models", len(models))
 	}
@@ -458,7 +458,7 @@ func TestRestoreOwned(t *testing.T) {
 		}
 	}
 	owned := map[string]bool{"alpha": true, "gamma": true}
-	dss, _, models := st.RestoreOwned(func(name string) bool { return owned[name] })
+	dss, models := st.RestoreOwned(func(name string) bool { return owned[name] })
 	if len(dss) != 2 || len(models) != 2 {
 		t.Fatalf("RestoreOwned loaded %d datasets / %d models, want 2/2", len(dss), len(models))
 	}
@@ -476,7 +476,7 @@ func TestRestoreOwned(t *testing.T) {
 		t.Errorf("filtered snapshots were logged as damage: %v", logs.lines)
 	}
 	// Nothing was deleted: a full restore still sees all three.
-	dss, _, models = st.RestoreOwned(nil)
+	dss, models = st.RestoreOwned(nil)
 	if len(dss) != 3 || len(models) != 3 {
 		t.Fatalf("unfiltered RestoreOwned after a filtered one got %d datasets / %d models, want 3/3", len(dss), len(models))
 	}

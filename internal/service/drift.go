@@ -557,8 +557,5 @@ func (s *Service) updateIndex(name string, oldVersion, newVersion uint64, nds *g
 		return false
 	}
 	s.indexUpdates.Add(1)
-	if s.store != nil {
-		s.persistIndex(name, newVersion, idx)
-	}
 	return true
 }

@@ -1,11 +1,34 @@
 package service
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
 )
+
+// snapHeaderSize is the length of the persist snapshot container header:
+// magic, format version, kind, reserved byte, payload length, CRC-32.
+const snapHeaderSize = 20
+
+// reframe puts payload behind a copy of seed's container header, with
+// the given kind byte and the payload's true length and CRC-32: the
+// framing persist.DecodeSnapshot checks before any payload decoder runs.
+func reframe(seed []byte, kind byte, payload []byte) []byte {
+	out := append(seed[:snapHeaderSize:snapHeaderSize], payload...)
+	out[6] = kind
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(out[16:], crc32.ChecksumIEEE(payload))
+	return out
+}
+
+// legacyIndexImage is a well-framed kind-3 snapshot, the density-index
+// image older versions wrote to indexes/ and shipped to replicas.
+func legacyIndexImage(seed []byte) []byte {
+	return reframe(seed, 3, []byte("density index rows"))
+}
 
 // FuzzInstallSnapshot feeds arbitrary bytes to InstallSnapshot on a
 // service with a resident dataset: the body of POST
@@ -13,34 +36,33 @@ import (
 // installers a restart or a rebalance runs on its own snapshot files.
 // It must never panic, and an image it rejects (an error, or a no-op
 // install) must leave the dataset version and every Stats counter
-// unchanged.
+// unchanged. A mutated image almost never passes the CRC-32, so each
+// input is also installed re-framed — its payload behind a valid
+// header, length and checksum — which lets mutations reach the payload
+// decoders and the installers' version and fingerprint checks.
 func FuzzInstallSnapshot(f *testing.F) {
 	d := data.SSet(2, 80, 1)
 	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin}
 
-	// Valid images of the resident dataset, its index and a model: the
-	// dataset re-ship is a no-op, the index and model install.
+	// Valid images of the resident dataset and two models: the dataset
+	// re-ship is a no-op, the models install.
 	primary := New(Options{Workers: 1})
 	if _, err := primary.PutDataset("ds", d.Points); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := primary.DecisionGraph("ds", d.DCut, 5); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := primary.Fit("ds", "Approx-DPC", p); err != nil {
-		f.Fatal(err)
+	for _, alg := range []string{"Approx-DPC", "Ex-DPC"} {
+		if _, err := primary.Fit("ds", alg, p); err != nil {
+			f.Fatal(err)
+		}
 	}
 	snaps := primary.ReplicationSnapshots("ds")
 	for _, raw := range snaps {
 		f.Add(raw)
 	}
 	// Stale images: a newer version of the dataset (it installs), and
-	// that version's model and index, which the resident v1 refuses.
+	// that version's model, which the resident v1 refuses.
 	other := data.SSet(2, 90, 2)
 	if _, err := primary.PutDataset("ds", other.Points); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := primary.DecisionGraph("ds", other.DCut, 5); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := primary.Fit("ds", "Ex-DPC", p); err != nil {
@@ -51,8 +73,9 @@ func FuzzInstallSnapshot(f *testing.F) {
 	}
 	f.Add(snaps[0][:len(snaps[0])/2])
 	f.Add([]byte("not a snapshot"))
+	f.Add(legacyIndexImage(snaps[0]))
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	install := func(t *testing.T, raw []byte) {
 		s := New(Options{Workers: 1})
 		if _, err := s.PutDataset("ds", d.Points); err != nil {
 			t.Fatal(err)
@@ -70,6 +93,12 @@ func FuzzInstallSnapshot(f *testing.F) {
 		s.mu.RUnlock()
 		if v != 1 {
 			t.Errorf("rejected image (%+v, %v) moved the dataset to v%d", res, err, v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		install(t, raw)
+		if len(raw) >= snapHeaderSize {
+			install(t, reframe(snaps[0], raw[6], raw[snapHeaderSize:]))
 		}
 	})
 }

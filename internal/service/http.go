@@ -218,9 +218,6 @@ func (rt *Router) handleDecisionGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if !resp.IndexReused {
-		rt.replicateDataset(q.Dataset)
-	}
 	if !frameResponse(r) {
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -244,9 +241,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
-	}
-	if !resp.IndexReused {
-		rt.replicateDataset(req.Dataset)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

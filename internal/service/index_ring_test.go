@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"net/http"
@@ -191,5 +192,61 @@ func TestRingSweepRoutesToPrimary(t *testing.T) {
 	// Validation errors surface through the relay as typed APIErrors.
 	if _, err := h.clients[stranger].Sweep(api.SweepRequest{Dataset: e.name}); err == nil {
 		t.Error("empty sweep accepted through the relay")
+	}
+}
+
+// TestReplicaRebuildsIndexOnDemand: a density index never ships. The
+// primary's decision graph builds an index there and sends the replica
+// nothing; the replica's own decision graph rebuilds it from the
+// replicated dataset and answers bit-for-bit what the primary did.
+func TestReplicaRebuildsIndexOnDemand(t *testing.T) {
+	h := startRingRF(t, 2, 2, nil)
+	d := data.SSet(2, 400, 7)
+	var csv bytes.Buffer
+	if err := data.SaveCSV(&csv, d.Points); err != nil {
+		t.Fatal(err)
+	}
+	const name = "pts"
+	h.uploadCSV(0, name, csv.Bytes())
+	primary := 0
+	if owners := h.routers[0].owners(name); owners[0] != h.addrs[0] {
+		primary = 1
+	}
+	replica := 1 - primary
+
+	shipped := h.routers[primary].replicated.Load()
+	if _, err := h.clients[primary].DecisionGraph(name, d.DCut, 10); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.routers[primary].replicated.Load() - shipped; n != 0 {
+		t.Errorf("the primary's index build shipped %d images", n)
+	}
+	rs := h.svcs[replica]
+	if _, ok := rs.residentIndex(name, 1, d.DCut); ok {
+		t.Fatal("replica holds an index it never built")
+	}
+	gotP, err := h.svcs[primary].DecisionGraph(name, d.DCut, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotR, err := rs.DecisionGraph(name, d.DCut, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotR.IndexReused {
+		t.Error("replica's first decision graph claims a reused index")
+	}
+	if len(gotR.Points) != len(gotP.Points) {
+		t.Fatalf("replica graph has %d points, primary %d", len(gotR.Points), len(gotP.Points))
+	}
+	for i := range gotP.Points {
+		if gotP.Points[i] != gotR.Points[i] {
+			t.Fatalf("graph point %d differs: primary %+v, replica %+v", i, gotP.Points[i], gotR.Points[i])
+		}
+	}
+	for i, svc := range h.svcs {
+		if st := svc.Stats(); st.IndexBuilds != 1 {
+			t.Errorf("shard %d paid %d index builds, want 1", i, st.IndexBuilds)
+		}
 	}
 }

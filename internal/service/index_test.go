@@ -275,11 +275,12 @@ func TestFitReusesResidentIndex(t *testing.T) {
 	}
 }
 
-// TestWarmLoadedIndexServesFits is the restart leg of the acceptance
-// sweep: the index built by one process is snapshotted, a new Service
-// over the same data dir warm-loads it, and a covered fit is served by
-// a re-cut with zero builds — byte-identical to the first process's.
-func TestWarmLoadedIndexServesFits(t *testing.T) {
+// TestRestartRebuildsIndexOnDemand is the restart leg of the
+// acceptance sweep: a restart warm-loads datasets and models but no
+// index, so its first decision graph rebuilds the index once, and that
+// graph and a covered fit re-cut from the rebuilt index are
+// byte-identical to the first process's, with no fit paid.
+func TestRestartRebuildsIndexOnDemand(t *testing.T) {
 	dir := t.TempDir()
 	d, p := fixture(t, 700)
 
@@ -287,24 +288,36 @@ func TestWarmLoadedIndexServesFits(t *testing.T) {
 	if _, err := s1.PutDataset("s2", d.Points); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.DecisionGraph("s2", p.DCut, 0); err != nil {
-		t.Fatal(err)
-	}
-	fr1, err := s1.Fit("s2", "Ex-DPC", p)
+	g1, err := s1.DecisionGraph("s2", p.DCut, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr1.IndexCut {
-		t.Fatal("first process's fit was not an index cut")
+	if fr, err := s1.Fit("s2", "Ex-DPC", p); err != nil || !fr.IndexCut {
+		t.Fatalf("first process's fit: IndexCut=%v, err %v", fr.IndexCut, err)
 	}
 
 	s2 := New(Options{Workers: 4, Store: openStore(t, dir)})
-	st := s2.Stats()
-	if st.IndexesRestored != 1 {
-		t.Fatalf("restored %d indexes, want 1", st.IndexesRestored)
+	if st := s2.Stats(); st.DatasetsRestored != 1 || st.ModelsRestored != 1 || st.IndexBuilds != 0 {
+		t.Fatalf("restart: restored %d datasets / %d models, %d index builds; want 1/1/0",
+			st.DatasetsRestored, st.ModelsRestored, st.IndexBuilds)
 	}
-	// The restored model cache already holds the fit; go around it with a
-	// different d_cut still under the warm index's ceiling.
+	g2, err := s2.DecisionGraph("s2", p.DCut, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.IndexReused {
+		t.Error("decision graph after restart claims a reused index")
+	}
+	if len(g2.Points) != len(g1.Points) {
+		t.Fatalf("graph after restart has %d points, want %d", len(g2.Points), len(g1.Points))
+	}
+	for i := range g1.Points {
+		if g1.Points[i] != g2.Points[i] {
+			t.Fatalf("graph point %d: %+v after restart, %+v before", i, g2.Points[i], g1.Points[i])
+		}
+	}
+	// The restored model cache already holds the fit at p; go around it
+	// with a different d_cut still under the rebuilt index's ceiling.
 	p2 := p
 	p2.DCut = p.DCut * 1.1
 	fr2, err := s2.Fit("s2", "Ex-DPC", p2)
@@ -312,21 +325,24 @@ func TestWarmLoadedIndexServesFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fr2.IndexCut {
-		t.Error("fit after restart did not use the warm-loaded index")
+		t.Error("covered fit after restart was not re-cut from the rebuilt index")
 	}
-	if st := s2.Stats(); st.IndexBuilds != 0 {
-		t.Errorf("restart paid %d index builds", st.IndexBuilds)
+	if st := s2.Stats(); st.IndexBuilds != 1 || st.CacheMisses != 0 {
+		t.Errorf("restart paid %d index builds and %d fits, want 1 and 0", st.IndexBuilds, st.CacheMisses)
 	}
-
-	ref := New(Options{Workers: 2})
-	if _, err := ref.PutDataset("s2", d.Points); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := ref.Fit("s2", "Ex-DPC", p2)
+	fr1, err := s1.Fit("s2", "Ex-DPC", p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	labelsEqual(t, "warm-index model", fr2.Model.Result().Labels, rf.Model.Result().Labels)
+	r1, r2 := fr1.Model.Result(), fr2.Model.Result()
+	for i := range r1.Rho {
+		if math.Float64bits(r1.Rho[i]) != math.Float64bits(r2.Rho[i]) ||
+			math.Float64bits(r1.Delta[i]) != math.Float64bits(r2.Delta[i]) || r1.Dep[i] != r2.Dep[i] {
+			t.Fatalf("point %d: rho/delta/dep %v/%v/%d after restart, %v/%v/%d before",
+				i, r2.Rho[i], r2.Delta[i], r2.Dep[i], r1.Rho[i], r1.Delta[i], r1.Dep[i])
+		}
+	}
+	labelsEqual(t, "re-cut model after restart", r2.Labels, r1.Labels)
 }
 
 // TestReuploadDropsIndex: replacing a dataset must invalidate its

@@ -13,6 +13,7 @@ import (
 
 	"repro/api"
 	"repro/internal/data"
+	"repro/internal/geom"
 	"repro/internal/persist"
 )
 
@@ -404,18 +405,15 @@ func TestIdenticalReuploadHealsDamagedSnapshot(t *testing.T) {
 }
 
 // TestRestartCorruptDatasetDropsItsModels: a restart that loses a
-// dataset snapshot to damage also drops the index and every model
-// computed on it — their installer refuses a snapshot whose dataset is
-// not resident — and logs each skip, so the loss costs refits, never a
-// model serving points it was not fitted on.
+// dataset snapshot to damage also drops every model computed on it —
+// the installer refuses a snapshot whose dataset is not resident — and
+// logs each skip, so the loss costs refits, never a model serving
+// points it was not fitted on.
 func TestRestartCorruptDatasetDropsItsModels(t *testing.T) {
 	dir := t.TempDir()
 	d, p := fixture(t, 400)
 	s1 := New(Options{Workers: 2, Store: openStore(t, dir)})
 	if _, err := s1.PutDataset("s2", d.Points); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.DecisionGraph("s2", p.DCut, 5); err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []string{"Scan", "Approx-DPC"} {
@@ -445,11 +443,11 @@ func TestRestartCorruptDatasetDropsItsModels(t *testing.T) {
 	}
 	s2 := New(Options{Workers: 2, Store: store})
 	st := s2.Stats()
-	if st.DatasetsRestored != 0 || st.IndexesRestored != 0 || st.ModelsRestored != 0 || st.ModelsCached != 0 {
-		t.Errorf("restored %d/%d/%d datasets/indexes/models (%d cached) from a corrupt dataset, want none",
-			st.DatasetsRestored, st.IndexesRestored, st.ModelsRestored, st.ModelsCached)
+	if st.DatasetsRestored != 0 || st.ModelsRestored != 0 || st.ModelsCached != 0 {
+		t.Errorf("restored %d/%d datasets/models (%d cached) from a corrupt dataset, want none",
+			st.DatasetsRestored, st.ModelsRestored, st.ModelsCached)
 	}
-	for _, want := range []string{"skipping dataset", "skipping index", "skipping model"} {
+	for _, want := range []string{"skipping dataset", "skipping model"} {
 		found := false
 		for _, l := range logged {
 			found = found || strings.Contains(l, want)
@@ -457,5 +455,120 @@ func TestRestartCorruptDatasetDropsItsModels(t *testing.T) {
 		if !found {
 			t.Errorf("no %q line logged: %v", want, logged)
 		}
+	}
+}
+
+// TestStoreWritesNoIndex: a density index is derived state. A
+// Store-backed service that uploads, builds an index with a decision
+// graph and slides it through five window appends writes no index
+// snapshot and no manifest entry for one.
+func TestStoreWritesNoIndex(t *testing.T) {
+	dir := t.TempDir()
+	d, p := fixture(t, 800)
+	s := New(Options{Workers: 2, Store: openStore(t, dir), Window: 600})
+	if _, err := s.PutDataset("s2", geom.MustFromRows(rows(d.Points, 0, 600, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DecisionGraph("s2", p.DCut, 5); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 5; k++ {
+		resp, err := s.AppendPoints("s2", rows(d.Points, 600+40*k, 640+40*k, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.IndexUpdated {
+			t.Fatalf("append %d did not slide the resident index", k)
+		}
+	}
+	if st := s.Stats(); st.IndexBuilds != 1 || st.IndexUpdates != 5 || st.PersistErrors != 0 {
+		t.Errorf("builds=%d updates=%d persist errors=%d, want 1/5/0", st.IndexBuilds, st.IndexUpdates, st.PersistErrors)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "indexes", "*")); len(files) != 0 {
+		t.Errorf("index files written: %v", files)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"indexes"`)) {
+		t.Errorf("manifest lists indexes:\n%s", raw)
+	}
+}
+
+// TestRestoreLegacyIndexDataDir: a data dir written by an older version
+// holds a kind-3 density-index snapshot under indexes/ and an indexes
+// list in its manifest. It still restores every dataset and model, the
+// index is rebuilt on demand, and the next manifest save drops the list.
+func TestRestoreLegacyIndexDataDir(t *testing.T) {
+	dir := t.TempDir()
+	d, p := fixture(t, 400)
+	queries := d.Points.Rows()[:64]
+	algs := []string{"Ex-DPC", "Approx-DPC"}
+	s1 := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if _, err := s1.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]int32{}
+	for _, alg := range algs {
+		labels, _, err := s1.Assign("s2", alg, p, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[alg] = labels
+	}
+
+	// Add what an older version wrote beside them.
+	if err := os.MkdirAll(filepath.Join(dir, "indexes"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dsImage := s1.ReplicationSnapshots("s2")[0]
+	const legacy = "indexes/00000000deadbeef-v1.snap"
+	if err := os.WriteFile(filepath.Join(dir, legacy), legacyIndexImage(dsImage), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["indexes"] = []map[string]any{{"dataset": "s2", "version": 1, "dcut_max": 1.5 * p.DCut, "file": legacy}}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if st := s2.Stats(); st.DatasetsRestored != 1 || st.ModelsRestored != len(algs) {
+		t.Fatalf("restored %d datasets / %d models, want 1/%d", st.DatasetsRestored, st.ModelsRestored, len(algs))
+	}
+	for _, alg := range algs {
+		labels, fr, err := s2.Assign("s2", alg, p, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fr.CacheHit {
+			t.Errorf("%s refitted after the restart", alg)
+		}
+		labelsEqual(t, alg, labels, want[alg])
+	}
+	if g, err := s2.DecisionGraph("s2", p.DCut, 5); err != nil || g.IndexReused {
+		t.Fatalf("decision graph after restart: %v (index reused: %v), want a rebuild", err, g != nil && g.IndexReused)
+	}
+
+	if _, err := s2.PutDataset("other", geom.MustFromRows(rows(d.Points, 0, 50, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"indexes"`)) {
+		t.Errorf("the next manifest save kept the indexes list:\n%s", raw)
 	}
 }

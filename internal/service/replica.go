@@ -5,21 +5,22 @@ import (
 
 	"repro/api"
 	"repro/internal/core"
-	"repro/internal/densindex"
 	"repro/internal/kdtree"
 	"repro/internal/persist"
 )
 
-// Warm state comes from snapshots, never from a refit: a dataset, a
-// fitted model (its Result; the kd-tree is rebuilt) or a density index,
-// each in the persist snapshot format. Restart (New), ring rebalance
-// (Reconcile) and replication (InstallSnapshot) all pass every snapshot,
-// datasets first, then indexes, then models, through the one installer
-// per kind below; only the snapshot's source differs. Replication is
-// snapshot shipping, not consensus: fitted models are immutable and
-// datasets are versioned, so the primary for a key encodes the same
-// images it writes to its own disk and POSTs them to the key's
-// replicas. Installs never count as cache misses, and they are
+// Warm state comes from snapshots, never from a refit: a dataset or a
+// fitted model (its Result; the kd-tree is rebuilt), each in the persist
+// snapshot format. Restart (New), ring rebalance (Reconcile) and
+// replication (InstallSnapshot) all pass every snapshot, datasets first,
+// then models, through the one installer per kind below; only the
+// snapshot's source differs. A density index is derived state: it is
+// never written or shipped, and the first decision-graph or sweep
+// request after a restart or a promotion rebuilds it from its dataset.
+// Replication is snapshot shipping, not consensus: fitted models are
+// immutable and datasets are versioned, so the primary for a key
+// encodes the same images it writes to its own disk and POSTs them to
+// the key's replicas. Installs never count as cache misses, and they are
 // idempotent and version-ordered, which makes re-shipping after
 // membership changes (the router's self-heal pass) safe to do eagerly.
 
@@ -45,11 +46,12 @@ const (
 	fromPrimary
 )
 
-// InstallSnapshot decodes one shipped snapshot image (dataset, index or
-// model) and installs it as warm local state. Stale ships — an older
-// dataset version, an index or model for a version no longer resident —
-// are refused or no-oped rather than regressing local state, so replays
-// from a lagging primary are harmless.
+// InstallSnapshot decodes one shipped snapshot image (dataset or model)
+// and installs it as warm local state. Stale ships — an older dataset
+// version, a model for a version no longer resident — are refused or
+// no-oped rather than regressing local state, so replays from a lagging
+// primary are harmless. An index image from an older peer (kind 3) is
+// refused as an unknown kind.
 func (s *Service) InstallSnapshot(raw []byte) (api.InstallResult, error) {
 	snap, err := persist.DecodeSnapshot(raw)
 	if err != nil {
@@ -60,8 +62,6 @@ func (s *Service) InstallSnapshot(raw []byte) (api.InstallResult, error) {
 		return s.installDataset(sn, fromPrimary)
 	case *persist.ModelSnapshot:
 		return s.installModel(sn, fromPrimary)
-	case *persist.IndexSnapshot:
-		return s.installIndex(sn, fromPrimary)
 	default:
 		return api.InstallResult{}, fmt.Errorf("service: unknown snapshot type %T", snap)
 	}
@@ -70,9 +70,9 @@ func (s *Service) InstallSnapshot(raw []byte) (api.InstallResult, error) {
 // warmLoad installs the snapshots persist read from this node's own
 // store, in install order, and reports how many datasets and models
 // landed. A snapshot the installer refuses (its dataset was damaged or
-// has moved on) is logged and skipped: it costs one refit or rebuild on
-// demand, never a failed startup.
-func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, idxs []*persist.IndexSnapshot, models []*persist.ModelSnapshot) (datasetsLoaded, modelsLoaded int) {
+// has moved on) is logged and skipped: it costs one refit on demand,
+// never a failed startup.
+func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, models []*persist.ModelSnapshot) (datasetsLoaded, modelsLoaded int) {
 	landed := func(res api.InstallResult, err error) bool {
 		if err != nil {
 			s.store.Log("service: skipping %s %s v%d: %v", res.Kind, res.Dataset, res.Version, err)
@@ -83,9 +83,6 @@ func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, idxs []*persist.Index
 		if landed(s.installDataset(sn, fromDisk)) {
 			datasetsLoaded++
 		}
-	}
-	for _, sn := range idxs {
-		landed(s.installIndex(sn, fromDisk))
 	}
 	for _, sn := range models {
 		if landed(s.installModel(sn, fromDisk)) {
@@ -137,61 +134,26 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource
 	return res, nil
 }
 
-// installTarget returns the resident dataset an index or model snapshot
-// attaches to. It must be resident at the snapshot's exact version and
-// hold the very points the snapshot was computed on: installs run
-// datasets first, so anything else means the snapshot is stale (or its
-// dataset snapshot was lost) and is refused.
-func (s *Service) installTarget(kind, name string, version, fingerprint uint64) (*datasetEntry, error) {
+// installModel rebuilds a model snapshot against its resident dataset —
+// core.Restore re-derives only the assigner's kd-tree, sharing the
+// dataset's resident index tree when one is built — and puts it in the
+// cache as a completed entry. The dataset must be resident at the
+// snapshot's exact version and hold the very points the model was
+// fitted on: installs run datasets first, so anything else means the
+// snapshot is stale (or its dataset snapshot was lost) and is refused.
+func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (api.InstallResult, error) {
+	name, version := sn.Key.Dataset, sn.Key.Version
+	res := api.InstallResult{Kind: "model", Dataset: name, Version: version}
 	s.mu.RLock()
 	e, ok := s.datasets[name]
 	s.mu.RUnlock()
 	switch {
 	case !ok:
-		return nil, fmt.Errorf("service: %s snapshot for absent dataset %q", kind, name)
+		return res, fmt.Errorf("service: model snapshot for absent dataset %q", name)
 	case e.version != version:
-		return nil, fmt.Errorf("service: %s snapshot for %q v%d but resident version is v%d", kind, name, version, e.version)
-	case e.fingerprint() != fingerprint:
-		return nil, fmt.Errorf("service: %s snapshot for %q v%d computed on different points (fingerprint mismatch)", kind, name, version)
-	}
-	return e, nil
-}
-
-// installIndex adopts a density-index snapshot, so decision-graph and
-// sweep requests (and index re-cuts) skip the build. FromParts
-// re-validates the CSR invariants, so a damaged or forged snapshot costs
-// one rebuild on demand, nothing more. Index installs are never
-// persisted again: a replica that restarts without the index rebuilds
-// it on demand.
-func (s *Service) installIndex(sn *persist.IndexSnapshot, src snapshotSource) (api.InstallResult, error) {
-	res := api.InstallResult{Kind: "index", Dataset: sn.Dataset, Version: sn.Version}
-	e, err := s.installTarget(res.Kind, sn.Dataset, sn.Version, sn.DatasetFingerprint)
-	if err != nil {
-		return res, err
-	}
-	idx, err := densindex.FromParts(e.points, sn.DCutMax, sn.Start, sn.IDs, sn.Sq)
-	if err != nil {
-		return res, fmt.Errorf("service: rebuilding index for %q: %w", sn.Dataset, err)
-	}
-	if !s.adoptIndex(sn.Dataset, sn.Version, idx) {
-		return res, nil // a resident index already covers at least this ceiling
-	}
-	res.Installed = true
-	if src == fromDisk {
-		s.indexesRestored.Add(1)
-	}
-	return res, nil
-}
-
-// installModel rebuilds a model snapshot against its resident dataset —
-// core.Restore re-derives only the assigner's kd-tree, sharing the
-// dataset's resident index tree when one is installed — and puts it in
-// the cache as a completed entry.
-func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (api.InstallResult, error) {
-	res := api.InstallResult{Kind: "model", Dataset: sn.Key.Dataset, Version: sn.Key.Version}
-	e, err := s.installTarget(res.Kind, sn.Key.Dataset, sn.Key.Version, sn.DatasetFingerprint)
-	if err != nil {
-		return res, err
+		return res, fmt.Errorf("service: model snapshot for %q v%d but resident version is v%d", name, version, e.version)
+	case e.fingerprint() != sn.DatasetFingerprint:
+		return res, fmt.Errorf("service: model snapshot for %q v%d computed on different points (fingerprint mismatch)", name, version)
 	}
 	// Workers is zeroed in the snapshot; in memory it is this host's policy.
 	key := modelKey{
@@ -230,14 +192,11 @@ func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (a
 }
 
 // ReplicationSnapshots encodes everything a replica needs for one
-// resident dataset, in install order: the dataset snapshot, then — when
-// a density index for the current version is resident and ready — that
-// index's snapshot, so a promoted replica serves decision-graph and
-// sweep requests without re-paying the build and its models share the
-// index's kd-tree, then one model snapshot per completed cache entry
-// fitted on the current version. nil when the dataset is not resident.
-// In-flight fits and builds are skipped — they ship when they finish
-// via the router's post-write replication.
+// resident dataset, in install order: the dataset snapshot, then one
+// model snapshot per completed cache entry fitted on the current
+// version. nil when the dataset is not resident. In-flight fits are
+// skipped — they ship when they finish via the router's post-write
+// replication.
 func (s *Service) ReplicationSnapshots(name string) [][]byte {
 	s.mu.RLock()
 	e, ok := s.datasets[name]
@@ -246,11 +205,6 @@ func (s *Service) ReplicationSnapshots(name string) [][]byte {
 		return nil
 	}
 	out := [][]byte{persist.EncodeDataset(name, e.version, e.points)}
-	// Only a ready index built on exactly this version ships; otherwise
-	// (absent, in flight, failed, stale) a replica rebuilds on demand.
-	if idx, ok := s.residentIndex(name, e.version, 0); ok {
-		out = append(out, persist.EncodeIndex(indexImage(name, e, idx)))
-	}
 	for _, cm := range s.cache.completed(name, e.version) {
 		pk := persist.ModelKey{
 			Dataset:   cm.key.dataset,

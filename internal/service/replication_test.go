@@ -465,8 +465,8 @@ func TestInstallNewerDatasetDropsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := primary.ReplicationSnapshots("ds")
-	if len(v1) != 2 {
-		t.Fatalf("primary exported %d snapshots at v1, want dataset+index", len(v1))
+	if len(v1) != 1 {
+		t.Fatalf("primary exported %d snapshots at v1, want the dataset alone", len(v1))
 	}
 	d2 := data.SSet(2, 350, 2)
 	if _, err := primary.PutDataset("ds", d2.Points); err != nil {
@@ -478,13 +478,15 @@ func TestInstallNewerDatasetDropsIndex(t *testing.T) {
 	}
 
 	replica := New(Options{Workers: 1})
-	for i, raw := range v1 {
-		if res, err := replica.InstallSnapshot(raw); err != nil || !res.Installed {
-			t.Fatalf("install v1 snapshot %d: %+v, %v", i, res, err)
-		}
+	if res, err := replica.InstallSnapshot(v1[0]); err != nil || !res.Installed {
+		t.Fatalf("install v1 dataset: %+v, %v", res, err)
+	}
+	// The replica builds its own index on its first decision graph.
+	if _, err := replica.DecisionGraph("ds", d1.DCut, 5); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := replica.residentIndex("ds", 1, d1.DCut); !ok {
-		t.Fatal("v1 index not resident after its install")
+		t.Fatal("v1 index not resident after the replica's decision graph")
 	}
 	if res, err := replica.InstallSnapshot(v2[0]); err != nil || !res.Installed {
 		t.Fatalf("install v2 dataset: %+v, %v", res, err)
@@ -497,12 +499,12 @@ func TestInstallNewerDatasetDropsIndex(t *testing.T) {
 	}
 }
 
-// TestReplicationShipsIndexBeforeModels: snapshots ship in install
-// order — dataset, index, models — so a replica's models are rebuilt on
-// the shipped index's kd-tree. The replica, and a restart over the
+// TestReplicationShipsDatasetThenModels: a primary ships the dataset
+// image and then one image per cached model, in install order, and
+// nothing for its density index. The replica, and a restart over the
 // primary's snapshot directory, assign the primary's labels exactly,
 // with zero fits and zero index builds.
-func TestReplicationShipsIndexBeforeModels(t *testing.T) {
+func TestReplicationShipsDatasetThenModels(t *testing.T) {
 	dir := t.TempDir()
 	d, p := fixture(t, 500)
 	queries := d.Points.Rows()[:128]
@@ -532,13 +534,13 @@ func TestReplicationShipsIndexBeforeModels(t *testing.T) {
 		}
 		kinds = append(kinds, res.Kind)
 	}
-	if got := strings.Join(kinds, ","); got != "dataset,index,model,model" {
-		t.Errorf("shipped kinds %s, want dataset,index,model,model", got)
+	if got := strings.Join(kinds, ","); got != "dataset,model,model" {
+		t.Errorf("shipped kinds %s, want dataset,model,model", got)
 	}
 	restarted := New(Options{Workers: 1, Store: openStore(t, dir)})
-	if st := restarted.Stats(); st.DatasetsRestored != 1 || st.IndexesRestored != 1 || st.ModelsRestored != len(algs) {
-		t.Fatalf("restart restored %d/%d/%d datasets/indexes/models, want 1/1/%d",
-			st.DatasetsRestored, st.IndexesRestored, st.ModelsRestored, len(algs))
+	if st := restarted.Stats(); st.DatasetsRestored != 1 || st.ModelsRestored != len(algs) {
+		t.Fatalf("restart restored %d/%d datasets/models, want 1/%d",
+			st.DatasetsRestored, st.ModelsRestored, len(algs))
 	}
 	for name, s := range map[string]*Service{"replica": replica, "restart": restarted} {
 		for _, alg := range algs {
@@ -557,12 +559,14 @@ func TestReplicationShipsIndexBeforeModels(t *testing.T) {
 	}
 }
 
-// TestReplicateShipsModelsPastRefusedIndex: the index ships before the
-// models, so a replica that answers and refuses the index image (one
-// over its upload cap, say) must still be sent the models behind it —
-// they install without an index. Only an unreachable replica ends its
-// batch early.
+// TestReplicateShipsModelsPastRefusedIndex: a replica that answers and
+// refuses one image of a primary's batch is still sent the rest of it;
+// only an unreachable replica ends its batch early. The replica's side
+// of the same rule: it answers a legacy density-index image (kind 3,
+// which an older primary ships between the dataset and its models) with
+// a typed 4xx, and still installs the model images behind it.
 func TestReplicateShipsModelsPastRefusedIndex(t *testing.T) {
+	// The fake replica refuses the Approx-DPC model image.
 	replica := New(Options{Workers: 1})
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		raw, err := io.ReadAll(r.Body)
@@ -571,7 +575,7 @@ func TestReplicateShipsModelsPastRefusedIndex(t *testing.T) {
 			return
 		}
 		if snap, _ := persist.DecodeSnapshot(raw); snap != nil {
-			if _, ok := snap.(*persist.IndexSnapshot); ok {
+			if m, ok := snap.(*persist.ModelSnapshot); ok && m.Key.Algorithm == "Approx-DPC" {
 				writeError(w, http.StatusRequestEntityTooLarge, errors.New("snapshot over the upload cap"))
 				return
 			}
@@ -595,18 +599,40 @@ func TestReplicateShipsModelsPastRefusedIndex(t *testing.T) {
 	if _, err := primary.PutDataset("ds", d.Points); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := primary.DecisionGraph("ds", p.DCut, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := primary.Fit("ds", "Approx-DPC", p); err != nil {
-		t.Fatal(err)
+	for _, alg := range []string{"Approx-DPC", "Ex-DPC"} {
+		if _, err := primary.Fit("ds", alg, p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rt.replicate("ds", []string{self, fake.URL})
-
 	if got := rt.replicationErrors.Load(); got != 1 {
-		t.Errorf("%d ship errors, want 1 (the refused index)", got)
+		t.Errorf("%d ship errors, want 1 (the refused model)", got)
 	}
 	if st := replica.Stats(); st.DatasetsReplicated != 1 || st.ModelsReplicated != 1 {
 		t.Errorf("replica installed %d datasets / %d models, want 1/1", st.DatasetsReplicated, st.ModelsReplicated)
+	}
+
+	// An older primary's batch, shipped over HTTP to a current replica.
+	snaps := primary.ReplicationSnapshots("ds")
+	if len(snaps) != 3 {
+		t.Fatalf("primary exported %d snapshots, want the dataset and 2 models", len(snaps))
+	}
+	h := startRingRF(t, 1, 1, nil)
+	batch := [][]byte{snaps[0], legacyIndexImage(snaps[0]), snaps[1], snaps[2]}
+	for i, raw := range batch {
+		res, err := h.clients[0].ShipSnapshot(raw)
+		if i == 1 {
+			var ae *api.APIError
+			if !errors.As(err, &ae) || ae.Status < 400 || ae.Status >= 500 {
+				t.Fatalf("legacy index image: %+v, %v; want a typed 4xx", res, err)
+			}
+			continue
+		}
+		if err != nil || !res.Installed {
+			t.Fatalf("image %d: %+v, %v", i, res, err)
+		}
+	}
+	if st := h.svcs[0].Stats(); st.DatasetsReplicated != 1 || st.ModelsReplicated != 2 {
+		t.Errorf("replica installed %d datasets / %d models, want 1/2", st.DatasetsReplicated, st.ModelsReplicated)
 	}
 }

@@ -343,11 +343,11 @@ func (rt *Router) selfHeal() {
 	}
 }
 
-// replicateDataset ships the named dataset plus its completed models and
-// index to the key's live replicas, before the write that changed them
-// is answered. Called by the primary after an upload, an append, a
-// fresh fit or a fresh index build, and by selfHeal after membership
-// changes; a no-op anywhere but the key's primary, and off the ring.
+// replicateDataset ships the named dataset plus its completed models to
+// the key's live replicas, before the write that changed them is
+// answered. Called by the primary after an upload, an append or a fresh
+// fit, and by selfHeal after membership changes; a no-op anywhere but
+// the key's primary, and off the ring.
 func (rt *Router) replicateDataset(name string) {
 	owners := rt.owners(name)
 	if len(owners) == 0 || owners[0] != rt.self {
@@ -378,8 +378,9 @@ func (rt *Router) replicate(name string, owners []string) {
 			rt.replicationErrors.Add(1)
 			// An unreachable replica gets the rest of its batch from the
 			// next self-heal or write. One that answered and refused an
-			// image (an index over the upload cap, say) still takes the
-			// models behind it, which install without an index.
+			// image (a model over its upload cap, say, or an image kind
+			// it does not know) still takes the images behind it: each
+			// model installs on its own.
 			var refused *api.APIError
 			if !errors.As(err, &refused) {
 				break

@@ -142,9 +142,8 @@ type Service struct {
 	assignRequests atomic.Int64
 	pointsAssigned atomic.Int64
 
-	indexBuilds     atomic.Int64
-	indexCuts       atomic.Int64
-	indexesRestored atomic.Int64
+	indexBuilds atomic.Int64
+	indexCuts   atomic.Int64
 
 	// Drift subsystem (see drift.go): per-lineage serving state keyed by
 	// (dataset, algorithm, params) — deliberately not version — plus the
@@ -186,10 +185,11 @@ func dsInfo(name string, ds *geom.Dataset) api.DatasetInfo {
 }
 
 // New creates a service. With Options.Store set it warm-loads the
-// dataset registry, the density indexes and the model cache from the
-// snapshot directory — the kd-trees are rebuilt, the clustering itself
-// is not re-run. Damaged snapshots are skipped and logged; they cost a
-// refit or rebuild on first request, nothing more.
+// dataset registry and the model cache from the snapshot directory —
+// the kd-trees are rebuilt, the clustering itself is not re-run; a
+// density index is rebuilt by the first request that needs it. Damaged
+// snapshots are skipped and logged; they cost a refit on first request,
+// nothing more.
 func New(opts Options) *Service {
 	s := &Service{
 		opts:      opts,
@@ -201,7 +201,7 @@ func New(opts Options) *Service {
 	}
 	if opts.Store != nil {
 		s.store = opts.Store
-		dss, idxs, models := opts.Store.RestoreOwned(opts.Owns)
+		dss, models := opts.Store.RestoreOwned(opts.Owns)
 		// More snapshots than cache slots: keep the most recently
 		// persisted (manifest order is persist order), so ModelsRestored
 		// counts what is actually resident and no phantom evictions show
@@ -209,7 +209,7 @@ func New(opts Options) *Service {
 		if cap := opts.cacheSize(); len(models) > cap {
 			models = models[len(models)-cap:]
 		}
-		s.warmLoad(dss, idxs, models)
+		s.warmLoad(dss, models)
 	}
 	return s
 }
@@ -343,35 +343,7 @@ func (s *Service) ensureIndexCeil(name string, needDC, buildDC float64) (idx *de
 		ent.dcMax = ent.idx.DCutMax()
 		close(ent.ready)
 		s.indexBuilds.Add(1)
-		if s.store != nil {
-			s.persistIndex(name, e.version, ent.idx)
-		}
 		return ent.idx, e.version, false, nil
-	}
-}
-
-// persistIndex snapshots a freshly built index so a restart warm-loads
-// it. Failures degrade durability, not serving.
-func (s *Service) persistIndex(name string, version uint64, idx *densindex.Index) {
-	s.mu.RLock()
-	e, ok := s.datasets[name]
-	s.mu.RUnlock()
-	if !ok || e.version != version {
-		return // replaced while building; nothing worth persisting
-	}
-	if err := s.store.SaveIndex(indexImage(name, e, idx)); err != nil {
-		s.persistErrors.Add(1)
-		s.store.Log("service: persisting index %q v%d: %v", name, version, err)
-	}
-}
-
-// indexImage is the snapshot form of idx, built on dataset version e.
-func indexImage(name string, e *datasetEntry, idx *densindex.Index) *persist.IndexSnapshot {
-	dcMax, start, ids, sq := idx.Parts()
-	return &persist.IndexSnapshot{
-		Dataset: name, Version: e.version,
-		DatasetFingerprint: e.fingerprint(),
-		DCutMax:            dcMax, Start: start, IDs: ids, Sq: sq,
 	}
 }
 
@@ -412,8 +384,8 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 	// resident set cannot lose entries meanwhile (evictions only happen
 	// here), so the skip condition stays valid. An upload racing the
 	// reconcile wins at install time: a disk snapshot yields to any
-	// resident dataset, and its indexes and models then fail the
-	// installer's version and fingerprint check.
+	// resident dataset, and its models then fail the installer's version
+	// and fingerprint check.
 	st.DatasetsLoaded, st.ModelsLoaded = s.warmLoad(s.store.RestoreOwned(func(name string) bool {
 		return owns(name) && !resident[name]
 	}))
@@ -537,9 +509,9 @@ type FitResult struct {
 // ClusterDataset pass, later requests hit the LRU cache. algorithm is a
 // paper name resolved against the full ten-algorithm registry. When the
 // dataset's density index is already resident (built by an earlier
-// decision-graph or sweep request, or warm-loaded from a snapshot) and
-// covers the requested d_cut, a covered algorithm's model is derived by
-// an index re-cut instead of a fresh fit.
+// decision-graph or sweep request, or slid by an append) and covers the
+// requested d_cut, a covered algorithm's model is derived by an index
+// re-cut instead of a fresh fit.
 func (s *Service) Fit(dataset, algorithm string, p core.Params) (FitResult, error) {
 	s.fitRequests.Add(1)
 	alg, ok := core.AlgorithmByName(algorithm)
@@ -646,19 +618,14 @@ func (s *Service) Assign(dataset, algorithm string, p core.Params, pts [][]float
 // quantile sketch, one tracker lock per chunk — and kicks the
 // background refit when this chunk trips the tracker.
 func (s *Service) assignChunk(m *core.Model, obs *driftObs, pts [][]float64) ([]int32, error) {
-	if obs == nil || obs.tracker == nil {
-		labels, err := m.AssignAll(pts, s.opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		s.pointsAssigned.Add(int64(len(pts)))
-		return labels, nil
-	}
 	labels, err := m.AssignAll(pts, s.opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	s.pointsAssigned.Add(int64(len(pts)))
+	if obs == nil || obs.tracker == nil {
+		return labels, nil
+	}
 	var halo int64
 	for _, l := range labels {
 		if l == core.NoCluster {
@@ -701,9 +668,8 @@ func (s *Service) Stats() api.Stats {
 		AssignRequests: s.assignRequests.Load(),
 		PointsAssigned: s.pointsAssigned.Load(),
 
-		IndexBuilds:     s.indexBuilds.Load(),
-		IndexCuts:       s.indexCuts.Load(),
-		IndexesRestored: int(s.indexesRestored.Load()),
+		IndexBuilds: s.indexBuilds.Load(),
+		IndexCuts:   s.indexCuts.Load(),
 
 		DatasetsRestored: int(s.datasetsRestored.Load()),
 		ModelsRestored:   int(s.modelsRestored.Load()),

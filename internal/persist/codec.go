@@ -307,13 +307,10 @@ func DecodeSnapshot(raw []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case kindDataset:
-		return decodeDataset(payload)
-	case kindDataset32:
-		return decodeDataset32(payload)
+	if kind == kindModel {
+		return decodeModel(payload)
 	}
-	return decodeModel(payload)
+	return decodeDataset(payload, kind == kindDataset32)
 }
 
 // EncodeDataset produces the canonical snapshot file image for one
@@ -335,7 +332,13 @@ func EncodeDataset(name string, version uint64, ds *geom.Dataset) []byte {
 	return encodeSnapshot(kindDataset, e.buf)
 }
 
-func decodeDataset(payload []byte) (*DatasetSnapshot, error) {
+// decodeDataset decodes a dataset payload; f32 (kind 4) coordinates are
+// float32 bit patterns, kind 1's are float64.
+func decodeDataset(payload []byte, f32 bool) (*DatasetSnapshot, error) {
+	width := uint64(8)
+	if f32 {
+		width = 4
+	}
 	d := &decoder{b: payload}
 	name := d.str()
 	version := d.u64()
@@ -352,47 +355,19 @@ func decodeDataset(payload []byte) (*DatasetSnapshot, error) {
 		if dim > maxSnapshotDim {
 			d.fail("persist: implausible dimensionality %d (max %d)", dim, maxSnapshotDim)
 		}
-		if d.err == nil && n > uint64(len(d.b))/8/uint64(dim) {
+		if d.err == nil && n > uint64(len(d.b))/width/uint64(dim) {
 			d.fail("persist: declared %dx%d coordinates exceed %d remaining bytes", n, dim, len(d.b))
 		}
 	}
-	coords := d.f64s(int(n) * int(dim))
+	ds := &geom.Dataset{N: int(n), Dim: int(dim)}
+	if f32 {
+		ds.Coords32 = d.f32s(ds.N * ds.Dim)
+	} else {
+		ds.Coords = d.f64s(ds.N * ds.Dim)
+	}
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	ds := geom.NewDataset(coords, int(dim))
-	if got := ds.Fingerprint(); got != fp {
-		return nil, fmt.Errorf("persist: dataset fingerprint %#x, snapshot claims %#x", got, fp)
-	}
-	return &DatasetSnapshot{Name: name, Version: version, Points: ds, Fingerprint: fp}, nil
-}
-
-func decodeDataset32(payload []byte) (*DatasetSnapshot, error) {
-	d := &decoder{b: payload}
-	name := d.str()
-	version := d.u64()
-	n := d.u64()
-	dim := d.u32()
-	fp := d.u64()
-	if d.err == nil {
-		if name == "" {
-			d.fail("persist: empty dataset name")
-		}
-		if n == 0 || dim == 0 {
-			d.fail("persist: empty dataset snapshot (n=%d dim=%d)", n, dim)
-		}
-		if dim > maxSnapshotDim {
-			d.fail("persist: implausible dimensionality %d (max %d)", dim, maxSnapshotDim)
-		}
-		if d.err == nil && n > uint64(len(d.b))/4/uint64(dim) {
-			d.fail("persist: declared %dx%d coordinates exceed %d remaining bytes", n, dim, len(d.b))
-		}
-	}
-	coords := d.f32s(int(n) * int(dim))
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	ds := geom.NewDataset32(coords, int(dim))
 	if got := ds.Fingerprint(); got != fp {
 		return nil, fmt.Errorf("persist: dataset fingerprint %#x, snapshot claims %#x", got, fp)
 	}

@@ -42,6 +42,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(corrupt) // CRC mismatch
 	f.Add([]byte("DPS1 but not really a snapshot file"))
 	f.Add([]byte{})
+	f.Add(EncodeDataset("s2", 2, ds.ToFloat32())) // kind 4
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkDecode(t, raw)

@@ -302,11 +302,14 @@ func (s *Store) RestoreOwned(owns func(dataset string) bool) (datasets []*Datase
 }
 
 func (s *Store) readDataset(e manifestDataset) (*DatasetSnapshot, error) {
-	v, err := s.readSnapshot(e.File, kindDataset)
+	v, err := s.readSnapshot(e.File)
 	if err != nil {
 		return nil, err
 	}
-	snap := v.(*DatasetSnapshot)
+	snap, ok := v.(*DatasetSnapshot)
+	if !ok {
+		return nil, fmt.Errorf("file holds a %T, want a dataset snapshot", v)
+	}
 	if snap.Name != e.Name || snap.Version != e.Version {
 		return nil, fmt.Errorf("file holds %q v%d, manifest expects %q v%d", snap.Name, snap.Version, e.Name, e.Version)
 	}
@@ -317,28 +320,24 @@ func (s *Store) readDataset(e manifestDataset) (*DatasetSnapshot, error) {
 }
 
 func (s *Store) readModel(e manifestModel) (*ModelSnapshot, error) {
-	v, err := s.readSnapshot(e.File, kindModel)
+	v, err := s.readSnapshot(e.File)
 	if err != nil {
 		return nil, err
 	}
-	snap := v.(*ModelSnapshot)
+	snap, ok := v.(*ModelSnapshot)
+	if !ok {
+		return nil, fmt.Errorf("file holds a %T, want a model snapshot", v)
+	}
 	if snap.Key != e.key() {
 		return nil, fmt.Errorf("file holds key %+v, manifest expects %+v", snap.Key, e.key())
 	}
 	return snap, nil
 }
 
-func (s *Store) readSnapshot(rel string, wantKind byte) (any, error) {
+func (s *Store) readSnapshot(rel string) (any, error) {
 	raw, err := os.ReadFile(filepath.Join(s.dir, rel))
 	if err != nil {
 		return nil, err
-	}
-	kind, _, err := decodeHeader(raw)
-	if err != nil {
-		return nil, err
-	}
-	if kind != wantKind {
-		return nil, fmt.Errorf("snapshot kind %d, want %d", kind, wantKind)
 	}
 	return DecodeSnapshot(raw)
 }

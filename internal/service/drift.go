@@ -426,10 +426,16 @@ func (s *Service) driftScore() (score float64, models int) {
 // points past Options.Window (<= 0: unbounded), and advances the
 // dataset version — the sliding-window mutation of POST /v1/points.
 // Models fitted on the previous version are purged from the cache but
-// keep serving through their drift pins until a refit lands; the
-// density index is maintained incrementally when resident (full rebuild
-// on demand otherwise). The appended rows are validated like an upload:
-// rectangular, the dataset's dimensionality, no NaN/Inf.
+// keep serving through their drift pins until a refit lands. When the
+// old version's density index is ready, the new version is published
+// with its densindex.Update already attached — expired edges filtered,
+// appended points range-searched against the new version's
+// whole-dataset kd-tree, which the updated index keeps for the refit's
+// cut and its assigner — so no version is ever visible without the
+// index it was derived with; otherwise the new version has none and the
+// first request that needs one builds it. The appended rows are
+// validated like an upload: rectangular, the dataset's dimensionality,
+// no NaN/Inf.
 func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse, error) {
 	if len(pts) == 0 {
 		return api.AppendResponse{}, fmt.Errorf("service: append of zero points")
@@ -468,6 +474,16 @@ func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse
 		expired := expire + (len(pts) - len(keepPts))
 		nds := appendDataset(old, expire, keepPts)
 		newVersion := oldVersion + 1
+		next := &datasetEntry{points: nds, version: newVersion}
+		updated := false
+		if idx, ok := e.residentIndex(0); ok {
+			if up, err := densindex.Update(idx, nds, expire, len(keepPts), s.opts.Workers, s.opts.indexMaxEdges()); err == nil {
+				ready := make(chan struct{})
+				close(ready)
+				next.idx = &indexEntry{dcMax: up.DCutMax(), ready: ready, idx: up}
+				updated = true
+			}
+		}
 
 		s.mu.Lock()
 		cur, still := s.datasets[name]
@@ -475,13 +491,15 @@ func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse
 			s.mu.Unlock()
 			continue // raced a replace/append; revalidate against the new entry
 		}
-		s.datasets[name] = &datasetEntry{points: nds, version: newVersion}
+		s.datasets[name] = next
 		s.mu.Unlock()
 
 		s.cache.purgeStale(name, newVersion)
 		s.pointsAppended.Add(int64(len(keepPts)))
 		s.pointsExpired.Add(int64(expired))
-		updated := s.updateIndex(name, oldVersion, newVersion, nds, expire, len(keepPts))
+		if updated {
+			s.indexUpdates.Add(1)
+		}
 		if s.store != nil {
 			if err := s.store.SaveDataset(name, newVersion, nds); err != nil {
 				s.persistErrors.Add(1)
@@ -520,42 +538,4 @@ func appendDataset(old *geom.Dataset, expire int, pts [][]float64) *geom.Dataset
 		coords = append(coords, p...)
 	}
 	return &geom.Dataset{Coords: coords, N: n, Dim: dim}
-}
-
-// updateIndex maintains the dataset's density index across an append:
-// when an index is resident (ready, at the pre-append version) it is
-// updated incrementally — expired edges filtered, appended points
-// range-searched against the new version's whole-dataset kd-tree,
-// which the updated index keeps for the refit's cut and its assigner —
-// and the result adopted at the new version; any other state drops the
-// index (rebuilt on demand, the correctness fallback). Reports whether
-// the incremental update succeeded.
-func (s *Service) updateIndex(name string, oldVersion, newVersion uint64, nds *geom.Dataset, expired, appended int) bool {
-	s.indexMu.Lock()
-	ent := s.indexes[name]
-	s.indexMu.Unlock()
-	if ent == nil || ent.version != oldVersion {
-		s.dropIndex(name)
-		return false
-	}
-	select {
-	case <-ent.ready:
-	default:
-		s.dropIndex(name) // still building for the replaced version
-		return false
-	}
-	if ent.err != nil || ent.idx == nil {
-		s.dropIndex(name)
-		return false
-	}
-	idx, err := densindex.Update(ent.idx, nds, expired, appended, s.opts.Workers, s.opts.indexMaxEdges())
-	if err != nil {
-		s.dropIndex(name)
-		return false
-	}
-	if !s.adoptIndex(name, newVersion, idx) {
-		return false
-	}
-	s.indexUpdates.Add(1)
-	return true
 }

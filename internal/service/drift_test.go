@@ -449,18 +449,32 @@ func TestAppendPointsWindow(t *testing.T) {
 }
 
 // TestAppendMaintainsIndex requires a resident density index to survive
-// an append incrementally — and re-cuts of the updated index to match a
-// fresh fit on the new window, the index's usual byte-identity bar.
+// an append incrementally — the new version is published already
+// indexed, so its first covered fits are re-cuts and no build is paid —
+// and re-cuts of the updated index to match a fresh fit on the new
+// window, the index's usual byte-identity bar. An append with no ready
+// index publishes a version without one, and the next decision graph
+// builds it once.
 func TestAppendMaintainsIndex(t *testing.T) {
 	d, p := fixture(t, 800)
 	s := New(Options{Workers: 2, Window: int64(d.Points.N)})
 	if _, err := s.PutDataset("s2", d.Points); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DecisionGraph("s2", p.DCut, 0); err != nil {
+	resp, err := s.AppendPoints("s2", rows(d.Points, 0, 20, 2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.AppendPoints("s2", rows(d.Points, 0, 50, 1))
+	if resp.IndexUpdated {
+		t.Fatalf("append with no index claims an update: %+v", resp)
+	}
+	if g, err := s.DecisionGraph("s2", p.DCut, 0); err != nil || g.IndexReused {
+		t.Fatalf("decision graph after an unindexed append: reused=%v, err %v", g != nil && g.IndexReused, err)
+	}
+	if st := s.Stats(); st.IndexBuilds != 1 || st.IndexUpdates != 0 {
+		t.Fatalf("builds=%d updates=%d, want 1/0", st.IndexBuilds, st.IndexUpdates)
+	}
+	resp, err = s.AppendPoints("s2", rows(d.Points, 0, 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,6 +483,9 @@ func TestAppendMaintainsIndex(t *testing.T) {
 	}
 	if st := s.Stats(); st.IndexUpdates != 1 {
 		t.Fatalf("IndexUpdates = %d", st.IndexUpdates)
+	}
+	if fr, err := s.Fit("s2", "Ex-DPC", p); err != nil || !fr.IndexCut {
+		t.Fatalf("first Ex-DPC fit of the appended version: IndexCut=%v, err %v", fr.IndexCut, err)
 	}
 	// A fit served by an index re-cut must agree with a fresh fit of the
 	// same algorithm on the appended window.
@@ -498,6 +515,12 @@ func TestAppendMaintainsIndex(t *testing.T) {
 		if got[i] != want.Labels[i] {
 			t.Fatalf("label[%d] = %d, want %d (index update diverged from fresh fit)", i, got[i], want.Labels[i])
 		}
+	}
+	if !fr.IndexCut {
+		t.Error("Scan fit of the appended version was not an index re-cut")
+	}
+	if st := s.Stats(); st.IndexBuilds != 1 || st.CacheMisses != 0 {
+		t.Errorf("builds=%d fits=%d after the indexed append, want 1/0", st.IndexBuilds, st.CacheMisses)
 	}
 }
 
@@ -546,8 +569,10 @@ func TestAppendDuringStream(t *testing.T) {
 }
 
 // TestDriftConcurrentRace exercises the whole drift surface at once —
-// batch assigns, streams, window appends, drift reads, stats — so the
-// race detector can see the hot path and the refit machinery colliding.
+// batch assigns, streams, window appends, decision graphs (building the
+// index slot that appends carry forward and fits re-cut), drift reads,
+// stats — so the race detector can see the hot path and the refit
+// machinery colliding.
 func TestDriftConcurrentRace(t *testing.T) {
 	cfg := driftConfig()
 	cfg.Cooldown = time.Millisecond // allow repeated refits
@@ -609,6 +634,14 @@ func TestDriftConcurrentRace(t *testing.T) {
 			_, err := s.AppendPoints("s2", rows(d.Points, 0, 50, 1e7))
 			record(err)
 			time.Sleep(time.Millisecond)
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			_, err := s.DecisionGraph("s2", p.DCut, 10)
+			record(err)
 		}
 	}()
 	wg.Add(1)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/persist"
 )
 
 // snapHeaderSize is the length of the persist snapshot container header:
@@ -74,6 +75,8 @@ func FuzzInstallSnapshot(f *testing.F) {
 	f.Add(snaps[0][:len(snaps[0])/2])
 	f.Add([]byte("not a snapshot"))
 	f.Add(legacyIndexImage(snaps[0]))
+	// An f32 (kind-4) image of a newer version: it installs.
+	f.Add(persist.EncodeDataset("ds", 3, d.Points.ToFloat32()))
 
 	install := func(t *testing.T, raw []byte) {
 		s := New(Options{Workers: 1})

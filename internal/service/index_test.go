@@ -6,7 +6,34 @@ import (
 
 	"repro/api"
 	"repro/internal/core"
+	"repro/internal/densindex"
 )
+
+// residentIndex returns the density index on the named dataset's
+// registry entry if the entry is at version and the index is built and
+// covers dcut.
+func (s *Service) residentIndex(name string, version uint64, dcut float64) (*densindex.Index, bool) {
+	s.mu.RLock()
+	e, ok := s.datasets[name]
+	s.mu.RUnlock()
+	if !ok || e.version != version {
+		return nil, false
+	}
+	return e.residentIndex(dcut)
+}
+
+// graphsEqual compares two decision graphs point for point, bit for bit.
+func graphsEqual(t *testing.T, what string, got, want *api.DecisionGraphResponse) {
+	t.Helper()
+	if got.N != want.N || len(got.Points) != len(want.Points) {
+		t.Fatalf("%s: %d/%d points, want %d/%d", what, got.N, len(got.Points), want.N, len(want.Points))
+	}
+	for i := range want.Points {
+		if got.Points[i] != want.Points[i] {
+			t.Fatalf("%s: point %d is %+v, want %+v", what, i, got.Points[i], want.Points[i])
+		}
+	}
+}
 
 // labelsEqual compares full label vectors.
 func labelsEqual(t *testing.T, what string, got, want []int32) {
@@ -371,6 +398,42 @@ func TestReuploadDropsIndex(t *testing.T) {
 	if g.N != d2.Points.N {
 		t.Errorf("graph over %d points, want %d", g.N, d2.Points.N)
 	}
+	if st := s.Stats(); st.IndexBuilds != 2 {
+		t.Errorf("builds=%d, want 2", st.IndexBuilds)
+	}
+}
+
+// TestReconcileReloadRebuildsIndex: a rebalance that evicts a dataset
+// takes its density index with the evicted registry entry. When the
+// dataset is loaded back from disk, the next decision graph builds
+// exactly one new index and answers what the evicted one did.
+func TestReconcileReloadRebuildsIndex(t *testing.T) {
+	d, p := fixture(t, 500)
+	s := New(Options{Workers: 2, Store: openStore(t, t.TempDir())})
+	if _, err := s.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	g1, err := s.DecisionGraph("s2", p.DCut, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Reconcile(func(string) bool { return false }); st.DatasetsEvicted != 1 {
+		t.Fatalf("evict: %+v", st)
+	}
+	if _, err := s.DecisionGraph("s2", p.DCut, 0); err == nil {
+		t.Fatal("decision graph served an evicted dataset")
+	}
+	if st := s.Reconcile(func(string) bool { return true }); st.DatasetsLoaded != 1 {
+		t.Fatalf("reload: %+v", st)
+	}
+	g2, err := s.DecisionGraph("s2", p.DCut, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.IndexReused {
+		t.Error("decision graph after the reload reused the evicted index")
+	}
+	graphsEqual(t, "graph after reload", g2, g1)
 	if st := s.Stats(); st.IndexBuilds != 2 {
 		t.Errorf("builds=%d, want 2", st.IndexBuilds)
 	}

@@ -83,6 +83,46 @@ func TestRestartServesWithoutRefit(t *testing.T) {
 	}
 }
 
+// TestRestartRestoresF32Dataset: an f32 dataset, saved as a kind-4
+// snapshot, restores at its precision after a restart, and the Ex-DPC
+// model fitted on it warm-loads and serves the same labels with no fit.
+func TestRestartRestoresF32Dataset(t *testing.T) {
+	dir := t.TempDir()
+	d, p := fixture(t, 600)
+	pts := d.Points.ToFloat32()
+	queries := d.Points.Rows()[:128]
+
+	s1 := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if _, err := s1.PutDataset("f", pts); err != nil {
+		t.Fatal(err)
+	}
+	want, fr1, err := s1.Assign("f", "Ex-DPC", p, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if st := s2.Stats(); st.DatasetsRestored != 1 || st.ModelsRestored != 1 {
+		t.Fatalf("restored %d datasets / %d models, want 1/1", st.DatasetsRestored, st.ModelsRestored)
+	}
+	got, ok := s2.Dataset("f")
+	if !ok || got.Precision() != "f32" || got.Fingerprint() != pts.Fingerprint() {
+		t.Fatalf("dataset not restored bit-identically at f32 (resident %v)", ok)
+	}
+	labels, fr2, err := s2.Assign("f", "Ex-DPC", p, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fr2.CacheHit {
+		t.Error("Ex-DPC after restart missed the cache")
+	}
+	labelsEqual(t, "assign after restart", labels, want)
+	labelsEqual(t, "restored model", fr2.Model.Result().Labels, fr1.Model.Result().Labels)
+	if st := s2.Stats(); st.CacheMisses != 0 {
+		t.Errorf("restarted service performed %d fits, want 0", st.CacheMisses)
+	}
+}
+
 // TestRestartEndToEndHTTP drives the restart through the real JSON API:
 // upload a CSV, fit, restart, and check /v1/assign reports a cache hit
 // and /v1/stats reports zero fit passes.

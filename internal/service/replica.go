@@ -96,8 +96,9 @@ func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, models []*persist.Mod
 // yields to any resident entry; from a primary it lands unless an
 // equal-or-newer version is resident — versions are assigned by the
 // key's primary and travel with every snapshot, so replicas order ships
-// without any clock. A fresh install purges the cached models and the
-// density index of the version it replaces, as PutDataset does.
+// without any clock. A fresh install purges the cached models of the
+// version it replaces, as PutDataset does; the replaced entry takes its
+// density index with it.
 func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource) (api.InstallResult, error) {
 	res := api.InstallResult{Kind: "dataset", Dataset: sn.Name, Version: sn.Version}
 	s.mu.Lock()
@@ -118,7 +119,6 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource
 	s.datasets[sn.Name] = e
 	s.mu.Unlock()
 	s.cache.purgeStale(sn.Name, sn.Version)
-	s.dropIndex(sn.Name)
 	res.Installed = true
 	if src == fromDisk {
 		s.datasetsRestored.Add(1)
@@ -166,7 +166,7 @@ func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (a
 		return res, nil
 	}
 	var tree *kdtree.Tree
-	if idx, ok := s.residentIndex(sn.Key.Dataset, sn.Key.Version, 0); ok {
+	if idx, ok := e.residentIndex(0); ok {
 		tree = idx.Tree()
 	}
 	m, err := core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime, tree)

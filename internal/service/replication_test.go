@@ -453,8 +453,8 @@ func TestOwnsFuncMatchesRouter(t *testing.T) {
 
 // TestInstallNewerDatasetDropsIndex: a replica that installs a newer
 // dataset version forgets the replaced version's density index at once,
-// as PutDataset does. Kept resident, the old index would pin the old
-// rows and their kd-tree until a rebuild replaced it.
+// as PutDataset does: its next decision graph builds exactly one new
+// index, over the new points, and answers what the primary does.
 func TestInstallNewerDatasetDropsIndex(t *testing.T) {
 	d1 := data.SSet(2, 300, 1)
 	primary := New(Options{Workers: 1})
@@ -485,18 +485,24 @@ func TestInstallNewerDatasetDropsIndex(t *testing.T) {
 	if _, err := replica.DecisionGraph("ds", d1.DCut, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := replica.residentIndex("ds", 1, d1.DCut); !ok {
-		t.Fatal("v1 index not resident after the replica's decision graph")
-	}
 	if res, err := replica.InstallSnapshot(v2[0]); err != nil || !res.Installed {
 		t.Fatalf("install v2 dataset: %+v, %v", res, err)
 	}
-	replica.indexMu.Lock()
-	_, kept := replica.indexes["ds"]
-	replica.indexMu.Unlock()
-	if kept {
-		t.Error("the replaced version's index is still resident after the v2 install")
+	got, err := replica.DecisionGraph("ds", d1.DCut, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.IndexReused {
+		t.Error("decision graph after the v2 install reused the replaced version's index")
+	}
+	if st := replica.Stats(); st.IndexBuilds != 2 {
+		t.Errorf("replica paid %d index builds, want 2", st.IndexBuilds)
+	}
+	want, err := primary.DecisionGraph("ds", d1.DCut, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, "replica graph at v2", got, want)
 }
 
 // TestReplicationShipsDatasetThenModels: a primary ships the dataset

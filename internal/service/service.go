@@ -114,12 +114,6 @@ type Service struct {
 
 	cache *modelCache
 
-	// indexMu guards indexes: at most one density index per dataset,
-	// built single-flight (the entry is inserted before the build runs,
-	// so concurrent requests join it instead of building again).
-	indexMu sync.Mutex
-	indexes map[string]*indexEntry
-
 	// streamSem bounds concurrent label streams; each stream holds one
 	// slot from just after its fit until it finishes.
 	streamSem chan struct{}
@@ -170,6 +164,13 @@ type datasetEntry struct {
 	// it. A dataset installed from a snapshot takes the snapshot's.
 	fpOnce sync.Once
 	fp     uint64
+
+	// idxMu guards idx, this version's density index: at most one, built
+	// single-flight (the slot is set before the build runs, so concurrent
+	// requests join it instead of building again). Replacing or evicting
+	// the entry drops its index with it.
+	idxMu sync.Mutex
+	idx   *indexEntry
 }
 
 func (e *datasetEntry) fingerprint() uint64 {
@@ -195,7 +196,6 @@ func New(opts Options) *Service {
 		opts:      opts,
 		datasets:  make(map[string]*datasetEntry),
 		cache:     newModelCache(opts.cacheSize()),
-		indexes:   make(map[string]*indexEntry),
 		drifts:    make(map[driftKey]*driftState),
 		streamSem: make(chan struct{}, opts.maxStreams()),
 	}
@@ -214,51 +214,28 @@ func New(opts Options) *Service {
 	return s
 }
 
-// indexEntry is one dataset's density index, single-flight like a cache
-// entry: it is inserted (with ready open) before the build runs, so
-// concurrent requests wait on ready instead of building twice. A failed
-// build removes the entry; the next request retries.
+// indexEntry is one dataset version's density index, single-flight like
+// a cache entry: it is set on its datasetEntry (with ready open) before
+// the build runs, so concurrent requests wait on ready instead of
+// building twice. A failed build clears the slot; the next request
+// retries. dcMax is read and written under the entry's idxMu; idx and
+// err are written once, before ready closes.
 type indexEntry struct {
-	version uint64
-	dcMax   float64 // build ceiling; == idx.DCutMax() once ready
-	ready   chan struct{}
-	idx     *densindex.Index
-	err     error
+	dcMax float64 // build ceiling; == idx.DCutMax() once ready
+	ready chan struct{}
+	idx   *densindex.Index
+	err   error
 }
 
-// dropIndex forgets a dataset's resident index (re-upload, eviction).
-// An in-flight build keeps running for its waiters but its result is no
-// longer reachable.
-func (s *Service) dropIndex(name string) {
-	s.indexMu.Lock()
-	delete(s.indexes, name)
-	s.indexMu.Unlock()
-}
-
-// adoptIndex installs an already-validated index as the dataset's
-// resident entry, unless one at least as capable (same version, ceiling
-// covering the newcomer's) is already resident or in flight. Reports
-// whether the index was adopted.
-func (s *Service) adoptIndex(name string, version uint64, idx *densindex.Index) bool {
-	ready := make(chan struct{})
-	close(ready)
-	s.indexMu.Lock()
-	defer s.indexMu.Unlock()
-	if ent := s.indexes[name]; ent != nil && ent.version == version && ent.dcMax >= idx.DCutMax() {
-		return false
-	}
-	s.indexes[name] = &indexEntry{version: version, dcMax: idx.DCutMax(), ready: ready, idx: idx}
-	return true
-}
-
-// residentIndex returns the dataset's index only if it is already built
-// for this version and covers dcut — the condition under which a fit
-// request may be satisfied by a re-cut without ever paying a build.
-func (s *Service) residentIndex(name string, version uint64, dcut float64) (*densindex.Index, bool) {
-	s.indexMu.Lock()
-	ent := s.indexes[name]
-	s.indexMu.Unlock()
-	if ent == nil || ent.version != version || ent.dcMax < dcut {
+// residentIndex returns the version's index only if it is already built
+// and covers dcut — the condition under which a fit request may be
+// satisfied by a re-cut without ever paying a build.
+func (e *datasetEntry) residentIndex(dcut float64) (*densindex.Index, bool) {
+	e.idxMu.Lock()
+	ent := e.idx
+	covers := ent != nil && ent.dcMax >= dcut
+	e.idxMu.Unlock()
+	if !covers {
 		return nil, false
 	}
 	select {
@@ -266,7 +243,7 @@ func (s *Service) residentIndex(name string, version uint64, dcut float64) (*den
 	default:
 		return nil, false // still building; a fit should not wait on it
 	}
-	if ent.err != nil || ent.idx == nil {
+	if ent.err != nil {
 		return nil, false
 	}
 	return ent.idx, true
@@ -282,68 +259,69 @@ const indexHeadroom = 1.5
 // cover needDC. reused reports whether the caller joined an index that
 // was already resident or in flight — false means this request
 // initiated the build it waited on.
-func (s *Service) ensureIndex(name string, needDC float64) (idx *densindex.Index, version uint64, reused bool, err error) {
-	// The headroom absorbs an analyst nudging d_cut upward without a
-	// rebuild per nudge.
+func (s *Service) ensureIndex(name string, needDC float64) (idx *densindex.Index, reused bool, err error) {
 	return s.ensureIndexCeil(name, needDC, needDC*indexHeadroom)
 }
 
 // ensureIndexCeil is ensureIndex with an explicit build ceiling: a sweep
 // knows its whole grid up front, so it builds at exactly the grid
 // maximum instead of paying the interactive-nudge headroom (edge counts
-// grow with the ceiling's square).
-func (s *Service) ensureIndexCeil(name string, needDC, buildDC float64) (idx *densindex.Index, version uint64, reused bool, err error) {
+// grow with the ceiling's square). The index answers the dataset
+// version read on entry.
+func (s *Service) ensureIndexCeil(name string, needDC, buildDC float64) (idx *densindex.Index, reused bool, err error) {
 	if !(needDC > 0) {
-		return nil, 0, false, fmt.Errorf("service: dcut must be positive, got %g", needDC)
+		return nil, false, fmt.Errorf("service: dcut must be positive, got %g", needDC)
+	}
+	s.mu.RLock()
+	e, ok := s.datasets[name]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, false, fmt.Errorf("service: unknown dataset %q", name)
 	}
 	for attempts := 0; ; attempts++ {
-		s.mu.RLock()
-		e, ok := s.datasets[name]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, 0, false, fmt.Errorf("service: unknown dataset %q", name)
-		}
-
-		s.indexMu.Lock()
-		ent := s.indexes[name]
-		if ent != nil && ent.version == e.version && ent.dcMax >= needDC {
-			s.indexMu.Unlock()
+		e.idxMu.Lock()
+		ent := e.idx
+		if ent != nil && ent.dcMax >= needDC {
+			e.idxMu.Unlock()
 			<-ent.ready
-			if ent.err == nil {
-				return ent.idx, e.version, true, nil
+			if ent.err == nil && ent.idx.DCutMax() >= needDC {
+				return ent.idx, true, nil
 			}
-			// The build this caller joined failed; its owner already removed
-			// the entry. Retry once from scratch, then surface the error.
-			if attempts > 0 {
-				return nil, 0, false, ent.err
+			// The build this caller joined failed (its owner already cleared
+			// the slot) or fell back below needDC. Retry once from scratch,
+			// then surface the error.
+			if ent.err != nil && attempts > 0 {
+				return nil, false, ent.err
 			}
 			continue
 		}
-		ent = &indexEntry{version: e.version, dcMax: buildDC, ready: make(chan struct{})}
-		s.indexes[name] = ent
-		s.indexMu.Unlock()
+		ent = &indexEntry{dcMax: buildDC, ready: make(chan struct{})}
+		e.idx = ent
+		e.idxMu.Unlock()
 
-		// Build outside both locks; joiners block on ready. The headroom
+		// Build outside the lock; joiners block on ready. The headroom
 		// build is retried at exactly needDC when it blows the edge budget —
 		// the analyst asked for needDC, not for the convenience margin.
-		ent.idx, ent.err = densindex.Build(e.points, ent.dcMax, s.opts.Workers, s.opts.indexMaxEdges())
-		if errors.Is(ent.err, densindex.ErrTooDense) {
-			ent.dcMax = needDC
-			ent.idx, ent.err = densindex.Build(e.points, needDC, s.opts.Workers, s.opts.indexMaxEdges())
+		idx, err := densindex.Build(e.points, buildDC, s.opts.Workers, s.opts.indexMaxEdges())
+		if errors.Is(err, densindex.ErrTooDense) {
+			idx, err = densindex.Build(e.points, needDC, s.opts.Workers, s.opts.indexMaxEdges())
 		}
-		if ent.err != nil {
-			s.indexMu.Lock()
-			if s.indexes[name] == ent {
-				delete(s.indexes, name)
+		e.idxMu.Lock()
+		if err != nil {
+			if e.idx == ent {
+				e.idx = nil
 			}
-			s.indexMu.Unlock()
-			close(ent.ready)
-			return nil, 0, false, ent.err
+		} else {
+			ent.dcMax = idx.DCutMax()
 		}
-		ent.dcMax = ent.idx.DCutMax()
+		ent.idx, ent.err = idx, err
+		e.idxMu.Unlock()
 		close(ent.ready)
+		if err != nil {
+			return nil, false, err
+		}
 		s.indexBuilds.Add(1)
-		return ent.idx, e.version, false, nil
+		return idx, false, nil
 	}
 }
 
@@ -373,7 +351,6 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 	s.mu.Unlock()
 	for _, name := range gone {
 		s.cache.purgeStale(name, 0)
-		s.dropIndex(name)
 		s.dropDriftStates(name)
 	}
 	st.DatasetsEvicted = len(gone)
@@ -441,8 +418,6 @@ func (s *Service) PutDataset(name string, ds *geom.Dataset) (api.DatasetInfo, er
 	s.mu.Unlock()
 	if version > 1 {
 		s.cache.purgeStale(name, version)
-		// The replaced points' index must never re-cut for the new name.
-		s.dropIndex(name)
 		// A wholesale replacement also retires the drift lineages: the old
 		// model is meaningless for the new points, so the next assign fits
 		// fresh instead of stale-serving it. (Appends keep their lineages —
@@ -542,7 +517,7 @@ func (s *Service) fitEntry(dataset string, e *datasetEntry, alg core.Algorithm, 
 	}
 	indexCut := false
 	if densindex.Covers(algorithm) {
-		if idx, ok := s.residentIndex(dataset, e.version, p.DCut); ok {
+		if idx, ok := e.residentIndex(p.DCut); ok {
 			indexCut = true
 			fill = func() (*core.Model, error) {
 				return s.cutModel(idx, algorithm, e.points, p)
@@ -698,7 +673,7 @@ func (s *Service) Stats() api.Stats {
 // analyst reads to pick rho_min and delta_min. limit > 0 truncates the
 // point list after sorting; N always reports the full dataset size.
 func (s *Service) DecisionGraph(dataset string, dcut float64, limit int) (*api.DecisionGraphResponse, error) {
-	idx, _, reused, err := s.ensureIndex(dataset, dcut)
+	idx, reused, err := s.ensureIndex(dataset, dcut)
 	if err != nil {
 		return nil, err
 	}
@@ -753,7 +728,7 @@ func (s *Service) Sweep(req api.SweepRequest) (*api.SweepResponse, error) {
 	}
 	// The grid is known in full, so build at exactly its maximum — the
 	// interactive-nudge headroom would square the edge count for nothing.
-	idx, _, reused, err := s.ensureIndexCeil(req.Dataset, maxDC, maxDC)
+	idx, reused, err := s.ensureIndexCeil(req.Dataset, maxDC, maxDC)
 	if err != nil {
 		return nil, err
 	}

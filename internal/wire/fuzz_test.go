@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -16,8 +17,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		Dataset: "s2", Algorithm: "Ex-DPC",
 		DCut: 2500, RhoMin: 5, DeltaMin: 12000, Epsilon: 0.5, Seed: 7,
 	}))
-	pts64 := AppendPointsFlat(nil, []float64{1.5, -2.25, 3, 4}, 2, false)
-	pts32 := AppendPointsFlat(nil, []float64{1.5, -2.25, 3, 4}, 2, true)
+	pts64 := AppendPointsRows(nil, [][]float64{{1.5, -2.25}, {3, 4}}, false)
+	pts32 := AppendPointsRows(nil, [][]float64{{1.5, -2.25}, {3, 4}}, true)
 	f.Add(pts64)
 	f.Add(pts32)
 	f.Add(AppendLabels(nil, []int32{0, -1, 7}))
@@ -49,7 +50,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			// Float32 payloads widen on decode; narrowing back must be
 			// byte-exact because widening is lossless.
-			if re := AppendPointsFlat(nil, fr.Coords, fr.Dim, fr.Float32); !bytes.Equal(re, consumed) {
+			rows := make([][]float64, fr.N)
+			for j := range rows {
+				rows[j] = fr.Row(j)
+			}
+			re := AppendPointsRows(nil, rows, fr.Float32)
+			if fr.N == 0 {
+				// Rows cannot carry a width without a row: the encoder
+				// writes an empty frame as 0x0, so put the declared one in.
+				binary.LittleEndian.PutUint32(re[frameHeaderSize+4:], uint32(fr.Dim))
+			}
+			if !bytes.Equal(re, consumed) {
 				t.Fatal("accepted points frame did not re-encode canonically")
 			}
 		case KindLabels:

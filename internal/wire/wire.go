@@ -179,57 +179,42 @@ func AppendHeader(dst []byte, h Header) []byte {
 	return endFrame(dst, mark)
 }
 
-// AppendPointsFlat appends one points frame holding n = len(coords)/dim
-// row-major points. With float32 set, coordinates are narrowed to f32 on
-// the wire (halving bytes; only lossless if the values round-trip —
-// see the README's guidance). len(coords) must be a multiple of dim and
-// the frame must fit MaxPayload; violating either is a caller bug.
-func AppendPointsFlat(dst []byte, coords []float64, dim int, float32w bool) []byte {
-	n := 0
-	if dim > 0 {
-		n = len(coords) / dim
-	}
-	if n*dim != len(coords) {
-		panic("wire: coords length is not a multiple of dim")
+// AppendPointsRows appends one points frame holding the rows, which
+// must share one width. With float32 set, coordinates are narrowed to
+// f32 on the wire (halving bytes; only lossless if the values
+// round-trip — see the README's guidance). Ragged rows, or a frame that
+// does not fit MaxPayload, are caller bugs.
+func AppendPointsRows(dst []byte, rows [][]float64, float32w bool) []byte {
+	n, dim := 0, 0
+	if len(rows) > 0 && len(rows[0]) > 0 {
+		n, dim = len(rows), len(rows[0])
 	}
 	esize := 8
 	flags := byte(0)
 	if float32w {
 		esize, flags = 4, FlagFloat32
 	}
-	if 8+len(coords)*esize > MaxPayload {
+	if 8+n*dim*esize > MaxPayload {
 		panic("wire: points frame exceeds MaxPayload; chunk it")
 	}
 	dst, mark := beginFrame(dst, KindPoints, flags)
 	dst = appendU32(dst, uint32(n))
 	dst = appendU32(dst, uint32(dim))
-	if float32w {
-		for _, v := range coords {
-			dst = appendU32(dst, math.Float32bits(float32(v)))
-		}
-	} else {
-		for _, v := range coords {
-			dst = appendU64(dst, math.Float64bits(v))
-		}
-	}
-	return endFrame(dst, mark)
-}
-
-// AppendPointsRows is AppendPointsFlat for row-slice points; all rows
-// must share one width.
-func AppendPointsRows(dst []byte, rows [][]float64, float32w bool) []byte {
-	if len(rows) == 0 {
-		return AppendPointsFlat(dst, nil, 0, float32w)
-	}
-	dim := len(rows[0])
-	flat := make([]float64, 0, len(rows)*dim)
 	for _, r := range rows {
 		if len(r) != dim {
 			panic("wire: ragged rows in one points frame")
 		}
-		flat = append(flat, r...)
+		if float32w {
+			for _, v := range r {
+				dst = appendU32(dst, math.Float32bits(float32(v)))
+			}
+		} else {
+			for _, v := range r {
+				dst = appendU64(dst, math.Float64bits(v))
+			}
+		}
 	}
-	return AppendPointsFlat(dst, flat, dim, float32w)
+	return endFrame(dst, mark)
 }
 
 // AppendLabels appends one labels frame.
@@ -693,6 +678,7 @@ func EncodePoints(w io.Writer, next func() ([]float64, error), chunk int, float3
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var (
 		flat []float64
+		rows [][]float64
 		dim  = -1
 		buf  []byte
 	)
@@ -700,7 +686,11 @@ func EncodePoints(w io.Writer, next func() ([]float64, error), chunk int, float3
 		if len(flat) == 0 {
 			return nil
 		}
-		buf = AppendPointsFlat(buf[:0], flat, dim, float32w)
+		rows = rows[:0]
+		for i := 0; i < len(flat); i += dim {
+			rows = append(rows, flat[i:i+dim])
+		}
+		buf = AppendPointsRows(buf[:0], rows, float32w)
 		flat = flat[:0]
 		_, err := bw.Write(buf)
 		return err

@@ -29,7 +29,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestPointsRoundTrip(t *testing.T) {
 	coords := []float64{1.5, -2.25, math.Pi, 0, 1e300, -1e-300}
-	raw := AppendPointsFlat(nil, coords, 2, false)
+	raw := AppendPointsRows(nil, [][]float64{coords[0:2], coords[2:4], coords[4:6]}, false)
 	f, _, err := DecodeFrame(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,9 @@ func TestPointsRoundTrip(t *testing.T) {
 // float32 is exactly representable as a float64).
 func TestPointsFloat32(t *testing.T) {
 	coords := []float64{1.5, -2.25, 100, 0.1}
-	raw64 := AppendPointsFlat(nil, coords, 2, false)
-	raw32 := AppendPointsFlat(nil, coords, 2, true)
+	rows := [][]float64{coords[0:2], coords[2:4]}
+	raw64 := AppendPointsRows(nil, rows, false)
+	raw32 := AppendPointsRows(nil, rows, true)
 	if want := len(raw64) - 8 - len(coords)*4; len(raw32)-8 != want {
 		t.Fatalf("float32 frame is %d bytes, want %d", len(raw32), want+8)
 	}
@@ -117,8 +118,8 @@ func TestLabelsSummaryErrorRoundTrip(t *testing.T) {
 func TestReaderStream(t *testing.T) {
 	var raw []byte
 	raw = AppendHeader(raw, Header{Dataset: "d", Algorithm: "Ex-DPC"})
-	raw = AppendPointsFlat(raw, []float64{1, 2, 3, 4}, 2, false)
-	raw = AppendPointsFlat(raw, nil, 0, false)
+	raw = AppendPointsRows(raw, [][]float64{{1, 2}, {3, 4}}, false)
+	raw = AppendPointsRows(raw, nil, false)
 	r := NewReader(bytes.NewReader(raw))
 	kinds := []byte{}
 	for {
@@ -139,7 +140,7 @@ func TestReaderStream(t *testing.T) {
 // A stream ending inside a frame must be a truncation error, never a
 // clean io.EOF — the client relies on this to detect a dead upstream.
 func TestReaderTruncation(t *testing.T) {
-	raw := AppendPointsFlat(nil, []float64{1, 2, 3, 4}, 2, false)
+	raw := AppendPointsRows(nil, [][]float64{{1, 2}, {3, 4}}, false)
 	for _, cut := range []int{1, frameHeaderSize - 1, frameHeaderSize + 3, len(raw) - 1} {
 		r := NewReader(bytes.NewReader(raw[:cut]))
 		_, err := r.Next()
@@ -180,7 +181,7 @@ func TestDecodeRejectsHostileInputs(t *testing.T) {
 	}
 	// Points-specific: n*dim overflowing the payload must fail before
 	// allocation.
-	pts := AppendPointsFlat(nil, []float64{1, 2}, 2, false)
+	pts := AppendPointsRows(nil, [][]float64{{1, 2}}, false)
 	pts[frameHeaderSize] = 0xff // n = 255, payload holds 1 point
 	if _, _, err := DecodeFrame(pts); err == nil {
 		t.Error("forged point count decoded successfully")
@@ -192,7 +193,7 @@ func TestDecodeRejectsHostileInputs(t *testing.T) {
 	}
 	// A NaN coordinate, in either precision and either float32 mode.
 	for _, f32 := range []bool{false, true} {
-		nan := AppendPointsFlat(nil, []float64{1, 2, 3, math.NaN()}, 2, f32)
+		nan := AppendPointsRows(nil, [][]float64{{1, 2}, {3, math.NaN()}}, f32)
 		for _, keep32 := range []bool{false, true} {
 			_, err := decodePayload(KindPoints, nan[6], nan[frameHeaderSize:], keep32)
 			if err == nil || !strings.Contains(err.Error(), "point 1 coordinate 1 is NaN") {
@@ -206,7 +207,7 @@ func TestReadHeaderFrameAndPeek(t *testing.T) {
 	h := Header{Dataset: "ds-7", Algorithm: "Approx-DPC", DCut: 1}
 	var raw []byte
 	raw = AppendHeader(raw, h)
-	raw = AppendPointsFlat(raw, []float64{1, 2}, 2, false)
+	raw = AppendPointsRows(raw, [][]float64{{1, 2}}, false)
 
 	br := bufio.NewReader(bytes.NewReader(raw))
 	got, hdrRaw, err := ReadHeaderFrame(br)
@@ -236,8 +237,8 @@ func TestReadHeaderFrameAndPeek(t *testing.T) {
 
 func TestReadDataset(t *testing.T) {
 	var raw []byte
-	raw = AppendPointsFlat(raw, []float64{1, 2, 3, 4}, 2, false)
-	raw = AppendPointsFlat(raw, []float64{5, 6}, 2, false)
+	raw = AppendPointsRows(raw, [][]float64{{1, 2}, {3, 4}}, false)
+	raw = AppendPointsRows(raw, [][]float64{{5, 6}}, false)
 	ds, err := ReadDataset32(bytes.NewReader(raw), false)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +247,7 @@ func TestReadDataset(t *testing.T) {
 		t.Fatalf("dataset = %dx%d %v", ds.N, ds.Dim, ds.Coords)
 	}
 	// Width disagreement across frames is an error.
-	bad := append(append([]byte(nil), raw...), AppendPointsFlat(nil, []float64{7, 8, 9}, 3, false)...)
+	bad := append(append([]byte(nil), raw...), AppendPointsRows(nil, [][]float64{{7, 8, 9}}, false)...)
 	if _, err := ReadDataset32(bytes.NewReader(bad), false); err == nil {
 		t.Error("mixed-width frames accepted")
 	}
@@ -305,7 +306,7 @@ func TestEncodePointsChunks(t *testing.T) {
 func TestTracker(t *testing.T) {
 	var raw []byte
 	raw = AppendHeader(raw, Header{Dataset: "d"})
-	raw = AppendPointsFlat(raw, []float64{1, 2, 3, 4}, 2, false)
+	raw = AppendPointsRows(raw, [][]float64{{1, 2}, {3, 4}}, false)
 	raw = AppendLabels(raw, []int32{1})
 
 	// Whole stream in one write: boundary.

@@ -42,22 +42,25 @@ type Config struct {
 	// HaloThreshold trips the tracker when a closed window's halo
 	// (noise-label) rate reaches it. <= 0 disables the halo trip.
 	HaloThreshold float64
-	// History is how many closed windows Status reports; <= 0 means 8.
-	History int
 	// Cooldown is the minimum time between background refits of one
 	// model. It is read by the serving layer, not the tracker; <= 0
 	// means 30s.
 	Cooldown time.Duration
-	// MaxRefSample caps the training points sampled into the fit-time
-	// reference; <= 0 means 4096.
-	MaxRefSample int
-	// SampleEvery strides the quantile-sketch observations: only every
+}
+
+const (
+	// history is how many closed windows Status reports.
+	history = 8
+	// refSample caps the training points sampled into the fit-time
+	// reference.
+	refSample = 4096
+	// sampleStride strides the quantile-sketch observations: only every
 	// k-th assigned point pays the extra center-distance computation and
 	// sketch update. Halo (noise) rates are always counted over every
 	// point — a label comparison costs nothing — so only the distance
-	// quantiles are sampled. <= 0 means 16; 1 observes every point.
-	SampleEvery int
-}
+	// quantiles are sampled.
+	sampleStride = 16
+)
 
 func (c Config) windowPoints() int {
 	if c.WindowPoints > 0 {
@@ -73,13 +76,6 @@ func (c Config) minPoints() int64 {
 	return 2 * int64(c.windowPoints())
 }
 
-func (c Config) history() int {
-	if c.History > 0 {
-		return c.History
-	}
-	return 8
-}
-
 // RefitCooldown returns the effective minimum spacing between
 // background refits.
 func (c Config) RefitCooldown() time.Duration {
@@ -89,21 +85,11 @@ func (c Config) RefitCooldown() time.Duration {
 	return 30 * time.Second
 }
 
-// RefSample returns the effective reference sample cap.
-func (c Config) RefSample() int {
-	if c.MaxRefSample > 0 {
-		return c.MaxRefSample
-	}
-	return 4096
-}
+// RefSample returns the reference sample cap.
+func (c Config) RefSample() int { return refSample }
 
-// SampleStride returns the effective sketch-sampling stride.
-func (c Config) SampleStride() int {
-	if c.SampleEvery > 0 {
-		return c.SampleEvery
-	}
-	return 16
-}
+// SampleStride returns the sketch-sampling stride.
+func (c Config) SampleStride() int { return sampleStride }
 
 // Reference is the fit-time summary a tracker scores against: exact
 // quantiles of the training points' distance to their assigned centers
@@ -185,7 +171,7 @@ type Status struct {
 	// only when the tracker is replaced after a model swap.
 	Tripped   bool      `json:"tripped"`
 	Reference Reference `json:"reference"`
-	// Windows lists up to Config.History closed windows, oldest first.
+	// Windows lists up to the last 8 closed windows, oldest first.
 	Windows []Window `json:"windows,omitempty"`
 }
 
@@ -230,9 +216,10 @@ func (t *Tracker) Reference() Reference { return t.ref }
 // dists holds the center distances of a sampled subset (NaN entries are
 // skipped — their noise is already in halo). This is the hot-path form:
 // the caller counts halo from labels, which is nearly free, and pays
-// the O(dim) distance plus sketch update only every Config.SampleEvery
-// points. Counts are exact; only the quantile sketch is sampled. It
-// reports whether this batch newly tripped the tracker.
+// the O(dim) distance plus sketch update only every
+// Config.SampleStride() points. Counts are exact; only the quantile
+// sketch is sampled. It reports whether this batch newly tripped the
+// tracker.
 func (t *Tracker) ObserveSampled(total, halo int64, dists []float64) (tripped bool) {
 	if total <= 0 {
 		return false
@@ -272,8 +259,8 @@ func (t *Tracker) closeWindowLocked() bool {
 	w.Score = score(w, t.ref)
 	t.last, t.closed = w, true
 	t.windows = append(t.windows, w)
-	if h := t.cfg.history(); len(t.windows) > h {
-		t.windows = t.windows[len(t.windows)-h:]
+	if len(t.windows) > history {
+		t.windows = t.windows[len(t.windows)-history:]
 	}
 	t.winCount, t.winHalo = 0, 0
 	t.q50.init(0.5)

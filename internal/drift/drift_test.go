@@ -85,14 +85,14 @@ func TestNewReference(t *testing.T) {
 // shifted phase and checks the trip fires exactly once, after the shift.
 func TestTrackerScoreTrip(t *testing.T) {
 	ref := NewReference([]float64{1, 1, 1, 2, 2, 2, 3, 3, 3, 3})
-	cfg := Config{WindowPoints: 100, MinPoints: 200, ScoreThreshold: 1.0, History: 4}
+	cfg := Config{WindowPoints: 100, MinPoints: 200, ScoreThreshold: 1.0}
 	tr := NewTracker(cfg, ref)
 
 	inDist := make([]float64, 100)
 	for i := range inDist {
 		inDist[i] = 2
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < history+3; i++ {
 		if observeEach(tr, inDist) {
 			t.Fatalf("tripped on in-distribution window %d", i)
 		}
@@ -101,8 +101,8 @@ func TestTrackerScoreTrip(t *testing.T) {
 	if st.Tripped || st.Score >= 1.0 {
 		t.Fatalf("in-distribution status tripped=%v score=%g", st.Tripped, st.Score)
 	}
-	if len(st.Windows) != 4 {
-		t.Fatalf("history kept %d windows, want 4 (capped)", len(st.Windows))
+	if len(st.Windows) != history {
+		t.Fatalf("history kept %d windows, want %d (capped)", len(st.Windows), history)
 	}
 
 	shifted := make([]float64, 100)
@@ -242,14 +242,17 @@ func TestConfigDefaults(t *testing.T) {
 	if c.minPoints() != 8192 {
 		t.Errorf("minPoints = %d", c.minPoints())
 	}
-	if c.history() != 8 {
-		t.Errorf("history = %d", c.history())
+	if history != 8 {
+		t.Errorf("history = %d", history)
 	}
 	if c.RefitCooldown() <= 0 {
 		t.Errorf("RefitCooldown = %v", c.RefitCooldown())
 	}
 	if c.RefSample() != 4096 {
 		t.Errorf("RefSample = %d", c.RefSample())
+	}
+	if c.SampleStride() != 16 {
+		t.Errorf("SampleStride = %d", c.SampleStride())
 	}
 }
 

@@ -6,7 +6,7 @@
 // On-disk container, little-endian:
 //
 //	magic      uint32  "DPS1"
-//	version    uint16  format version (currently 1)
+//	version    uint16  format version (currently 2; 1 is still read)
 //	kind       uint8   1 = dataset, 2 = model, 4 = f32 dataset (3, a
 //	                   density index in older versions, is refused as
 //	                   unknown: the index is rebuilt from its dataset)
@@ -14,6 +14,14 @@
 //	payloadLen uint64  must equal the bytes that follow the header
 //	crc        uint32  IEEE CRC-32 of the payload
 //	payload    ...
+//
+// A dataset payload holds the name, the version, the epoch, n, dim, the
+// fingerprint and the coordinates. The epoch, new in format 2, is the
+// version of the upload the dataset version descends from: an upload's
+// own version, copied by every append, so a replica can tell a shipped
+// slide of its upload history from a replacement. A format-1 dataset
+// payload has no epoch and decodes with Epoch = Version; model payloads
+// are the same in both formats.
 //
 // Every length declared inside a snapshot — the payload length, string
 // lengths, array element counts — is validated against the bytes actually
@@ -38,7 +46,7 @@ import (
 
 const (
 	snapMagic   = uint32(0x31535044) // "DPS1" on disk
-	snapVersion = uint16(1)
+	snapVersion = uint16(2)
 
 	kindDataset = byte(1)
 	kindModel   = byte(2)
@@ -107,7 +115,10 @@ func (k ModelKey) Hash() uint64 {
 type DatasetSnapshot struct {
 	Name    string
 	Version uint64
-	Points  *geom.Dataset
+	// Epoch is the version of the upload Version descends from (Version
+	// itself for an upload, the upload's version for an append).
+	Epoch  uint64
+	Points *geom.Dataset
 	// Fingerprint is Points.Fingerprint(), verified during decode and
 	// kept so restoring k models on one dataset doesn't recompute the
 	// O(n*dim) hash k times.
@@ -266,36 +277,37 @@ func encodeSnapshot(kind byte, payload []byte) []byte {
 	return out
 }
 
-// decodeHeader validates the container and returns the kind and payload.
-// The declared payload length must match the bytes present exactly —
-// checked before the payload is touched, so a forged multi-gigabyte
-// length costs nothing — and the CRC must match.
-func decodeHeader(raw []byte) (kind byte, payload []byte, err error) {
+// decodeHeader validates the container and returns the format version,
+// the kind and the payload. The declared payload length must match the
+// bytes present exactly — checked before the payload is touched, so a
+// forged multi-gigabyte length costs nothing — and the CRC must match.
+func decodeHeader(raw []byte) (format uint16, kind byte, payload []byte, err error) {
 	if len(raw) < headerSize {
-		return 0, nil, fmt.Errorf("persist: %d-byte file is shorter than the %d-byte header", len(raw), headerSize)
+		return 0, 0, nil, fmt.Errorf("persist: %d-byte file is shorter than the %d-byte header", len(raw), headerSize)
 	}
 	if m := binary.LittleEndian.Uint32(raw[0:]); m != snapMagic {
-		return 0, nil, fmt.Errorf("persist: bad magic %#x", m)
+		return 0, 0, nil, fmt.Errorf("persist: bad magic %#x", m)
 	}
-	if v := binary.LittleEndian.Uint16(raw[4:]); v != snapVersion {
-		return 0, nil, fmt.Errorf("persist: unsupported format version %d (want %d)", v, snapVersion)
+	format = binary.LittleEndian.Uint16(raw[4:])
+	if format < 1 || format > snapVersion {
+		return 0, 0, nil, fmt.Errorf("persist: unsupported format version %d (want 1..%d)", format, snapVersion)
 	}
 	kind = raw[6]
 	if kind != kindDataset && kind != kindModel && kind != kindDataset32 {
-		return 0, nil, fmt.Errorf("persist: unknown snapshot kind %d", kind)
+		return 0, 0, nil, fmt.Errorf("persist: unknown snapshot kind %d", kind)
 	}
 	if raw[7] != 0 {
-		return 0, nil, fmt.Errorf("persist: nonzero reserved header byte %d", raw[7])
+		return 0, 0, nil, fmt.Errorf("persist: nonzero reserved header byte %d", raw[7])
 	}
 	declared := binary.LittleEndian.Uint64(raw[8:])
 	if declared != uint64(len(raw)-headerSize) {
-		return 0, nil, fmt.Errorf("persist: declared payload of %d bytes, file holds %d", declared, len(raw)-headerSize)
+		return 0, 0, nil, fmt.Errorf("persist: declared payload of %d bytes, file holds %d", declared, len(raw)-headerSize)
 	}
 	payload = raw[headerSize:]
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(raw[16:]); got != want {
-		return 0, nil, fmt.Errorf("persist: payload checksum %#x, want %#x", got, want)
+		return 0, 0, nil, fmt.Errorf("persist: payload checksum %#x, want %#x", got, want)
 	}
-	return kind, payload, nil
+	return format, kind, payload, nil
 }
 
 // DecodeSnapshot decodes one snapshot file image into a
@@ -303,24 +315,25 @@ func decodeHeader(raw []byte) (kind byte, payload []byte, err error) {
 // corrupt, truncated, or hostile inputs return an error without
 // panicking or allocating beyond the input size.
 func DecodeSnapshot(raw []byte) (any, error) {
-	kind, payload, err := decodeHeader(raw)
+	format, kind, payload, err := decodeHeader(raw)
 	if err != nil {
 		return nil, err
 	}
 	if kind == kindModel {
 		return decodeModel(payload)
 	}
-	return decodeDataset(payload, kind == kindDataset32)
+	return decodeDataset(payload, kind == kindDataset32, format)
 }
 
 // EncodeDataset produces the canonical snapshot file image for one
-// dataset version; DecodeSnapshot inverts it exactly. An f32-precision
-// dataset is written as a kind-4 snapshot with float32 coordinates —
-// the f64 image is byte-for-byte what it was before precisions existed.
-func EncodeDataset(name string, version uint64, ds *geom.Dataset) []byte {
+// dataset version of the upload history that began at version epoch;
+// DecodeSnapshot inverts it exactly. An f32-precision dataset is written
+// as a kind-4 snapshot with float32 coordinates.
+func EncodeDataset(name string, version, epoch uint64, ds *geom.Dataset) []byte {
 	var e encoder
 	e.str(name)
 	e.u64(version)
+	e.u64(epoch)
 	e.u64(uint64(ds.N))
 	e.u32(uint32(ds.Dim))
 	e.u64(ds.Fingerprint())
@@ -332,9 +345,9 @@ func EncodeDataset(name string, version uint64, ds *geom.Dataset) []byte {
 	return encodeSnapshot(kindDataset, e.buf)
 }
 
-// decodeDataset decodes a dataset payload; f32 (kind 4) coordinates are
-// float32 bit patterns, kind 1's are float64.
-func decodeDataset(payload []byte, f32 bool) (*DatasetSnapshot, error) {
+// decodeDataset decodes a dataset payload of the given format; f32
+// (kind 4) coordinates are float32 bit patterns, kind 1's are float64.
+func decodeDataset(payload []byte, f32 bool, format uint16) (*DatasetSnapshot, error) {
 	width := uint64(8)
 	if f32 {
 		width = 4
@@ -342,12 +355,19 @@ func decodeDataset(payload []byte, f32 bool) (*DatasetSnapshot, error) {
 	d := &decoder{b: payload}
 	name := d.str()
 	version := d.u64()
+	epoch := version
+	if format >= 2 {
+		epoch = d.u64()
+	}
 	n := d.u64()
 	dim := d.u32()
 	fp := d.u64()
 	if d.err == nil {
 		if name == "" {
 			d.fail("persist: empty dataset name")
+		}
+		if epoch > version {
+			d.fail("persist: epoch %d is past version %d", epoch, version)
 		}
 		if n == 0 || dim == 0 {
 			d.fail("persist: empty dataset snapshot (n=%d dim=%d)", n, dim)
@@ -371,7 +391,7 @@ func decodeDataset(payload []byte, f32 bool) (*DatasetSnapshot, error) {
 	if got := ds.Fingerprint(); got != fp {
 		return nil, fmt.Errorf("persist: dataset fingerprint %#x, snapshot claims %#x", got, fp)
 	}
-	return &DatasetSnapshot{Name: name, Version: version, Points: ds, Fingerprint: fp}, nil
+	return &DatasetSnapshot{Name: name, Version: version, Epoch: epoch, Points: ds, Fingerprint: fp}, nil
 }
 
 // EncodeModel produces the canonical snapshot file image for one fitted

@@ -3,6 +3,9 @@ package persist
 import (
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +43,7 @@ func testResult(n int) *core.Result {
 
 func TestDatasetSnapshotRoundTrip(t *testing.T) {
 	ds := testDataset(t)
-	raw := EncodeDataset("s2 set", 7, ds)
+	raw := EncodeDataset("s2 set", 7, 4, ds)
 	v, err := DecodeSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +52,8 @@ func TestDatasetSnapshotRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want *DatasetSnapshot", v)
 	}
-	if snap.Name != "s2 set" || snap.Version != 7 {
-		t.Errorf("identity = %q v%d", snap.Name, snap.Version)
+	if snap.Name != "s2 set" || snap.Version != 7 || snap.Epoch != 4 {
+		t.Errorf("identity = %q v%d epoch %d", snap.Name, snap.Version, snap.Epoch)
 	}
 	if snap.Points.N != ds.N || snap.Points.Dim != ds.Dim {
 		t.Fatalf("shape = (%d,%d), want (%d,%d)", snap.Points.N, snap.Points.Dim, ds.N, ds.Dim)
@@ -113,7 +116,7 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 // as an error, never a panic.
 func TestDecodeSnapshotHostileInputs(t *testing.T) {
 	ds := testDataset(t)
-	good := EncodeDataset("s2", 1, ds)
+	good := EncodeDataset("s2", 1, 1, ds)
 	goodModel := EncodeModel(ModelKey{Dataset: "s2", Version: 1, Algorithm: "Ex-DPC",
 		Params: core.Params{DCut: 0.5, RhoMin: 1, DeltaMin: 2}},
 		ds.Fingerprint(), time.Millisecond, testResult(ds.N))
@@ -162,6 +165,7 @@ func TestDecodePayloadOverflows(t *testing.T) {
 		"dataset: huge n": datasetPayload(func(e *encoder) {
 			e.str("x")
 			e.u64(1)             // version
+			e.u64(1)             // epoch
 			e.u64(1 << 60)       // n
 			e.u32(2)             // dim
 			e.u64(0)             // fingerprint
@@ -171,15 +175,26 @@ func TestDecodePayloadOverflows(t *testing.T) {
 			e.str("x")
 			e.u64(1)
 			e.u64(1)
+			e.u64(1)
 			e.u32(1 << 24)
 			e.u64(0)
 		}),
 		"dataset: n*dim overflows": datasetPayload(func(e *encoder) {
 			e.str("x")
 			e.u64(1)
+			e.u64(1)
 			e.u64(math.MaxUint64 / 2)
 			e.u32(1 << 20)
 			e.u64(0)
+		}),
+		"dataset: epoch past version": datasetPayload(func(e *encoder) {
+			e.str("x")
+			e.u64(1) // version
+			e.u64(2) // epoch
+			e.u64(1)
+			e.u32(1)
+			e.u64(geom.MustFromRows([][]float64{{1}}).Fingerprint())
+			e.f64s([]float64{1})
 		}),
 		"dataset: huge name length": datasetPayload(func(e *encoder) {
 			e.u32(math.MaxUint32) // name length with no bytes behind it
@@ -220,5 +235,35 @@ func TestDecodePayloadOverflows(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "persist:") {
 			t.Errorf("%s: unexpected error shape: %v", name, err)
 		}
+	}
+}
+
+// TestDecodeFormat1Dataset: a dataset image written before snapshots
+// carried an epoch — the committed format-1 fuzz seed — still decodes,
+// as the start of its own upload history (Epoch = Version), so an
+// existing data directory keeps restoring.
+func TestDecodeFormat1Dataset(t *testing.T) {
+	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", "seed-dataset"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(corpus)), "\n")
+	img, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := formatOf([]byte(img)); f != 1 {
+		t.Fatalf("seed is format %d, want 1", f)
+	}
+	v, err := DecodeSnapshot([]byte(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := v.(*DatasetSnapshot)
+	if !ok {
+		t.Fatalf("decoded %T, want *DatasetSnapshot", v)
+	}
+	if snap.Version == 0 || snap.Epoch != snap.Version {
+		t.Fatalf("format-1 dataset decoded as v%d epoch %d, want epoch = version", snap.Version, snap.Epoch)
 	}
 }

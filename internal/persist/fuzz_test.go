@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -14,7 +15,9 @@ import (
 // FuzzLoadCSV/FuzzLoadBinary guard uploads: arbitrary file images must
 // decode or error, never panic or allocate past the input size, and an
 // accepted snapshot must be internally consistent and re-encode to the
-// exact bytes it was decoded from (the codec is canonical). A mutated
+// exact bytes it was decoded from (the codec is canonical; a format-1
+// image is compared in format 1, see asFormat1). The committed corpus
+// holds format-1 images, so the legacy decode runs too. A mutated
 // image almost never passes the CRC-32, so each input is also decoded
 // re-framed: its payload behind a valid header, length and checksum,
 // which lets mutations reach the payload decoders.
@@ -29,7 +32,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	key := ModelKey{Dataset: "s2", Version: 2, Algorithm: "Ex-DPC",
 		Params: core.Params{DCut: 0.5, RhoMin: 1, DeltaMin: 2, Seed: 7}}
-	goodDS := EncodeDataset("s2", 2, ds)
+	goodDS := EncodeDataset("s2", 2, 2, ds)
 	goodModel := EncodeModel(key, ds.Fingerprint(), time.Millisecond, res)
 
 	f.Add(goodDS)
@@ -42,7 +45,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(corrupt) // CRC mismatch
 	f.Add([]byte("DPS1 but not really a snapshot file"))
 	f.Add([]byte{})
-	f.Add(EncodeDataset("s2", 2, ds.ToFloat32())) // kind 4
+	f.Add(EncodeDataset("s2", 2, 2, ds.ToFloat32())) // kind 4
+	f.Add(EncodeDataset("s2", 5, 3, ds))             // an appended version: epoch 3 < version 5
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkDecode(t, raw)
@@ -66,7 +70,13 @@ func checkDecode(t *testing.T, raw []byte) {
 		if p.N*p.Dim != len(p.Coords)+len(p.Coords32) || p.N == 0 || p.Dim == 0 {
 			t.Fatalf("inconsistent dataset: N=%d Dim=%d coords=%d+%d", p.N, p.Dim, len(p.Coords), len(p.Coords32))
 		}
-		re := EncodeDataset(snap.Name, snap.Version, p)
+		if snap.Epoch > snap.Version {
+			t.Fatalf("epoch %d past version %d", snap.Epoch, snap.Version)
+		}
+		re := EncodeDataset(snap.Name, snap.Version, snap.Epoch, p)
+		if formatOf(raw) == 1 {
+			re = asFormat1(t, re)
+		}
 		if !bytes.Equal(re, raw) {
 			t.Fatal("accepted dataset snapshot did not re-encode canonically")
 		}
@@ -80,10 +90,35 @@ func checkDecode(t *testing.T, raw []byte) {
 			t.Fatalf("%d centers for %d points", len(r.Centers), n)
 		}
 		re := EncodeModel(snap.Key, snap.DatasetFingerprint, snap.FitTime, r)
+		if formatOf(raw) == 1 {
+			re = asFormat1(t, re)
+		}
 		if !bytes.Equal(re, raw) {
 			t.Fatal("accepted model snapshot did not re-encode canonically")
 		}
 	default:
 		t.Fatalf("DecodeSnapshot returned %T", v)
 	}
+}
+
+// formatOf reads an image's container format version.
+func formatOf(raw []byte) uint16 { return binary.LittleEndian.Uint16(raw[4:]) }
+
+// asFormat1 rewrites a current image in format 1, the layout before
+// dataset payloads carried an epoch: the header's format version is 1,
+// and a dataset payload drops the epoch after its version. A model
+// payload is unchanged.
+func asFormat1(t *testing.T, img []byte) []byte {
+	t.Helper()
+	_, kind, payload, err := decodeHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != kindModel {
+		epochAt := 4 + int(binary.LittleEndian.Uint32(payload)) + 8
+		payload = append(payload[:epochAt:epochAt], payload[epochAt+8:]...)
+	}
+	out := encodeSnapshot(kind, payload)
+	binary.LittleEndian.PutUint16(out[4:], 1)
+	return out
 }

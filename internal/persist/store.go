@@ -120,18 +120,19 @@ func (s *Store) Dir() string { return s.dir }
 // persistence diagnostics here so daemon and tests share one sink.
 func (s *Store) Log(format string, args ...any) { s.logf(format, args...) }
 
-// SaveDataset snapshots one dataset version. Replacing a name removes the
-// previous version's dataset snapshot and every model fitted on it — the
-// disk mirror of the serving layer's cache purge. A save that has already
-// been superseded by a newer version is skipped.
-func (s *Store) SaveDataset(name string, version uint64, ds *geom.Dataset) error {
+// SaveDataset snapshots one dataset version of the upload history that
+// began at version epoch. Replacing a name removes the previous version's
+// dataset snapshot and every model fitted on it — the disk mirror of the
+// serving layer's cache purge. A save that has already been superseded by
+// a newer version is skipped.
+func (s *Store) SaveDataset(name string, version, epoch uint64, ds *geom.Dataset) error {
 	// Refuse to write what Restore would refuse to read: a snapshot that
 	// saves fine but can never load is worse than a counted persist error.
 	if len(name) > maxNameLen {
 		return fmt.Errorf("persist: dataset name of %d bytes exceeds the %d-byte snapshot limit", len(name), maxNameLen)
 	}
 	rel := filepath.Join("datasets", fmt.Sprintf("%016x-v%d.snap", hashString(name), version))
-	raw := EncodeDataset(name, version, ds)
+	raw := EncodeDataset(name, version, epoch, ds)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,11 +235,15 @@ func (s *Store) SaveModel(k ModelKey, m *core.Model) error {
 // models. The health check is a stat, not a decode — the no-op re-upload
 // path runs on every provisioning pass and must stay cheap; in-place bit
 // rot is still caught by the CRC at the next restart, costing one refit.
-func (s *Store) EnsureDataset(name string, version uint64, ds *geom.Dataset) error {
+func (s *Store) EnsureDataset(name string, version, epoch uint64, ds *geom.Dataset) error {
 	// The codec is canonical, so the file size is exactly determined by
-	// the name and shape: container header + name + version + n + dim +
-	// fingerprint + coordinates.
-	wantSize := int64(headerSize + 4 + len(name) + 8 + 8 + 4 + 8 + 8*ds.N*ds.Dim)
+	// the name, shape and precision: container header + name + version +
+	// epoch + n + dim + fingerprint + coordinates.
+	width := 8
+	if ds.Float32() {
+		width = 4
+	}
+	wantSize := int64(headerSize + 4 + len(name) + 8 + 8 + 8 + 4 + 8 + width*ds.N*ds.Dim)
 	s.mu.Lock()
 	healthy := false
 	for _, e := range s.m.Datasets {
@@ -252,7 +257,7 @@ func (s *Store) EnsureDataset(name string, version uint64, ds *geom.Dataset) err
 	if healthy {
 		return nil
 	}
-	return s.SaveDataset(name, version, ds)
+	return s.SaveDataset(name, version, epoch, ds)
 }
 
 // RestoreOwned reads and decodes every manifest entry whose dataset the

@@ -54,7 +54,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 2}
 	m := fitModel(t, d.Points, "Ex-DPC", p)
 
-	if err := st.SaveDataset("s2", 1, d.Points); err != nil {
+	if err := st.SaveDataset("s2", 1, 1, d.Points); err != nil {
 		t.Fatal(err)
 	}
 	key := ModelKey{Dataset: "s2", Version: 1, Algorithm: "Ex-DPC", Params: p}
@@ -102,14 +102,14 @@ func TestStoreReplaceDatasetPrunesOldVersion(t *testing.T) {
 	d1 := data.SSet(2, 300, 1)
 	d2 := data.SSet(2, 350, 2)
 	p := core.Params{DCut: d1.DCut, RhoMin: d1.RhoMin, DeltaMin: d1.DeltaMin, Workers: 1}
-	if err := st.SaveDataset("s2", 1, d1.Points); err != nil {
+	if err := st.SaveDataset("s2", 1, 1, d1.Points); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.SaveModel(ModelKey{Dataset: "s2", Version: 1, Algorithm: "Ex-DPC", Params: p},
 		fitModel(t, d1.Points, "Ex-DPC", p)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveDataset("s2", 2, d2.Points); err != nil {
+	if err := st.SaveDataset("s2", 2, 2, d2.Points); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,7 +121,7 @@ func TestStoreReplaceDatasetPrunesOldVersion(t *testing.T) {
 		t.Fatalf("model fitted on replaced version survived: %+v", models[0].Key)
 	}
 	// A stale save arriving late (the upload race) must be a no-op.
-	if err := st.SaveDataset("s2", 1, d1.Points); err != nil {
+	if err := st.SaveDataset("s2", 1, 1, d1.Points); err != nil {
 		t.Fatal(err)
 	}
 	if dss, _ := st.RestoreOwned(nil); dss[0].Version != 2 {
@@ -149,7 +149,7 @@ func TestStoreRecovery(t *testing.T) {
 		}
 		d := data.SSet(2, 300, 1)
 		p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 1}
-		if err := st.SaveDataset("s2", 1, d.Points); err != nil {
+		if err := st.SaveDataset("s2", 1, 1, d.Points); err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range []string{"Ex-DPC", "Approx-DPC"} {
@@ -315,7 +315,7 @@ func TestSaveModelRequiresDatasetSnapshot(t *testing.T) {
 		t.Errorf("orphan model file written: %v", files)
 	}
 	// Once the dataset snapshot exists the same save succeeds.
-	if err := st.SaveDataset("s2", 1, d.Points); err != nil {
+	if err := st.SaveDataset("s2", 1, 1, d.Points); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.SaveModel(key, m); err != nil {
@@ -324,15 +324,22 @@ func TestSaveModelRequiresDatasetSnapshot(t *testing.T) {
 }
 
 // TestEnsureDatasetHeals: EnsureDataset is a no-op over a healthy
-// snapshot and a rewrite over a damaged or missing one.
+// snapshot, at either precision, and a rewrite over a damaged or missing
+// one.
 func TestEnsureDatasetHeals(t *testing.T) {
+	d := data.SSet(2, 300, 1)
+	for _, ds := range []*geom.Dataset{d.Points, d.Points.ToFloat32()} {
+		t.Run(ds.Precision(), func(t *testing.T) { testEnsureDatasetHeals(t, ds) })
+	}
+}
+
+func testEnsureDatasetHeals(t *testing.T, ds *geom.Dataset) {
 	dir := t.TempDir()
 	st, err := Open(dir, (&capture{}).logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := data.SSet(2, 300, 1)
-	if err := st.SaveDataset("s2", 1, d.Points); err != nil {
+	if err := st.SaveDataset("s2", 1, 1, ds); err != nil {
 		t.Fatal(err)
 	}
 	paths, _ := filepath.Glob(filepath.Join(dir, "datasets", "*.snap"))
@@ -343,7 +350,7 @@ func TestEnsureDatasetHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EnsureDataset("s2", 1, d.Points); err != nil {
+	if err := st.EnsureDataset("s2", 1, 1, ds); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.Stat(paths[0])
@@ -356,7 +363,7 @@ func TestEnsureDatasetHeals(t *testing.T) {
 	if err := os.Truncate(paths[0], 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EnsureDataset("s2", 1, d.Points); err != nil {
+	if err := st.EnsureDataset("s2", 1, 1, ds); err != nil {
 		t.Fatal(err)
 	}
 	if dss, _ := st.RestoreOwned(nil); len(dss) != 1 {
@@ -374,7 +381,7 @@ func TestSaveModelKeepsRecencyOrder(t *testing.T) {
 	}
 	d := data.SSet(2, 300, 1)
 	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 1}
-	if err := st.SaveDataset("s2", 1, d.Points); err != nil {
+	if err := st.SaveDataset("s2", 1, 1, d.Points); err != nil {
 		t.Fatal(err)
 	}
 	algs := []string{"Scan", "Ex-DPC", "Approx-DPC"}
@@ -449,7 +456,7 @@ func TestRestoreOwned(t *testing.T) {
 	p := core.Params{DCut: 0.06, RhoMin: 3, DeltaMin: 0.3, Workers: 1}
 	for i, name := range names {
 		d := data.SSet(2, 300, int64(i+1))
-		if err := st.SaveDataset(name, 1, d.Points); err != nil {
+		if err := st.SaveDataset(name, 1, 1, d.Points); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.SaveModel(ModelKey{Dataset: name, Version: 1, Algorithm: "Ex-DPC", Params: p},

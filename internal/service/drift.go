@@ -26,20 +26,30 @@ import (
 //
 // driftState pins the model it serves independently of the LRU cache,
 // so neither eviction nor the version purge a sliding-window append
-// performs can yank a model out from under live traffic.
+// performs can yank a model out from under live traffic. The lineages
+// belong to one upload history and hang on its registry entries (see
+// datasetEntry.drifts): an append carries them to the new version, a
+// replacement or an eviction drops them with the entry.
 
-// driftKey identifies one tracked serving lineage: the dataset name and
+// driftKey identifies one tracked serving lineage of an upload history:
 // the (normalized) model parameters, but NOT the dataset version — the
 // whole point is to span version advances until a refit lands.
 type driftKey struct {
-	dataset   string
 	algorithm string
 	params    core.Params
 }
 
+// lineages is the drift lineage set of one upload history.
+type lineages struct {
+	mu sync.Mutex
+	m  map[driftKey]*driftState
+}
+
 // driftState is the serving state of one tracked model lineage.
 type driftState struct {
-	key driftKey
+	key     driftKey
+	dataset string
+	set     *lineages // the history the lineage belongs to
 
 	mu            sync.Mutex
 	served        *core.Model
@@ -59,9 +69,9 @@ type driftObs struct {
 	tracker *drift.Tracker
 }
 
-// driftStatesCap bounds the tracked-lineage map; each entry pins one
-// model. Scaled to the cache so drift pinning can never hold more than
-// a few multiples of what the LRU already budgets.
+// driftStatesCap bounds one upload history's lineage set; each lineage
+// pins one model. Scaled to the cache so drift pinning can never hold
+// more than a few multiples of what the LRU already budgets.
 func (s *Service) driftStatesCap() int {
 	c := 4 * s.opts.cacheSize()
 	if c < 32 {
@@ -70,42 +80,44 @@ func (s *Service) driftStatesCap() int {
 	return c
 }
 
-// driftState returns (creating if needed) the state for key.
-func (s *Service) driftState(key driftKey) *driftState {
-	s.driftMu.Lock()
-	defer s.driftMu.Unlock()
-	if st, ok := s.drifts[key]; ok {
+// state returns (creating if needed) the set's lineage for key. A full
+// set first drops one idle (not refitting) lineage, which restarts cold
+// on its next touch.
+func (l *lineages) state(dataset string, key driftKey, limit int) *driftState {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if st, ok := l.m[key]; ok {
 		return st
 	}
-	if len(s.drifts) >= s.driftStatesCap() {
-		for k, old := range s.drifts {
+	if l.m == nil {
+		l.m = make(map[driftKey]*driftState)
+	}
+	if len(l.m) >= limit {
+		for k, old := range l.m {
 			old.mu.Lock()
 			busy := old.refitting
 			old.mu.Unlock()
 			if busy {
 				continue
 			}
-			delete(s.drifts, k)
+			delete(l.m, k)
 			break
 		}
 	}
-	st := &driftState{key: key}
-	s.drifts[key] = st
+	st := &driftState{key: key, dataset: dataset, set: l}
+	l.m[key] = st
 	return st
 }
 
-// dropDriftStates forgets every tracked lineage of a dataset — called
-// when the dataset is replaced wholesale (the old model is meaningless
-// for the new points, so the next assign fits fresh, exactly as before
-// drift existed) or evicted by a ring rebalance.
-func (s *Service) dropDriftStates(name string) {
-	s.driftMu.Lock()
-	for k := range s.drifts {
-		if k.dataset == name {
-			delete(s.drifts, k)
-		}
+// states returns the set's lineages.
+func (l *lineages) states() []*driftState {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]*driftState, 0, len(l.m))
+	for _, st := range l.m {
+		out = append(out, st)
 	}
-	s.driftMu.Unlock()
+	return out
 }
 
 // SetDriftHooks wires ring-mode coordination into the drift subsystem:
@@ -136,10 +148,13 @@ func (s *Service) driftHooks() (primary func(string) bool, onRefit func(string))
 //     ready model for the new version is adopted from the cache without
 //     fitting; otherwise the pinned old model keeps serving — and if
 //     the tracker has tripped, a background refit is (re)kicked;
-//   - nothing served yet: a synchronous Fit, as before drift existed.
+//   - nothing served yet: a synchronous fit of the version read, as
+//     before drift existed, pinned as the lineage's model.
 //
-// Explicit POST /v1/fit keeps its synchronous semantics by calling Fit
-// directly; only the assign paths serve stale.
+// The lineage comes from the registry entry read, so a replaced
+// dataset's lineages are never consulted. Explicit POST /v1/fit keeps its
+// synchronous semantics by calling Fit directly; only the assign paths
+// serve stale.
 func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult, *driftObs, error) {
 	cfg := s.opts.Drift
 	if cfg == nil {
@@ -161,7 +176,7 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 		return FitResult{}, nil, fmt.Errorf("service: unknown dataset %q", dataset)
 	}
 	v := e.version
-	st := s.driftState(driftKey{dataset: dataset, algorithm: algorithm, params: p})
+	st := e.drifts.state(dataset, driftKey{algorithm: algorithm, params: p}, s.driftStatesCap())
 
 	st.mu.Lock()
 	served, servedV, tracker := st.served, st.servedVersion, st.tracker
@@ -178,20 +193,6 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 		if cur, ok := s.currentVersion(dataset); !ok || cur != v {
 			return s.serveFit(dataset, algorithm, p)
 		}
-		// Fit the entry that was checked, not a re-read of the registry:
-		// a later append must never make this read fit (and pin as v) a
-		// newer version.
-		s.fitRequests.Add(1)
-		fr, err := s.fitEntry(dataset, e, alg, p)
-		if err != nil {
-			return FitResult{}, nil, err
-		}
-		if fr.Model != served {
-			// Evicted and refit at the same version; re-pin and restart
-			// tracking (the reference is deterministic, only counters reset).
-			tracker = s.publish(st, fr.Model, v)
-		}
-		return fr, &driftObs{st: st, tracker: tracker}, nil
 
 	case served != nil: // version advanced past the pinned model
 		key := modelKey{dataset: dataset, version: v, algorithm: algorithm, params: p}
@@ -211,17 +212,21 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 			s.kickRefit(st, tracker)
 		}
 		return FitResult{Model: served, CacheHit: true}, &driftObs{st: st, tracker: tracker}, nil
-
-	default: // nothing served yet
-		fr, err := s.Fit(dataset, algorithm, p)
-		if err != nil {
-			return FitResult{}, nil, err
-		}
-		if mv, ok := s.versionOf(dataset, fr.Model); ok {
-			tracker = s.publish(st, fr.Model, mv)
-		}
-		return fr, &driftObs{st: st, tracker: tracker}, nil
 	}
+	// Fit the entry that was read, not a re-read of the registry: a later
+	// append must never make this read fit (and pin as v) a newer version.
+	s.fitRequests.Add(1)
+	fr, err := s.fitEntry(dataset, e, alg, p)
+	if err != nil {
+		return FitResult{}, nil, err
+	}
+	if fr.Model != served {
+		// Nothing served yet, or evicted and refit at the same version:
+		// (re-)pin and restart tracking (the reference is deterministic,
+		// only counters reset).
+		tracker = s.publish(st, fr.Model, v)
+	}
+	return fr, &driftObs{st: st, tracker: tracker}, nil
 }
 
 // currentVersion returns the registry version of a dataset.
@@ -235,27 +240,26 @@ func (s *Service) currentVersion(name string) (uint64, bool) {
 	return e.version, true
 }
 
-// versionOf maps a model back to the registry version it was fitted on
-// by backing-array identity; false when the dataset was replaced since.
-func (s *Service) versionOf(name string, m *core.Model) (uint64, bool) {
+// lineageEntry returns the dataset's registry entry and whether it still
+// holds st's lineage set — false once the history was replaced or
+// evicted.
+func (s *Service) lineageEntry(st *driftState) (*datasetEntry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.datasets[name]
-	if !ok || e.points != m.Dataset() {
-		return 0, false
-	}
-	return e.version, true
+	e, ok := s.datasets[st.dataset]
+	return e, ok && e.drifts == st.set
 }
 
 // publish pins m as the lineage's served model and starts a fresh
-// tracker against m's fit-time reference. Idempotent on the same model.
-// Returns the current tracker.
+// tracker against m's fit-time reference. Idempotent on the same model,
+// and a lineage never moves back: a model of an older version than the
+// pinned one (a slow request racing an append) is not pinned. Returns
+// the current tracker.
 func (s *Service) publish(st *driftState, m *core.Model, version uint64) *drift.Tracker {
 	cfg := s.opts.Drift
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.served == m {
-		st.servedVersion = version
+	if st.served == m || version < st.servedVersion {
 		return st.tracker
 	}
 	ref := drift.NewReference(m.ReferenceDists(cfg.RefSample()))
@@ -282,7 +286,7 @@ func (s *Service) kickRefit(st *driftState, tr *drift.Tracker) {
 		st.mu.Unlock()
 		return
 	}
-	if primary != nil && !primary(st.key.dataset) {
+	if primary != nil && !primary(st.dataset) {
 		st.mu.Unlock()
 		return
 	}
@@ -292,28 +296,36 @@ func (s *Service) kickRefit(st *driftState, tr *drift.Tracker) {
 	go s.runRefit(st)
 }
 
-// runRefit performs one background refit and publishes the result. The
-// Fit goes through the normal single-flight cache path, so a concurrent
-// explicit /v1/fit and the refit share one ClusterDataset pass.
+// runRefit performs one background refit of the lineage's current
+// dataset version and publishes the result. The fit goes through the
+// normal single-flight cache path, so a concurrent explicit /v1/fit and
+// the refit share one ClusterDataset pass. A model whose history was
+// replaced or evicted meanwhile is discarded: the lineage is retired.
 func (s *Service) runRefit(st *driftState) {
-	fr, err := s.Fit(st.key.dataset, st.key.algorithm, st.key.params)
+	var fr FitResult
+	var err error
+	e, live := s.lineageEntry(st)
+	if live {
+		alg, _ := core.AlgorithmByName(st.key.algorithm)
+		s.fitRequests.Add(1)
+		fr, err = s.fitEntry(st.dataset, e, alg, st.key.params)
+		_, live = s.lineageEntry(st)
+	}
 	swapped := false
 	st.mu.Lock()
 	st.refitting = false
-	if err == nil {
-		if v, ok := s.versionOf(st.key.dataset, fr.Model); ok && fr.Model != st.served {
-			cfg := s.opts.Drift
-			ref := drift.NewReference(fr.Model.ReferenceDists(cfg.RefSample()))
-			st.served = fr.Model
-			st.servedVersion = v
-			st.tracker = drift.NewTracker(*cfg, ref)
-			swapped = true
-		}
+	if live && err == nil && fr.Model != st.served && e.version >= st.servedVersion {
+		cfg := s.opts.Drift
+		ref := drift.NewReference(fr.Model.ReferenceDists(cfg.RefSample()))
+		st.served = fr.Model
+		st.servedVersion = e.version
+		st.tracker = drift.NewTracker(*cfg, ref)
+		swapped = true
 	}
 	st.mu.Unlock()
 	if err != nil {
 		if s.store != nil {
-			s.store.Log("service: drift refit %s/%s: %v", st.key.dataset, st.key.algorithm, err)
+			s.store.Log("service: drift refit %s/%s: %v", st.dataset, st.key.algorithm, err)
 		}
 		return
 	}
@@ -322,7 +334,7 @@ func (s *Service) runRefit(st *driftState) {
 		if _, onRefit := s.driftHooks(); onRefit != nil {
 			// Ship the refitted model to the replicas so they swap by
 			// warm-load, never by refitting.
-			onRefit(st.key.dataset)
+			onRefit(st.dataset)
 		}
 	}
 }
@@ -333,7 +345,7 @@ func (s *Service) runRefit(st *driftState) {
 // traffic has been tracked yet.
 func (s *Service) Drift(dataset, algorithm string) (*api.DriftResponse, error) {
 	s.mu.RLock()
-	_, ok := s.datasets[dataset]
+	e, ok := s.datasets[dataset]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("service: unknown dataset %q", dataset)
@@ -342,16 +354,10 @@ func (s *Service) Drift(dataset, algorithm string) (*api.DriftResponse, error) {
 	if !resp.Enabled {
 		return resp, nil
 	}
-	s.driftMu.Lock()
-	states := make([]*driftState, 0, len(s.drifts))
-	for k, st := range s.drifts {
-		if k.dataset != dataset || (algorithm != "" && k.algorithm != algorithm) {
+	for _, st := range e.drifts.states() {
+		if algorithm != "" && st.key.algorithm != algorithm {
 			continue
 		}
-		states = append(states, st)
-	}
-	s.driftMu.Unlock()
-	for _, st := range states {
 		st.mu.Lock()
 		m := api.DriftModel{
 			Algorithm: st.key.algorithm,
@@ -400,14 +406,14 @@ func wireDriftStatus(st drift.Status) *api.DriftStatus {
 }
 
 // driftScore returns the maximum live drift score across tracked
-// lineages — the single-gauge summary Stats carries.
+// lineages — the single-gauge summary Stats carries — and their count.
 func (s *Service) driftScore() (score float64, models int) {
-	s.driftMu.Lock()
-	states := make([]*driftState, 0, len(s.drifts))
-	for _, st := range s.drifts {
-		states = append(states, st)
+	var states []*driftState
+	s.mu.RLock()
+	for _, e := range s.datasets {
+		states = append(states, e.drifts.states()...)
 	}
-	s.driftMu.Unlock()
+	s.mu.RUnlock()
 	for _, st := range states {
 		st.mu.Lock()
 		tracker := st.tracker
@@ -426,7 +432,8 @@ func (s *Service) driftScore() (score float64, models int) {
 // points past Options.Window (<= 0: unbounded), and advances the
 // dataset version — the sliding-window mutation of POST /v1/points.
 // Models fitted on the previous version are purged from the cache but
-// keep serving through their drift pins until a refit lands. When the
+// keep serving through their drift pins until a refit lands: the new
+// version carries the upload history's epoch and lineage set. When the
 // old version's density index is ready, the new version is published
 // with its densindex.Update already attached — expired edges filtered,
 // appended points range-searched against the new version's
@@ -474,10 +481,10 @@ func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse
 		expired := expire + (len(pts) - len(keepPts))
 		nds := appendDataset(old, expire, keepPts)
 		newVersion := oldVersion + 1
-		next := &datasetEntry{points: nds, version: newVersion}
+		next := &datasetEntry{points: nds, version: newVersion, epoch: e.epoch, drifts: e.drifts}
 		updated := false
 		if idx, ok := e.residentIndex(0); ok {
-			if up, err := densindex.Update(idx, nds, expire, len(keepPts), s.opts.Workers, s.opts.indexMaxEdges()); err == nil {
+			if up, err := densindex.Update(idx, nds, expire, len(keepPts), s.opts.Workers, indexMaxEdges); err == nil {
 				ready := make(chan struct{})
 				close(ready)
 				next.idx = &indexEntry{dcMax: up.DCutMax(), ready: ready, idx: up}
@@ -501,7 +508,7 @@ func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse
 			s.indexUpdates.Add(1)
 		}
 		if s.store != nil {
-			if err := s.store.SaveDataset(name, newVersion, nds); err != nil {
+			if err := s.store.SaveDataset(name, newVersion, e.epoch, nds); err != nil {
 				s.persistErrors.Add(1)
 				s.store.Log("service: persisting dataset %q v%d: %v", name, newVersion, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/drift"
 	"repro/internal/geom"
 )
@@ -68,7 +69,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestDriftDisabledIsLegacy pins the compatibility contract: without
 // Options.Drift the assign path is byte-for-byte the old one — no drift
-// state, no stale serving, identical counters.
+// state, no stale serving, identical counters. An append is just a new
+// version: the next assign fits it.
 func TestDriftDisabledIsLegacy(t *testing.T) {
 	s := New(Options{Workers: 2})
 	d, p := fixture(t, 800)
@@ -79,7 +81,16 @@ func TestDriftDisabledIsLegacy(t *testing.T) {
 	if err != nil || len(labels) != 100 {
 		t.Fatalf("assign: %v (%d labels)", err, len(labels))
 	}
+	if _, err := s.AppendPoints("s2", rows(d.Points, 0, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, fr, err := s.Assign("s2", "Scan", p, rows(d.Points, 0, 100, 0)); err != nil || fr.CacheHit {
+		t.Fatalf("assign after append: err=%v cacheHit=%v, want a fit of the new version", err, fr.CacheHit)
+	}
 	st := s.Stats()
+	if st.CacheMisses != 2 {
+		t.Errorf("cache misses = %d, want 2 (one fit per version)", st.CacheMisses)
+	}
 	if st.DriftModels != 0 || st.DriftTrips != 0 || st.DriftStaleServes != 0 {
 		t.Fatalf("drift counters moved without drift enabled: %+v", st)
 	}
@@ -89,6 +100,57 @@ func TestDriftDisabledIsLegacy(t *testing.T) {
 	}
 	if resp.Enabled || len(resp.Models) != 0 {
 		t.Fatalf("Drift() = %+v, want disabled and empty", resp)
+	}
+}
+
+// TestDriftLineageLifecycle: the lineage set belongs to the dataset's
+// upload history. More distinct parameter sets than the cap keep
+// drift_models within it; an append carries the set to the new
+// version; a replacing re-upload and a Reconcile eviction retire it.
+func TestDriftLineageLifecycle(t *testing.T) {
+	cfg := driftConfig()
+	cfg.HaloThreshold = 0 // no trips in this test
+	s := New(Options{Workers: 2, Drift: cfg})
+	d, p := fixture(t, 400)
+	if _, err := s.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	batch := rows(d.Points, 0, 20, 0)
+	limit := s.driftStatesCap()
+	for i := 0; i < limit+3; i++ {
+		q := p
+		q.DeltaMin = p.DeltaMin * (1 + float64(i)/1000)
+		if _, _, err := s.Assign("s2", "Ex-DPC", q, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	models := s.Stats().DriftModels
+	if models != limit {
+		t.Fatalf("drift_models = %d after %d parameter sets, want the cap %d", models, limit+3, limit)
+	}
+	if _, err := s.AppendPoints("s2", rows(d.Points, 0, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().DriftModels; got != models {
+		t.Fatalf("drift_models = %d after an append, want %d (the slide keeps its lineages)", got, models)
+	}
+	if _, err := s.PutDataset("s2", data.SSet(2, 400, 2).Points); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().DriftModels; got != 0 {
+		t.Fatalf("drift_models = %d after a replacing re-upload, want 0", got)
+	}
+	if _, _, err := s.Assign("s2", "Ex-DPC", p, batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().DriftModels; got != 1 {
+		t.Fatalf("drift_models = %d after one assign, want 1", got)
+	}
+	if rs := s.Reconcile(func(string) bool { return false }); rs.DatasetsEvicted != 1 {
+		t.Fatalf("reconcile = %+v, want one eviction", rs)
+	}
+	if got := s.Stats().DriftModels; got != 0 {
+		t.Fatalf("drift_models = %d after a Reconcile eviction, want 0", got)
 	}
 }
 
@@ -661,4 +723,72 @@ func TestDriftConcurrentRace(t *testing.T) {
 		t.Fatalf("%d operations failed under concurrency", fails.Load())
 	}
 	_ = n
+}
+
+// TestDriftReplicaReplacementFitsFresh: a shipped re-upload of different
+// points starts a new upload history, not a slide of the old one. The
+// replica must retire the lineage it pinned on the replaced points and
+// label against a fit of the new ones — the primary's answer — instead
+// of stale-serving the replaced model.
+func TestDriftReplicaReplacementFitsFresh(t *testing.T) {
+	d, p := fixture(t, 800)
+	b := data.SSet(2, 800, 2).Points
+	primary := New(Options{Workers: 2, Drift: driftConfig()})
+	replica := New(Options{Workers: 2, Drift: driftConfig()})
+	replica.SetDriftHooks(func(string) bool { return false }, nil)
+	ship := func() {
+		t.Helper()
+		for _, raw := range primary.ReplicationSnapshots("s2") {
+			if _, err := replica.InstallSnapshot(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	if _, err := primary.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Fit("s2", "Scan", p); err != nil {
+		t.Fatal(err)
+	}
+	ship()
+	batch := rows(b, 0, 200, 0)
+	if _, _, err := replica.Assign("s2", "Scan", p, batch); err != nil {
+		t.Fatal(err)
+	}
+
+	if info, err := primary.PutDataset("s2", b); err != nil || info.N != b.N {
+		t.Fatalf("re-upload: %+v, %v", info, err)
+	}
+	ship()
+	stale := replica.Stats().DriftStaleServes
+	want, _, err := primary.Assign("s2", "Scan", p, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := replica.Assign("s2", "Scan", p, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, _ := core.AlgorithmByName("Scan")
+	fresh, err := core.Fit(alg, b, primary.normalize("Scan", p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshLabels, err := fresh.AssignAll(batch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelsEqual(t, "primary vs fresh fit of the re-upload", want, freshLabels)
+	labelsEqual(t, "replica vs primary", got, want)
+	if st := replica.Stats(); st.DriftStaleServes != stale {
+		t.Errorf("replica stale-served the replaced model: drift_stale_serves %d -> %d", stale, st.DriftStaleServes)
+	}
+	dr, err := replica.Drift("s2", "Scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dr.Models) != 1 || dr.Models[0].Version != 2 {
+		t.Fatalf("replica Drift() after the shipped re-upload = %+v, want one lineage at v2", dr.Models)
+	}
 }

@@ -76,7 +76,17 @@ func FuzzInstallSnapshot(f *testing.F) {
 	f.Add([]byte("not a snapshot"))
 	f.Add(legacyIndexImage(snaps[0]))
 	// An f32 (kind-4) image of a newer version: it installs.
-	f.Add(persist.EncodeDataset("ds", 3, d.Points.ToFloat32()))
+	f.Add(persist.EncodeDataset("ds", 3, 3, d.Points.ToFloat32()))
+	// A slide of the resident upload (v2 at epoch 1, a format-2 field): it
+	// installs and continues the resident history.
+	slid := New(Options{Workers: 1})
+	if _, err := slid.PutDataset("ds", d.Points); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := slid.AppendPoints("ds", rows(d.Points, 0, 5, 0)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(slid.ReplicationSnapshots("ds")[0])
 
 	install := func(t *testing.T, raw []byte) {
 		s := New(Options{Workers: 1})

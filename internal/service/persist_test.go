@@ -612,3 +612,33 @@ func TestRestoreLegacyIndexDataDir(t *testing.T) {
 		t.Errorf("the next manifest save kept the indexes list:\n%s", raw)
 	}
 }
+
+// TestRestartKeepsEpoch: an appended version restores with the epoch of
+// the upload it descends from, so after a restart the node still ships
+// its slides as continuations of the replicas' resident history.
+func TestRestartKeepsEpoch(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := fixture(t, 400)
+	s := New(Options{Workers: 2, Store: openStore(t, dir)})
+	if _, err := s.PutDataset("s2", d.Points); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutDataset("s2", geom.MustFromRows(rows(d.Points, 0, 300, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendPoints("s2", rows(d.Points, 300, 310, 0)); err != nil {
+		t.Fatal(err)
+	}
+	restarted := New(Options{Workers: 2, Store: openStore(t, dir)})
+	snaps := restarted.ReplicationSnapshots("s2")
+	if len(snaps) == 0 {
+		t.Fatal("dataset not restored")
+	}
+	v, err := persist.DecodeSnapshot(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn := v.(*persist.DatasetSnapshot); sn.Version != 3 || sn.Epoch != 2 {
+		t.Fatalf("restored v%d epoch %d, want v3 epoch 2", sn.Version, sn.Epoch)
+	}
+}

@@ -98,23 +98,30 @@ func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, models []*persist.Mod
 // key's primary and travel with every snapshot, so replicas order ships
 // without any clock. A fresh install purges the cached models of the
 // version it replaces, as PutDataset does; the replaced entry takes its
-// density index with it.
+// density index with it. The install continues the resident upload
+// history — its drift lineages keep serving, as after a local append —
+// only when the snapshot carries the resident epoch; otherwise the ship
+// replaced the dataset, and the install starts a new history.
 func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource) (api.InstallResult, error) {
 	res := api.InstallResult{Kind: "dataset", Dataset: sn.Name, Version: sn.Version}
 	s.mu.Lock()
-	if old, ok := s.datasets[sn.Name]; ok && (src == fromDisk || old.version >= sn.Version) {
+	old, ok := s.datasets[sn.Name]
+	if ok && (src == fromDisk || old.version >= sn.Version) {
 		s.mu.Unlock()
 		if src == fromPrimary && s.store != nil && old.version == sn.Version {
 			// Same self-heal opportunity as an idempotent re-upload: if this
 			// version's snapshot never made it to disk, write it now.
-			if err := s.store.EnsureDataset(sn.Name, sn.Version, sn.Points); err != nil {
+			if err := s.store.EnsureDataset(sn.Name, sn.Version, sn.Epoch, sn.Points); err != nil {
 				s.persistErrors.Add(1)
 				s.store.Log("service: re-persisting replicated dataset %q v%d: %v", sn.Name, sn.Version, err)
 			}
 		}
 		return res, nil
 	}
-	e := &datasetEntry{points: sn.Points, version: sn.Version}
+	e := &datasetEntry{points: sn.Points, version: sn.Version, epoch: sn.Epoch, drifts: &lineages{}}
+	if ok && old.epoch == sn.Epoch {
+		e.drifts = old.drifts
+	}
 	e.fpOnce.Do(func() { e.fp = sn.Fingerprint })
 	s.datasets[sn.Name] = e
 	s.mu.Unlock()
@@ -126,7 +133,7 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource
 	}
 	s.datasetsReplicated.Add(1)
 	if s.store != nil {
-		if err := s.store.SaveDataset(sn.Name, sn.Version, sn.Points); err != nil {
+		if err := s.store.SaveDataset(sn.Name, sn.Version, sn.Epoch, sn.Points); err != nil {
 			s.persistErrors.Add(1)
 			s.store.Log("service: persisting replicated dataset %q v%d: %v", sn.Name, sn.Version, err)
 		}
@@ -204,7 +211,7 @@ func (s *Service) ReplicationSnapshots(name string) [][]byte {
 	if !ok {
 		return nil
 	}
-	out := [][]byte{persist.EncodeDataset(name, e.version, e.points)}
+	out := [][]byte{persist.EncodeDataset(name, e.version, e.epoch, e.points)}
 	for _, cm := range s.cache.completed(name, e.version) {
 		pk := persist.ModelKey{
 			Dataset:   cm.key.dataset,

@@ -56,11 +56,6 @@ type Options struct {
 	// 1<<30. The breach surfaces as the stream's terminal error record —
 	// labels already emitted stay valid.
 	MaxStreamPoints int64
-	// IndexMaxEdges caps the stored entries of one dataset's density
-	// index (each costs 12 bytes); <= 0 means 1<<25 (~384 MiB). A
-	// decision-graph or sweep request whose d_cut would exceed the budget
-	// fails with a clear error instead of exhausting memory.
-	IndexMaxEdges int64
 	// Drift, when non-nil, enables assign-path drift tracking and
 	// trip-triggered background refits with atomic model swap (see
 	// internal/service/drift.go). Nil keeps the pre-drift behavior and
@@ -93,12 +88,11 @@ func (o Options) maxStreamPoints() int64 {
 	return 1 << 30
 }
 
-func (o Options) indexMaxEdges() int64 {
-	if o.IndexMaxEdges > 0 {
-		return o.IndexMaxEdges
-	}
-	return 1 << 25
-}
+// indexMaxEdges caps the stored entries of one dataset's density index
+// (each costs 12 bytes, so ~384 MiB). A decision-graph or sweep request
+// whose d_cut would exceed the budget fails with a clear error instead
+// of exhausting memory.
+const indexMaxEdges = 1 << 25
 
 // Service owns the dataset registry and the model cache.
 type Service struct {
@@ -139,11 +133,9 @@ type Service struct {
 	indexBuilds atomic.Int64
 	indexCuts   atomic.Int64
 
-	// Drift subsystem (see drift.go): per-lineage serving state keyed by
-	// (dataset, algorithm, params) — deliberately not version — plus the
-	// ring hooks and the append/expiry counters.
+	// Drift subsystem (see drift.go): the lineages live on their
+	// dataset's registry entries; driftMu guards the two ring hooks.
 	driftMu          sync.Mutex
-	drifts           map[driftKey]*driftState
 	driftPrimary     func(dataset string) bool
 	onDriftRefit     func(dataset string)
 	driftTrips       atomic.Int64
@@ -159,6 +151,16 @@ type datasetEntry struct {
 	// version increments on re-upload so cached models fitted on the old
 	// points can never serve the new name.
 	version uint64
+	// epoch is the version of the upload this version descends from:
+	// PutDataset sets it to the version and an append copies it, so a
+	// shipped version with the resident epoch is a slide of the resident
+	// history, and one with another epoch replaced it.
+	epoch uint64
+	// drifts is the drift lineage set of the upload history: every
+	// version an append derives from one upload shares it, so a pinned
+	// model keeps serving across slides, and a replacement or an
+	// eviction retires the set with its entry.
+	drifts *lineages
 	// fp caches points.Fingerprint(), which hashes every coordinate:
 	// each snapshot install and every replication ship checks or encodes
 	// it. A dataset installed from a snapshot takes the snapshot's.
@@ -196,7 +198,6 @@ func New(opts Options) *Service {
 		opts:      opts,
 		datasets:  make(map[string]*datasetEntry),
 		cache:     newModelCache(opts.cacheSize()),
-		drifts:    make(map[driftKey]*driftState),
 		streamSem: make(chan struct{}, opts.maxStreams()),
 	}
 	if opts.Store != nil {
@@ -302,9 +303,9 @@ func (s *Service) ensureIndexCeil(name string, needDC, buildDC float64) (idx *de
 		// Build outside the lock; joiners block on ready. The headroom
 		// build is retried at exactly needDC when it blows the edge budget —
 		// the analyst asked for needDC, not for the convenience margin.
-		idx, err := densindex.Build(e.points, buildDC, s.opts.Workers, s.opts.indexMaxEdges())
+		idx, err := densindex.Build(e.points, buildDC, s.opts.Workers, indexMaxEdges)
 		if errors.Is(err, densindex.ErrTooDense) {
-			idx, err = densindex.Build(e.points, needDC, s.opts.Workers, s.opts.indexMaxEdges())
+			idx, err = densindex.Build(e.points, needDC, s.opts.Workers, indexMaxEdges)
 		}
 		e.idxMu.Lock()
 		if err != nil {
@@ -351,7 +352,6 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 	s.mu.Unlock()
 	for _, name := range gone {
 		s.cache.purgeStale(name, 0)
-		s.dropDriftStates(name)
 	}
 	st.DatasetsEvicted = len(gone)
 	if s.store == nil {
@@ -373,7 +373,9 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 // validated once here — NaN/Inf coordinates are rejected so a malformed
 // upload cannot reach the clustering kernels — and frozen: the service
 // keeps the pointer, so callers must not mutate it afterwards. Replacing
-// a name purges every cached model fitted on the old points; re-uploading
+// a name purges every cached model fitted on the old points and starts a
+// new upload history, so the next assign fits fresh instead of
+// stale-serving a drift lineage of the old points; re-uploading
 // bit-identical points is a no-op that keeps the version, the cached
 // models, and the snapshots (an idempotent provisioning script must not
 // throw away the warm cache).
@@ -399,13 +401,13 @@ func (s *Service) PutDataset(name string, ds *geom.Dataset) (api.DatasetInfo, er
 		if old.points.Dim == ds.Dim &&
 			slices.Equal(old.points.Coords, ds.Coords) &&
 			slices.Equal(old.points.Coords32, ds.Coords32) {
-			points, ver := old.points, old.version
+			points, ver, epoch := old.points, old.version, old.epoch
 			s.mu.Unlock()
 			if s.store != nil {
 				// Self-heal: if the snapshot for this version failed to
 				// write earlier (or was damaged on disk since), the
 				// idempotent re-upload is the retry opportunity.
-				if err := s.store.EnsureDataset(name, ver, points); err != nil {
+				if err := s.store.EnsureDataset(name, ver, epoch, points); err != nil {
 					s.persistErrors.Add(1)
 					s.store.Log("service: re-persisting dataset %q v%d: %v", name, ver, err)
 				}
@@ -414,20 +416,15 @@ func (s *Service) PutDataset(name string, ds *geom.Dataset) (api.DatasetInfo, er
 		}
 		version = old.version + 1
 	}
-	s.datasets[name] = &datasetEntry{points: ds, version: version}
+	s.datasets[name] = &datasetEntry{points: ds, version: version, epoch: version, drifts: &lineages{}}
 	s.mu.Unlock()
 	if version > 1 {
 		s.cache.purgeStale(name, version)
-		// A wholesale replacement also retires the drift lineages: the old
-		// model is meaningless for the new points, so the next assign fits
-		// fresh instead of stale-serving it. (Appends keep their lineages —
-		// that continuity is the sliding-window feature.)
-		s.dropDriftStates(name)
 	}
 	if s.store != nil {
 		// SaveDataset also drops the replaced version's snapshots — the
 		// disk mirror of the purge above.
-		if err := s.store.SaveDataset(name, version, ds); err != nil {
+		if err := s.store.SaveDataset(name, version, version, ds); err != nil {
 			s.persistErrors.Add(1)
 			s.store.Log("service: persisting dataset %q v%d: %v", name, version, err)
 		}
@@ -589,7 +586,7 @@ func (s *Service) Assign(dataset, algorithm string, p core.Params, pts [][]float
 // the whole batch) and the streaming path (one chunk per response
 // record): a parallel AssignAll plus the points counter. A non-nil obs
 // adds drift observation — an exact halo count off the labels, one
-// O(dim) center distance every Config.SampleEvery points for the
+// O(dim) center distance every Config.SampleStride() points for the
 // quantile sketch, one tracker lock per chunk — and kicks the
 // background refit when this chunk trips the tracker.
 func (s *Service) assignChunk(m *core.Model, obs *driftObs, pts [][]float64) ([]int32, error) {

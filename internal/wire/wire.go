@@ -123,8 +123,8 @@ type Frame struct {
 	ErrMsg  string    // KindError
 
 	// Coords32 holds the raw float32 coordinates of a FlagFloat32 points
-	// frame when the decoding Reader runs in keep-f32 mode (see
-	// Reader.Keep32). Exactly one of Coords and Coords32 is non-nil for a
+	// frame when the decoding Reader runs in keep-f32 mode (an f32
+	// ReadDataset32). Exactly one of Coords and Coords32 is non-nil for a
 	// non-empty points frame; float64 frames always decode into Coords.
 	Coords32 []float32
 
@@ -533,7 +533,9 @@ func DecodeFrame(raw []byte) (*Frame, []byte, error) {
 // Reader decodes a frame stream incrementally: one frame per Next call,
 // never holding more than one frame's payload in memory.
 type Reader struct {
-	r      io.Reader
+	r io.Reader
+	// keep32 decodes FlagFloat32 points frames into Frame.Coords32
+	// without widening; an f32 ReadDataset32 sets it.
 	keep32 bool
 	hdr    [frameHeaderSize]byte
 }
@@ -541,14 +543,6 @@ type Reader struct {
 // NewReader wraps r. Callers on the HTTP path hand it a bufio.Reader;
 // the Reader itself issues only exact-size reads.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// Keep32 switches the reader into keep-f32 mode: FlagFloat32 points
-// frames decode into Frame.Coords32 without widening. It returns the
-// reader for chaining. Float64 frames are unaffected.
-func (r *Reader) Keep32(on bool) *Reader {
-	r.keep32 = on
-	return r
-}
 
 // Next returns the next frame. io.EOF is returned only at a clean frame
 // boundary; a stream that ends inside a frame is a truncation error, so
@@ -621,7 +615,7 @@ func PeekDataset(body []byte) (string, error) {
 // values that do not round-trip, which is the caller's explicit choice
 // by requesting f32.
 func ReadDataset32(r io.Reader, f32 bool) (*geom.Dataset, error) {
-	fr := NewReader(bufio.NewReaderSize(r, 64<<10)).Keep32(f32)
+	fr := &Reader{r: bufio.NewReaderSize(r, 64<<10), keep32: f32}
 	var (
 		coords   []float64
 		coords32 []float32

@@ -123,8 +123,8 @@ func (s *Store) Log(format string, args ...any) { s.logf(format, args...) }
 // SaveDataset snapshots one dataset version of the upload history that
 // began at version epoch. Replacing a name removes the previous version's
 // dataset snapshot and every model fitted on it — the disk mirror of the
-// serving layer's cache purge. A save that has already been superseded by
-// a newer version is skipped.
+// serving layer retiring the replaced version with its models. A save
+// that has already been superseded by a newer version is skipped.
 func (s *Store) SaveDataset(name string, version, epoch uint64, ds *geom.Dataset) error {
 	// Refuse to write what Restore would refuse to read: a snapshot that
 	// saves fine but can never load is worse than a counted persist error.

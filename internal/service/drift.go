@@ -25,29 +25,23 @@ import (
 // pointer swap; streams that started on the old model finish on it.
 //
 // driftState pins the model it serves independently of the LRU cache,
-// so neither eviction nor the version purge a sliding-window append
-// performs can yank a model out from under live traffic. The lineages
-// belong to one upload history and hang on its registry entries (see
-// datasetEntry.drifts): an append carries them to the new version, a
-// replacement or an eviction drops them with the entry.
-
-// driftKey identifies one tracked serving lineage of an upload history:
-// the (normalized) model parameters, but NOT the dataset version — the
-// whole point is to span version advances until a refit lands.
-type driftKey struct {
-	algorithm string
-	params    core.Params
-}
+// so neither eviction nor the retirement of the version a sliding-window
+// append replaces can yank a model out from under live traffic. The
+// lineages belong to one upload history and hang on its registry entries
+// (see datasetEntry.drifts): an append carries them to the new version, a
+// replacement or an eviction drops them with the entry. A lineage is
+// keyed by its modelKey but NOT the dataset version — the whole point is
+// to span version advances until a refit lands.
 
 // lineages is the drift lineage set of one upload history.
 type lineages struct {
 	mu sync.Mutex
-	m  map[driftKey]*driftState
+	m  map[modelKey]*driftState
 }
 
 // driftState is the serving state of one tracked model lineage.
 type driftState struct {
-	key     driftKey
+	key     modelKey
 	dataset string
 	set     *lineages // the history the lineage belongs to
 
@@ -83,14 +77,14 @@ func (s *Service) driftStatesCap() int {
 // state returns (creating if needed) the set's lineage for key. A full
 // set first drops one idle (not refitting) lineage, which restarts cold
 // on its next touch.
-func (l *lineages) state(dataset string, key driftKey, limit int) *driftState {
+func (l *lineages) state(dataset string, key modelKey, limit int) *driftState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if st, ok := l.m[key]; ok {
 		return st
 	}
 	if l.m == nil {
-		l.m = make(map[driftKey]*driftState)
+		l.m = make(map[modelKey]*driftState)
 	}
 	if len(l.m) >= limit {
 		for k, old := range l.m {
@@ -176,7 +170,8 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 		return FitResult{}, nil, fmt.Errorf("service: unknown dataset %q", dataset)
 	}
 	v := e.version
-	st := e.drifts.state(dataset, driftKey{algorithm: algorithm, params: p}, s.driftStatesCap())
+	key := modelKey{algorithm: algorithm, params: p}
+	st := e.drifts.state(dataset, key, s.driftStatesCap())
 
 	st.mu.Lock()
 	served, servedV, tracker := st.served, st.servedVersion, st.tracker
@@ -188,15 +183,14 @@ func (s *Service) serveFit(dataset, algorithm string, p core.Params) (FitResult,
 	switch {
 	case served != nil && servedV == v:
 		// The dataset moved on since the version check (an append also
-		// purges v's model): the pin is stale, so take the version-advanced
+		// retires v's models): the pin is stale, so take the version-advanced
 		// path rather than refitting v on the read path.
 		if cur, ok := s.currentVersion(dataset); !ok || cur != v {
 			return s.serveFit(dataset, algorithm, p)
 		}
 
 	case served != nil: // version advanced past the pinned model
-		key := modelKey{dataset: dataset, version: v, algorithm: algorithm, params: p}
-		if m, ok := s.cache.peekReady(key); ok {
+		if m, ok := s.cache.peekReady(e, key); ok {
 			// The new version's model is already resident (shipped to this
 			// replica, or fitted by an explicit /v1/fit): atomic adopt, no
 			// fit, no stale serve.
@@ -431,18 +425,17 @@ func (s *Service) driftScore() (score float64, models int) {
 // AppendPoints appends pts to a registered dataset, expiring the oldest
 // points past Options.Window (<= 0: unbounded), and advances the
 // dataset version — the sliding-window mutation of POST /v1/points.
-// Models fitted on the previous version are purged from the cache but
-// keep serving through their drift pins until a refit lands: the new
-// version carries the upload history's epoch and lineage set. When the
-// old version's density index is ready, the new version is published
-// with its densindex.Update already attached — expired edges filtered,
-// appended points range-searched against the new version's
+// The previous version's entry is retired, taking its cached models with
+// it, but they keep serving through their drift pins until a refit
+// lands: the new version carries the upload history's epoch and lineage
+// set. When the old version's density index is ready, the new version is
+// published with its densindex.Update already attached — expired edges
+// filtered, appended points range-searched against the new version's
 // whole-dataset kd-tree, which the updated index keeps for the refit's
-// cut and its assigner — so no version is ever visible without the
-// index it was derived with; otherwise the new version has none and the
-// first request that needs one builds it. The appended rows are
-// validated like an upload: rectangular, the dataset's dimensionality,
-// no NaN/Inf.
+// cut and its assigner — so no version is ever visible without the index
+// it was derived with; otherwise the new version has none and the first
+// request that needs one builds it. The appended rows are validated like
+// an upload: rectangular, the dataset's dimensionality, no NaN/Inf.
 func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse, error) {
 	if len(pts) == 0 {
 		return api.AppendResponse{}, fmt.Errorf("service: append of zero points")
@@ -498,10 +491,9 @@ func (s *Service) AppendPoints(name string, pts [][]float64) (api.AppendResponse
 			s.mu.Unlock()
 			continue // raced a replace/append; revalidate against the new entry
 		}
-		s.datasets[name] = next
+		s.setDatasetLocked(name, next)
 		s.mu.Unlock()
 
-		s.cache.purgeStale(name, newVersion)
 		s.pointsAppended.Add(int64(len(keepPts)))
 		s.pointsExpired.Add(int64(expired))
 		if updated {

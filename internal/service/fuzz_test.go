@@ -32,12 +32,13 @@ func legacyIndexImage(seed []byte) []byte {
 }
 
 // FuzzInstallSnapshot feeds arbitrary bytes to InstallSnapshot on a
-// service with a resident dataset: the body of POST
-// /v1/replica/snapshot, decoded and then run through the same per-kind
-// installers a restart or a rebalance runs on its own snapshot files.
-// It must never panic, and an image it rejects (an error, or a no-op
-// install) must leave the dataset version and every Stats counter
-// unchanged. A mutated image almost never passes the CRC-32, so each
+// service with a resident dataset and one resident model of it (the
+// seed's v1 Ex-DPC image): the body of POST /v1/replica/snapshot,
+// decoded and then run through the same per-kind installers a restart or
+// a rebalance runs on its own snapshot files. It must never panic, an
+// image it rejects (an error, or a no-op install) must leave the dataset
+// version and every Stats counter unchanged, and an install that lands a
+// newer dataset version must leave no model cached. A mutated image almost never passes the CRC-32, so each
 // input is also installed re-framed — its payload behind a valid
 // header, length and checksum — which lets mutations reach the payload
 // decoders and the installers' version and fingerprint checks.
@@ -46,7 +47,8 @@ func FuzzInstallSnapshot(f *testing.F) {
 	p := core.Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin}
 
 	// Valid images of the resident dataset and two models: the dataset
-	// re-ship is a no-op, the models install.
+	// re-ship and the resident Ex-DPC model (snaps[1], the most recently
+	// fitted) are no-ops, the Approx-DPC model installs.
 	primary := New(Options{Workers: 1})
 	if _, err := primary.PutDataset("ds", d.Points); err != nil {
 		f.Fatal(err)
@@ -57,6 +59,9 @@ func FuzzInstallSnapshot(f *testing.F) {
 		}
 	}
 	snaps := primary.ReplicationSnapshots("ds")
+	if sn, err := persist.DecodeSnapshot(snaps[1]); err != nil || sn.(*persist.ModelSnapshot).Key.Algorithm != "Ex-DPC" {
+		f.Fatalf("snaps[1] is not the Ex-DPC model image: %v", err)
+	}
 	for _, raw := range snaps {
 		f.Add(raw)
 	}
@@ -93,17 +98,23 @@ func FuzzInstallSnapshot(f *testing.F) {
 		if _, err := s.PutDataset("ds", d.Points); err != nil {
 			t.Fatal(err)
 		}
+		if res, err := s.InstallSnapshot(snaps[1]); err != nil || !res.Installed {
+			t.Fatalf("resident model install: %+v, %v", res, err)
+		}
 		before := s.Stats()
 		res, err := s.InstallSnapshot(raw)
+		s.mu.RLock()
+		v := s.datasets["ds"].version
+		s.mu.RUnlock()
 		if err == nil && res.Installed {
+			if cached := s.Stats().ModelsCached; v > 1 && cached != 0 {
+				t.Errorf("install of %s v%d left %d models of the replaced version cached", res.Kind, v, cached)
+			}
 			return
 		}
 		if after := s.Stats(); after != before {
 			t.Errorf("rejected image (%+v, %v) moved Stats:\n before %+v\n after  %+v", res, err, before, after)
 		}
-		s.mu.RLock()
-		v := s.datasets["ds"].version
-		s.mu.RUnlock()
 		if v != 1 {
 			t.Errorf("rejected image (%+v, %v) moved the dataset to v%d", res, err, v)
 		}

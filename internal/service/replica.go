@@ -96,12 +96,12 @@ func (s *Service) warmLoad(dss []*persist.DatasetSnapshot, models []*persist.Mod
 // yields to any resident entry; from a primary it lands unless an
 // equal-or-newer version is resident — versions are assigned by the
 // key's primary and travel with every snapshot, so replicas order ships
-// without any clock. A fresh install purges the cached models of the
-// version it replaces, as PutDataset does; the replaced entry takes its
-// density index with it. The install continues the resident upload
-// history — its drift lineages keep serving, as after a local append —
-// only when the snapshot carries the resident epoch; otherwise the ship
-// replaced the dataset, and the install starts a new history.
+// without any clock. A fresh install retires the entry it replaces, as
+// PutDataset does, which takes that version's cached models and density
+// index with it. The install continues the resident upload history — its
+// drift lineages keep serving, as after a local append — only when the
+// snapshot carries the resident epoch; otherwise the ship replaced the
+// dataset, and the install starts a new history.
 func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource) (api.InstallResult, error) {
 	res := api.InstallResult{Kind: "dataset", Dataset: sn.Name, Version: sn.Version}
 	s.mu.Lock()
@@ -123,9 +123,8 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource
 		e.drifts = old.drifts
 	}
 	e.fpOnce.Do(func() { e.fp = sn.Fingerprint })
-	s.datasets[sn.Name] = e
+	s.setDatasetLocked(sn.Name, e)
 	s.mu.Unlock()
-	s.cache.purgeStale(sn.Name, sn.Version)
 	res.Installed = true
 	if src == fromDisk {
 		s.datasetsRestored.Add(1)
@@ -144,10 +143,11 @@ func (s *Service) installDataset(sn *persist.DatasetSnapshot, src snapshotSource
 // installModel rebuilds a model snapshot against its resident dataset —
 // core.Restore re-derives only the assigner's kd-tree, sharing the
 // dataset's resident index tree when one is built — and puts it in the
-// cache as a completed entry. The dataset must be resident at the
-// snapshot's exact version and hold the very points the model was
-// fitted on: installs run datasets first, so anything else means the
-// snapshot is stale (or its dataset snapshot was lost) and is refused.
+// dataset entry's model slots as a completed model. The dataset must be
+// resident at the snapshot's exact version and hold the very points the
+// model was fitted on: installs run datasets first, so anything else
+// means the snapshot is stale (or its dataset snapshot was lost) and is
+// refused.
 func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (api.InstallResult, error) {
 	name, version := sn.Key.Dataset, sn.Key.Version
 	res := api.InstallResult{Kind: "model", Dataset: name, Version: version}
@@ -163,25 +163,19 @@ func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (a
 		return res, fmt.Errorf("service: model snapshot for %q v%d computed on different points (fingerprint mismatch)", name, version)
 	}
 	// Workers is zeroed in the snapshot; in memory it is this host's policy.
-	key := modelKey{
-		dataset:   sn.Key.Dataset,
-		version:   sn.Key.Version,
-		algorithm: sn.Key.Algorithm,
-		params:    s.normalize(sn.Key.Algorithm, sn.Key.Params),
-	}
-	if s.cache.has(key) {
-		return res, nil
-	}
-	var tree *kdtree.Tree
-	if idx, ok := e.residentIndex(0); ok {
-		tree = idx.Tree()
-	}
-	m, err := core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime, tree)
+	key := modelKey{algorithm: sn.Key.Algorithm, params: s.normalize(sn.Key.Algorithm, sn.Key.Params)}
+	m, installed, err := s.cache.put(e, key, func() (*core.Model, error) {
+		var tree *kdtree.Tree
+		if idx, ok := e.residentIndex(0); ok {
+			tree = idx.Tree()
+		}
+		return core.Restore(sn.Key.Algorithm, e.points, sn.Result, key.params, sn.FitTime, tree)
+	})
 	if err != nil {
-		return res, fmt.Errorf("service: rebuilding model %s/%s: %w", sn.Key.Dataset, sn.Key.Algorithm, err)
+		return res, fmt.Errorf("service: rebuilding model %s/%s: %w", name, sn.Key.Algorithm, err)
 	}
-	if !s.cache.put(key, m) {
-		return res, nil // a concurrent install or fit won the race
+	if !installed {
+		return res, nil // already resident, or the version was replaced meanwhile
 	}
 	res.Installed = true
 	if src == fromDisk {
@@ -192,7 +186,7 @@ func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (a
 	if s.store != nil {
 		if err := s.store.SaveModel(sn.Key, m); err != nil {
 			s.persistErrors.Add(1)
-			s.store.Log("service: persisting replicated model %s/%s: %v", sn.Key.Dataset, sn.Key.Algorithm, err)
+			s.store.Log("service: persisting replicated model %s/%s: %v", name, sn.Key.Algorithm, err)
 		}
 	}
 	return res, nil
@@ -200,10 +194,9 @@ func (s *Service) installModel(sn *persist.ModelSnapshot, src snapshotSource) (a
 
 // ReplicationSnapshots encodes everything a replica needs for one
 // resident dataset, in install order: the dataset snapshot, then one
-// model snapshot per completed cache entry fitted on the current
-// version. nil when the dataset is not resident. In-flight fits are
-// skipped — they ship when they finish via the router's post-write
-// replication.
+// model snapshot per completed model of the current version's entry.
+// nil when the dataset is not resident. In-flight fits are skipped —
+// they ship when they finish via the router's post-write replication.
 func (s *Service) ReplicationSnapshots(name string) [][]byte {
 	s.mu.RLock()
 	e, ok := s.datasets[name]
@@ -212,56 +205,12 @@ func (s *Service) ReplicationSnapshots(name string) [][]byte {
 		return nil
 	}
 	out := [][]byte{persist.EncodeDataset(name, e.version, e.epoch, e.points)}
-	for _, cm := range s.cache.completed(name, e.version) {
-		pk := persist.ModelKey{
-			Dataset:   cm.key.dataset,
-			Version:   cm.key.version,
-			Algorithm: cm.key.algorithm,
-			Params:    cm.key.params,
-		}
+	for _, cm := range s.cache.fitted(e) {
 		// Thread count is host policy, not model identity — zeroed on the
 		// wire exactly as SaveModel zeroes it on disk.
+		pk := persist.ModelKey{Dataset: name, Version: e.version, Algorithm: cm.key.algorithm, Params: cm.key.params}
 		pk.Params.Workers = 0
 		out = append(out, persist.EncodeModel(pk, e.fingerprint(), cm.model.FitTime(), cm.model.Result()))
 	}
 	return out
-}
-
-// completedModel is one snapshot-able cache entry.
-type completedModel struct {
-	key   modelKey
-	model *core.Model
-}
-
-// completed returns the cache's finished, successful entries for one
-// dataset version. In-flight and failed entries are excluded.
-func (c *modelCache) completed(name string, version uint64) []completedModel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []completedModel
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.key.dataset != name || e.key.version != version {
-			continue
-		}
-		select {
-		case <-e.ready:
-		default:
-			continue // still fitting
-		}
-		if e.err != nil || e.model == nil {
-			continue
-		}
-		out = append(out, completedModel{key: e.key, model: e.model})
-	}
-	return out
-}
-
-// has reports whether key is present (completed or in flight) without
-// touching LRU order or hit counters.
-func (c *modelCache) has(key modelKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }

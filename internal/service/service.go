@@ -1,12 +1,14 @@
 // Package service is the fit-once/assign-many serving layer behind cmd/dpcd:
-// a named dataset registry, an LRU cache of fitted core.Model instances
-// keyed by (dataset, algorithm, params) with single-flight fit
-// deduplication, and request metrics. Heavy traffic for the same model
-// pays one ClusterDataset pass; everything after that is O(log n)
-// kd-tree assignment per point.
+// a named dataset registry whose entries (one per dataset version) hold
+// their fitted core.Model instances keyed by (algorithm, params), with
+// single-flight fit deduplication and one LRU bound across all versions,
+// and request metrics. Heavy traffic for the same model pays one
+// ClusterDataset pass; everything after that is O(log n) kd-tree
+// assignment per point.
 package service
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
@@ -173,6 +175,28 @@ type datasetEntry struct {
 	// the entry drops its index with it.
 	idxMu sync.Mutex
 	idx   *indexEntry
+
+	// models are this version's model slots (completed or in flight), each
+	// also an element of the cache's recency list; retired is set once the
+	// registry no longer holds the entry, after which nothing is cached on
+	// it. Both are guarded by the model cache's mu.
+	models  map[modelKey]*list.Element
+	retired bool
+}
+
+// setDatasetLocked is the one write to the registry: it publishes next
+// under name (nil removes the name) and retires the entry it displaces,
+// so a replaced or evicted version's models leave the cache with it. The
+// caller holds s.mu for writing.
+func (s *Service) setDatasetLocked(name string, next *datasetEntry) {
+	if old, ok := s.datasets[name]; ok {
+		s.cache.retire(old)
+	}
+	if next == nil {
+		delete(s.datasets, name)
+		return
+	}
+	s.datasets[name] = next
 }
 
 func (e *datasetEntry) fingerprint() uint64 {
@@ -327,11 +351,11 @@ func (s *Service) ensureIndexCeil(name string, needDC, buildDC float64) (idx *de
 }
 
 // Reconcile aligns resident state with ring ownership after a membership
-// change: datasets (and their cached models) this shard no longer owns
-// are evicted from memory — their snapshots stay on disk untouched, for
-// the shard that owns them now or for this one if ownership returns —
-// and snapshots it now owns are warm-loaded, so a rebalance costs zero
-// refits. A nil filter owns everything (single-instance mode) and
+// change: datasets this shard no longer owns are evicted from memory —
+// their registry entries retire, taking their cached models with them,
+// and their snapshots stay on disk untouched, for the shard that owns
+// them now or for this one if ownership returns — and snapshots it now
+// owns are warm-loaded, so a rebalance costs zero refits. A nil filter owns everything (single-instance mode) and
 // reconciling is a no-op.
 func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 	var st api.ReconcileStats
@@ -339,21 +363,18 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 		return st
 	}
 	s.mu.Lock()
-	var gone []string
+	evicted := 0
 	resident := make(map[string]bool, len(s.datasets))
 	for name := range s.datasets {
 		if !owns(name) {
-			delete(s.datasets, name)
-			gone = append(gone, name)
+			s.setDatasetLocked(name, nil)
+			evicted++
 			continue
 		}
 		resident[name] = true
 	}
 	s.mu.Unlock()
-	for _, name := range gone {
-		s.cache.purgeStale(name, 0)
-	}
-	st.DatasetsEvicted = len(gone)
+	st.DatasetsEvicted = evicted
 	if s.store == nil {
 		return st
 	}
@@ -373,9 +394,10 @@ func (s *Service) Reconcile(owns func(dataset string) bool) api.ReconcileStats {
 // validated once here — NaN/Inf coordinates are rejected so a malformed
 // upload cannot reach the clustering kernels — and frozen: the service
 // keeps the pointer, so callers must not mutate it afterwards. Replacing
-// a name purges every cached model fitted on the old points and starts a
-// new upload history, so the next assign fits fresh instead of
-// stale-serving a drift lineage of the old points; re-uploading
+// a name retires the old entry, which takes every cached model fitted on
+// the old points with it, and starts a new upload history, so the next
+// assign fits fresh instead of stale-serving a drift lineage of the old
+// points; re-uploading
 // bit-identical points is a no-op that keeps the version, the cached
 // models, and the snapshots (an idempotent provisioning script must not
 // throw away the warm cache).
@@ -416,14 +438,11 @@ func (s *Service) PutDataset(name string, ds *geom.Dataset) (api.DatasetInfo, er
 		}
 		version = old.version + 1
 	}
-	s.datasets[name] = &datasetEntry{points: ds, version: version, epoch: version, drifts: &lineages{}}
+	s.setDatasetLocked(name, &datasetEntry{points: ds, version: version, epoch: version, drifts: &lineages{}})
 	s.mu.Unlock()
-	if version > 1 {
-		s.cache.purgeStale(name, version)
-	}
 	if s.store != nil {
 		// SaveDataset also drops the replaced version's snapshots — the
-		// disk mirror of the purge above.
+		// disk mirror of the retirement above.
 		if err := s.store.SaveDataset(name, version, version, ds); err != nil {
 			s.persistErrors.Add(1)
 			s.store.Log("service: persisting dataset %q v%d: %v", name, version, err)
@@ -505,10 +524,11 @@ func (s *Service) Fit(dataset, algorithm string, p core.Params) (FitResult, erro
 
 // fitEntry is Fit against one registry entry the caller already read:
 // the model it returns is always for e.version, even when the dataset
-// has moved on since. p must be normalized and valid.
+// has moved on since — a fit on a retired entry is returned to its
+// caller but neither cached nor persisted. p must be normalized and
+// valid.
 func (s *Service) fitEntry(dataset string, e *datasetEntry, alg core.Algorithm, p core.Params) (FitResult, error) {
 	algorithm := alg.Name()
-	key := modelKey{dataset: dataset, version: e.version, algorithm: algorithm, params: p}
 	fill := func() (*core.Model, error) {
 		return core.Fit(alg, e.points, p)
 	}
@@ -521,32 +541,22 @@ func (s *Service) fitEntry(dataset string, e *datasetEntry, alg core.Algorithm, 
 			}
 		}
 	}
-	model, hit, err := s.cache.getOrFit(key, !indexCut, fill)
+	var save func(*core.Model)
+	if s.store != nil {
+		// A fresh fit cached on a live dataset version: snapshot it so the
+		// next process start skips this ClusterDataset pass. Workers is
+		// zeroed on disk — thread count is host policy, not identity.
+		save = func(m *core.Model) {
+			pk := persist.ModelKey{Dataset: dataset, Version: e.version, Algorithm: algorithm, Params: p}
+			if err := s.store.SaveModel(pk, m); err != nil {
+				s.persistErrors.Add(1)
+				s.store.Log("service: persisting model %s/%s: %v", dataset, algorithm, err)
+			}
+		}
+	}
+	model, hit, err := s.cache.getOrFit(e, modelKey{algorithm: algorithm, params: p}, !indexCut, fill, save)
 	if err != nil {
 		return FitResult{}, err
-	}
-	// A re-upload may have bumped the version between our registry read
-	// and the cache insert; the model is still correct for this caller,
-	// but its key is unreachable by future requests and would pin the
-	// replaced dataset in the LRU. Sweep stale versions when detected.
-	s.mu.RLock()
-	cur, still := s.datasets[dataset]
-	s.mu.RUnlock()
-	if !still || cur.version != e.version {
-		keep := uint64(0)
-		if still {
-			keep = cur.version
-		}
-		s.cache.purgeStale(dataset, keep)
-	} else if s.store != nil && !hit {
-		// A fresh fit on a still-current dataset version: snapshot it so
-		// the next process start skips this ClusterDataset pass. Workers
-		// is zeroed on disk — thread count is host policy, not identity.
-		pk := persist.ModelKey{Dataset: dataset, Version: e.version, Algorithm: algorithm, Params: p}
-		if err := s.store.SaveModel(pk, model); err != nil {
-			s.persistErrors.Add(1)
-			s.store.Log("service: persisting model %s/%s: %v", dataset, algorithm, err)
-		}
 	}
 	return FitResult{Model: model, CacheHit: hit, IndexCut: indexCut && !hit}, nil
 }
@@ -763,25 +773,29 @@ func (s *Service) Sweep(req api.SweepRequest) (*api.SweepResponse, error) {
 	return resp, nil
 }
 
-// modelKey identifies one fitted model. core.Params is a flat struct of
-// scalars, so the whole key is comparable and works as a map key.
+// modelKey identifies one model of a dataset version, and one drift
+// lineage of an upload history (which spans versions): the algorithm and
+// its normalized parameters. core.Params is a flat struct of scalars, so
+// the key is comparable and works as a map key.
 type modelKey struct {
-	dataset   string
-	version   uint64
 	algorithm string
 	params    core.Params
 }
 
-// modelCache is an LRU of fitted models with single-flight fills: a miss
-// inserts an in-flight entry under the lock, then fits outside it, so
-// concurrent requests for the same key block on the entry instead of
-// fitting again. Failed fits are removed so the next request retries.
+// modelCache bounds the model slots of every dataset version with one LRU
+// and fills them single-flight: a miss links an in-flight slot under the
+// lock, then fits outside it, so concurrent requests for the same model
+// block on the slot instead of fitting again. Failed fits are unlinked so
+// the next request retries. mu guards the recency list and every
+// datasetEntry's models and retired fields.
 type modelCache struct {
 	capacity int
 
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used; values are *cacheEntry
-	entries map[modelKey]*list.Element
+	mu sync.Mutex
+	ll *list.List // front = most recently used; values are *cacheEntry
+	// clock stamps cacheEntry.used on every link and touch, so one
+	// entry's slots sort by recency without a walk of the whole list.
+	clock uint64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -789,74 +803,107 @@ type modelCache struct {
 }
 
 type cacheEntry struct {
+	ds    *datasetEntry
 	key   modelKey
+	used  uint64        // the cache clock at the last link or touch
 	ready chan struct{} // closed once model/err are set
 	model *core.Model
 	err   error
 }
 
 func newModelCache(capacity int) *modelCache {
-	return &modelCache{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[modelKey]*list.Element),
-	}
+	return &modelCache{capacity: capacity, ll: list.New()}
 }
 
-// getOrFit returns the cached model for key, joining an in-flight fit or
+// linkLocked puts ce in its entry's slots at the front of the LRU.
+func (c *modelCache) linkLocked(ce *cacheEntry) {
+	if ce.ds.models == nil {
+		ce.ds.models = make(map[modelKey]*list.Element)
+	}
+	c.clock++
+	ce.used = c.clock
+	ce.ds.models[ce.key] = c.ll.PushFront(ce)
+}
+
+// touchLocked marks el most recently used.
+func (c *modelCache) touchLocked(el *list.Element) {
+	c.clock++
+	el.Value.(*cacheEntry).used = c.clock
+	c.ll.MoveToFront(el)
+}
+
+// unlinkLocked drops el from the LRU and from its entry's slots.
+func (c *modelCache) unlinkLocked(el *list.Element) {
+	ce := el.Value.(*cacheEntry)
+	c.ll.Remove(el)
+	delete(ce.ds.models, ce.key)
+}
+
+// getOrFit returns ds's model for key, joining an in-flight fit or
 // performing the fit itself when absent. hit reports whether the caller
 // avoided a fresh fit (cached or joined). countMiss controls whether a
 // fresh fill counts as a cache miss: true for real fits, false for
 // index re-cuts, which are not fits and must not skew the hit rate the
-// misses counter implies.
-func (c *modelCache) getOrFit(key modelKey, countMiss bool, fit func() (*core.Model, error)) (model *core.Model, hit bool, err error) {
+// misses counter implies. A fill that lands in the cache is passed to
+// save (when non-nil) after its joiners are released; one on a retired
+// entry — retired before the miss or while the fill ran — is returned
+// to its caller but neither cached nor saved.
+func (c *modelCache) getOrFit(ds *datasetEntry, key modelKey, countMiss bool, fit func() (*core.Model, error), save func(*core.Model)) (model *core.Model, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
+	if el, ok := ds.models[key]; ok {
+		c.touchLocked(el)
 		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
 			// The fit this caller joined failed; surface its error without
-			// counting a hit. The owner already removed the entry, so a
+			// counting a hit. The owner already unlinked the slot, so a
 			// retry starts fresh.
 			return nil, false, e.err
 		}
 		c.hits.Add(1)
 		return e.model, true, nil
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = c.ll.PushFront(e)
-	c.evictLocked()
+	e := &cacheEntry{ds: ds, key: key, ready: make(chan struct{})}
+	if !ds.retired {
+		c.linkLocked(e)
+		c.evictLocked()
+	}
 	c.mu.Unlock()
 	if countMiss {
 		c.misses.Add(1)
 	}
 
 	e.model, e.err = fit()
-	if e.err != nil {
-		c.remove(key, e)
+	c.mu.Lock()
+	el, kept := ds.models[key]
+	kept = kept && el.Value == e
+	if kept && e.err != nil {
+		c.unlinkLocked(el)
+		kept = false
 	}
 	close(e.ready)
-	if e.err == nil {
-		// The insert-time sweep skips in-flight entries, so the cache can
-		// exceed capacity while fits run; settle it now that this entry is
+	if kept {
+		// The insert-time sweep skips in-flight slots, so the cache can
+		// exceed capacity while fits run; settle it now that this slot is
 		// evictable.
-		c.mu.Lock()
 		c.evictLocked()
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if kept && save != nil {
+		save(e.model)
 	}
 	return e.model, false, e.err
 }
 
-// peekReady returns the completed model for key without blocking on an
+// peekReady returns ds's completed model for key without blocking on an
 // in-flight fit and without touching the hit/miss counters (callers
 // that adopt the peek account for it themselves). A successful peek
 // still refreshes LRU recency.
-func (c *modelCache) peekReady(key modelKey) (*core.Model, bool) {
+func (c *modelCache) peekReady(ds *datasetEntry, key modelKey) (*core.Model, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := ds.models[key]
 	if !ok {
 		return nil, false
 	}
@@ -869,78 +916,96 @@ func (c *modelCache) peekReady(key modelKey) (*core.Model, bool) {
 	if e.err != nil || e.model == nil {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	c.touchLocked(el)
 	return e.model, true
 }
 
-// put inserts an already-fitted model — a snapshot restore — as a
-// completed entry at the front, evicting LRU overflow. It reports whether
-// the key was absent. Restores neither count as hits nor misses; the
-// counters keep meaning "requests served without / with a fit".
-func (c *modelCache) put(key modelKey, m *core.Model) bool {
+// put installs an already-fitted model — a snapshot restore — as a
+// completed slot of ds at the front, evicting LRU overflow. build runs
+// outside the lock, and only while the slot is empty and ds live; put
+// reports whether the model landed (false: a concurrent install or fit
+// won the race, or ds was retired). Restores neither count as hits nor
+// misses; the counters keep meaning "requests served without / with a
+// fit".
+func (c *modelCache) put(ds *datasetEntry, key modelKey, build func() (*core.Model, error)) (*core.Model, bool, error) {
+	c.mu.Lock()
+	_, taken := ds.models[key]
+	taken = taken || ds.retired
+	c.mu.Unlock()
+	if taken {
+		return nil, false, nil
+	}
+	m, err := build()
+	if err != nil {
+		return nil, false, err
+	}
 	ready := make(chan struct{})
 	close(ready)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
+	if _, ok := ds.models[key]; ok || ds.retired {
+		return nil, false, nil
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, ready: ready, model: m})
+	c.linkLocked(&cacheEntry{ds: ds, key: key, ready: ready, model: m})
 	c.evictLocked()
-	return true
+	return m, true, nil
 }
 
-// evictLocked drops least-recently-used completed entries until the
-// cache fits its capacity. In-flight entries are never evicted (their
-// fitters and joiners hold references); if everything is in flight the
-// cache temporarily exceeds capacity.
+// fitted returns ds's completed, successful models, most recently used
+// first. In-flight and failed slots are excluded.
+func (c *modelCache) fitted(ds *datasetEntry) []*cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*cacheEntry
+	for _, el := range ds.models {
+		e := el.Value.(*cacheEntry)
+		select {
+		case <-e.ready:
+		default:
+			continue // still fitting
+		}
+		if e.err == nil && e.model != nil {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *cacheEntry) int { return cmp.Compare(b.used, a.used) })
+	return out
+}
+
+// retire marks a registry entry the registry no longer holds and unlinks
+// its model slots, in-flight fits included: their callers and joiners
+// still get the model, but nothing lands on the entry again. Unlinking is
+// not an eviction.
+func (c *modelCache) retire(ds *datasetEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds.retired = true
+	for _, el := range ds.models {
+		c.ll.Remove(el)
+	}
+	ds.models = nil
+}
+
+// evictLocked drops least-recently-used completed slots until the cache
+// fits its capacity. In-flight slots are never evicted (their fitters and
+// joiners hold references); if everything is in flight the cache
+// temporarily exceeds capacity.
 func (c *modelCache) evictLocked() {
 	for c.ll.Len() > c.capacity {
 		evicted := false
 		for el := c.ll.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
 			select {
-			case <-e.ready:
+			case <-el.Value.(*cacheEntry).ready:
 			default:
 				continue // still fitting
 			}
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
+			c.unlinkLocked(el)
 			c.evictions.Add(1)
 			evicted = true
 			break
 		}
 		if !evicted {
 			return
-		}
-	}
-}
-
-// remove deletes key if it still maps to entry e (a purge or eviction
-// may have raced ahead).
-func (c *modelCache) remove(key modelKey, e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok && el.Value.(*cacheEntry) == e {
-		c.ll.Remove(el)
-		delete(c.entries, key)
-	}
-}
-
-// purgeStale drops every entry fitted on the named dataset whose
-// version differs from keepVersion (0 keeps nothing). In-flight fits
-// complete for their waiters but are no longer reachable through the
-// cache.
-func (c *modelCache) purgeStale(name string, keepVersion uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.dataset == name && e.key.version != keepVersion {
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
 		}
 	}
 }

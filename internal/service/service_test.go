@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/persist"
 )
 
 // fixture returns a small bundled dataset and usable params for it.
@@ -239,59 +240,174 @@ func TestReuploadPurgesModels(t *testing.T) {
 	}
 }
 
-// TestPurgeStaleKeepsCurrentVersion drives the cache directly: a sweep
-// must drop old-version entries for the named dataset while keeping the
-// current version and other datasets untouched.
-func TestPurgeStaleKeepsCurrentVersion(t *testing.T) {
+// TestCacheRetireDropsOnlyItsEntry drives the cache directly over two
+// dataset entries: retiring one unlinks its completed and in-flight
+// slots and nothing of the other's; the in-flight fill still returns its
+// model, but it is neither cached nor saved, and no unlink counts as an
+// eviction.
+func TestCacheRetireDropsOnlyItsEntry(t *testing.T) {
 	c := newModelCache(8)
-	mk := func(ds string, v uint64) modelKey { return modelKey{dataset: ds, version: v, algorithm: "a"} }
+	old, live := &datasetEntry{}, &datasetEntry{}
+	a, b := modelKey{algorithm: "a"}, modelKey{algorithm: "b"}
+	saved := 0
+	save := func(*core.Model) { saved++ }
 	fit := func() (*core.Model, error) { return &core.Model{}, nil }
-	for _, k := range []modelKey{mk("x", 1), mk("x", 2), mk("y", 1)} {
-		if _, _, err := c.getOrFit(k, true, fit); err != nil {
+	for _, ds := range []*datasetEntry{old, live} {
+		if _, _, err := c.getOrFit(ds, a, true, fit, save); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.purgeStale("x", 2)
-	for k, want := range map[modelKey]bool{mk("x", 1): false, mk("x", 2): true, mk("y", 1): true} {
-		c.mu.Lock()
-		_, ok := c.entries[k]
-		c.mu.Unlock()
-		if ok != want {
-			t.Errorf("entry %+v present=%v, want %v", k, ok, want)
-		}
+	started, release := make(chan struct{}), make(chan struct{})
+	inflight := &core.Model{}
+	type result struct {
+		m   *core.Model
+		hit bool
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		m, hit, err := c.getOrFit(old, b, true, func() (*core.Model, error) {
+			close(started)
+			<-release
+			return inflight, nil
+		}, func(*core.Model) { t.Error("fill on a retired entry was saved") })
+		done <- result{m, hit, err}
+	}()
+	<-started
+	if _, _, _, cached := c.counters(); cached != 3 {
+		t.Fatalf("cached = %d before retire, want 3", cached)
+	}
+
+	c.retire(old)
+	if _, _, _, cached := c.counters(); cached != 1 {
+		t.Errorf("cached = %d after retire, want 1 (the live entry's)", cached)
+	}
+	if _, ok := c.peekReady(old, a); ok {
+		t.Error("retired entry's completed model still served")
+	}
+	if _, ok := c.peekReady(live, a); !ok {
+		t.Error("live entry's model dropped by another entry's retirement")
+	}
+	close(release)
+	r := <-done
+	if r.err != nil || r.hit || r.m != inflight {
+		t.Errorf("in-flight fill on a retired entry: m=%p hit=%v err=%v, want its model", r.m, r.hit, r.err)
+	}
+	// A miss on the retired entry fits for its caller alone.
+	if m, hit, err := c.getOrFit(old, a, true, fit, save); err != nil || hit || m == nil {
+		t.Errorf("fit on a retired entry: m=%v hit=%v err=%v", m, hit, err)
+	}
+	hits, misses, evictions, cached := c.counters()
+	if cached != 1 || saved != 2 || evictions != 0 {
+		t.Errorf("cached=%d saved=%d evictions=%d, want 1/2/0", cached, saved, evictions)
+	}
+	if hits != 0 || misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 0/4", hits, misses)
 	}
 }
 
-// TestFitDuringReuploadSweepsStaleModel pins the Fit/PutDataset race
-// repair: a model fitted against a version that was replaced mid-fit is
-// swept from the cache instead of lingering unreachable.
-func TestFitDuringReuploadSweepsStaleModel(t *testing.T) {
-	s := New(Options{Workers: 2})
+// TestReuploadDuringFitCachesNothing forces the race its name describes:
+// the assign path reads the registry entry, a re-upload of different
+// points replaces it, and only then does the fit run. The request is
+// answered from the entry it read, that model is not cached, and the
+// next fit is a miss on the new points.
+func TestReuploadDuringFitCachesNothing(t *testing.T) {
+	cfg := driftConfig()
+	cfg.HaloThreshold = 0 // no trips in this test
+	s := New(Options{Workers: 2, Drift: cfg})
 	d, p := fixture(t, 400)
 	if _, err := s.PutDataset("s2", d.Points); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate "re-upload raced ahead of our fit" by bumping the version
-	// after Fit has read it: fit normally, then replay the sweep path by
-	// re-uploading and fitting again — the first model must be gone.
-	if _, err := s.Fit("s2", "Approx-DPC", p); err != nil {
+	replaced := false
+	s.versionChecked = func() {
+		if replaced {
+			return
+		}
+		replaced = true
+		if _, err := s.PutDataset("s2", data.SSet(2, 300, 5).Points); err != nil {
+			t.Error(err)
+		}
+	}
+	_, fr, err := s.Assign("s2", "Approx-DPC", p, rows(d.Points, 0, 50, 0))
+	s.versionChecked = nil
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PutDataset("s2", data.SSet(2, 300, 5).Points); err != nil {
-		t.Fatal(err)
+	if !replaced {
+		t.Fatal("seam never fired")
+	}
+	if fr.CacheHit || fr.Model.N() != 400 {
+		t.Errorf("raced assign: hit=%v n=%d, want a fit of the entry it read (n=400)", fr.CacheHit, fr.Model.N())
 	}
 	if st := s.Stats(); st.ModelsCached != 0 {
-		t.Fatalf("stale model survived re-upload: %+v", st)
+		t.Fatalf("model of replaced version cached: %d", st.ModelsCached)
 	}
-	fr, err := s.Fit("s2", "Approx-DPC", p)
+	fr, err = s.Fit("s2", "Approx-DPC", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr.CacheHit || fr.Model.N() != 300 {
-		t.Errorf("fit after re-upload: hit=%v n=%d", fr.CacheHit, fr.Model.N())
+		t.Errorf("fit after re-upload: hit=%v n=%d, want a miss at n=300", fr.CacheHit, fr.Model.N())
 	}
-	if st := s.Stats(); st.ModelsCached != 1 {
-		t.Errorf("models cached = %d, want 1", st.ModelsCached)
+}
+
+// TestRegistryWritesRetireModels runs each registry write that displaces
+// or removes a dataset version after one fit: the fitted model leaves
+// the cache without counting as an eviction, and where the name is
+// still resident the next fit is a miss on the new version.
+func TestRegistryWritesRetireModels(t *testing.T) {
+	d, p := fixture(t, 400)
+	other := data.SSet(2, 350, 7).Points
+	for _, tc := range []struct {
+		name  string
+		write func(*Service) error
+	}{
+		{"re-upload", func(s *Service) error {
+			_, err := s.PutDataset("ds", other)
+			return err
+		}},
+		{"append", func(s *Service) error {
+			_, err := s.AppendPoints("ds", rows(d.Points, 0, 10, 0))
+			return err
+		}},
+		{"install", func(s *Service) error {
+			_, err := s.InstallSnapshot(persist.EncodeDataset("ds", 2, 2, other))
+			return err
+		}},
+		{"reconcile", func(s *Service) error {
+			if st := s.Reconcile(func(string) bool { return false }); st.DatasetsEvicted != 1 {
+				return fmt.Errorf("evicted %d datasets, want 1", st.DatasetsEvicted)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{Workers: 2})
+			if _, err := s.PutDataset("ds", d.Points); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Fit("ds", "Ex-DPC", p); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(s); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.ModelsCached != 0 || st.Evictions != 0 {
+				t.Fatalf("after %s: cached=%d evictions=%d, want 0/0", tc.name, st.ModelsCached, st.Evictions)
+			}
+			cur, ok := s.Dataset("ds")
+			if !ok {
+				return
+			}
+			fr, err := s.Fit("ds", "Ex-DPC", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.CacheHit || fr.Model.Dataset() != cur {
+				t.Errorf("fit after %s: hit=%v, fitted on the new version=%v", tc.name, fr.CacheHit, fr.Model.Dataset() == cur)
+			}
+		})
 	}
 }
 
@@ -299,7 +415,7 @@ func TestFitDuringReuploadSweepsStaleModel(t *testing.T) {
 // function: the error must not be cached.
 func TestCacheFailedFitRetries(t *testing.T) {
 	c := newModelCache(2)
-	key := modelKey{dataset: "x", version: 1, algorithm: "a"}
+	ds, key := &datasetEntry{}, modelKey{algorithm: "a"}
 	boom := errors.New("boom")
 	calls := 0
 	fit := func() (*core.Model, error) {
@@ -309,10 +425,10 @@ func TestCacheFailedFitRetries(t *testing.T) {
 		}
 		return &core.Model{}, nil
 	}
-	if _, _, err := c.getOrFit(key, true, fit); !errors.Is(err, boom) {
+	if _, _, err := c.getOrFit(ds, key, true, fit, nil); !errors.Is(err, boom) {
 		t.Fatalf("first call: %v", err)
 	}
-	m, hit, err := c.getOrFit(key, true, fit)
+	m, hit, err := c.getOrFit(ds, key, true, fit, nil)
 	if err != nil || hit || m == nil {
 		t.Fatalf("retry after failure: m=%v hit=%v err=%v", m, hit, err)
 	}

@@ -12,7 +12,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify build vet test perfbench-test fmt lint e2e e2e-stream bench bench-json fuzz-smoke examples docs-check serve ci
+.PHONY: verify build vet test perfbench-test fmt lint e2e e2e-stream bench bench-json fuzz-smoke examples docs-check loc serve ci
 
 # verify is the tier-1 gate: everything must build, vet clean, and pass.
 verify: build vet test
@@ -115,6 +115,12 @@ examples:
 # #anchors into headings. Pure shell+awk; no network, nothing installed.
 docs-check:
 	./scripts/docs_check.sh
+
+# loc prints non-blank, non-comment, non-test Go lines per package and
+# their total (scripts/loc.sh): the count ROADMAP's line gates cite. Pure
+# shell+awk. LOC_DIRS limits it, e.g. LOC_DIRS="internal/geom internal/core".
+loc:
+	./scripts/loc.sh $(LOC_DIRS)
 
 # serve runs the dpcd clustering daemon on a bundled dataset; see the
 # README "Serving: dpcd" section for the API and a curl session. Add

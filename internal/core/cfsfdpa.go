@@ -85,7 +85,6 @@ func (a CFSFDPA) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	sq := p.DCut * p.DCut
 	start = time.Now()
 	partition.DynamicChunked(n, workers, 4, func(i int) {
-		pi := ds.At(i)
 		count := 0
 		for c := 0; c < k; c++ {
 			g := groups[c]
@@ -97,7 +96,7 @@ func (a CFSFDPA) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 				if dj >= center+p.DCut {
 					break // window end: |d_i - d_j| >= d_cut ⇒ dist >= d_cut
 				}
-				if v, ok := geom.SqDistToIdxPartial(ds, pi, j, sq); ok && v < sq {
+				if geom.SqDistIdx(ds, int32(i), j) < sq {
 					count++
 				}
 			}

@@ -174,29 +174,63 @@ func mergeRuns(dst, a, b []int32, less func(x, y int32) bool) {
 // dependent-distance step for this one). Parallelized per point with
 // dynamic scheduling; cost grows with rank, which static partitioning
 // would balance poorly.
+//
+// The rows are first copied into density order, so the candidates of
+// rank r are rows [0, r) of the copy, scanned in blocks of runBlock
+// through the run kernel. A block's limit is the best at its start;
+// that is exact, because an abandoned sum exceeds it and the best only
+// shrinks.
 func scanDelta(ds *geom.Dataset, rho []float64, workers int) (delta []float64, dep []int32) {
-	n := ds.N
+	n, d := ds.N, ds.Dim
 	delta = make([]float64, n)
 	dep = make([]int32, n)
 	order := densityOrder(rho, workers)
+	coords := make([]float64, n*d)
+	for k, j := range order {
+		row := coords[k*d : (k+1)*d]
+		copy(row, ds.AtBuf(int(j), row))
+	}
+	sorted := geom.NewDataset(coords, d)
 	peak := order[0]
 	delta[peak] = math.Inf(1)
 	dep[peak] = NoDependent
-	partition.DynamicChunked(n-1, workers, 8, func(k int) {
-		r := k + 1 // rank in the density order
-		i := order[r]
-		bestSq := math.Inf(1)
-		best := NoDependent
-		for _, j := range order[:r] {
-			if s, ok := geom.SqDistIdxPartial(ds, i, j, bestSq); ok && s < bestSq {
-				bestSq = s
-				best = j
+	partition.DynamicWorkers(n-1, workers, 8, func() func(int) {
+		out := make([]float64, runBlock)
+		return func(k int) {
+			r := k + 1 // rank in the density order
+			q := sorted.At(r)
+			bestSq := math.Inf(1)
+			best := NoDependent
+			for lo := 0; lo < r; lo += runBlock {
+				hi := min(lo+runBlock, r)
+				geom.SqDistToRun(sorted, q, int32(lo), int32(hi), bestSq, out)
+				for t, s := range out[:hi-lo] {
+					if s < bestSq {
+						bestSq, best = s, order[lo+t]
+					}
+				}
 			}
+			i := order[r]
+			delta[i] = math.Sqrt(bestSq)
+			dep[i] = best
 		}
-		delta[i] = math.Sqrt(bestSq)
-		dep[i] = best
 	})
 	return delta, dep
+}
+
+// nearestDenser returns the nearest of cands denser than point i and its
+// squared distance, or (best, bestSq) when none is strictly closer: a
+// scan's running answer passes through, and on a tie the earlier
+// candidate stays.
+func nearestDenser(ds *geom.Dataset, rho []float64, i int32, cands []int32, best int32, bestSq float64) (int32, float64) {
+	for _, j := range cands {
+		if rho[j] > rho[i] {
+			if v := geom.SqDistIdx(ds, i, j); v < bestSq {
+				best, bestSq = j, v
+			}
+		}
+	}
+	return best, bestSq
 }
 
 // WalkDependents sets delta[i] and dep[i], for every point i in pts, to

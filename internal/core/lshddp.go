@@ -64,10 +64,9 @@ func (a LSHDDP) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	staticPartition(n, workers, func(lo, hi int) {
 		stamp := make([]int32, n)
 		for i := lo; i < hi; i++ {
-			pi := ds.At(i)
 			count := 1 // self
 			forest.Candidates(int32(i), stamp, int32(i)+1, func(j int32) {
-				if v, ok := geom.SqDistToIdxPartial(ds, pi, j, sq); ok && v < sq {
+				if geom.SqDistIdx(ds, int32(i), j) < sq {
 					count++
 				}
 			})
@@ -89,7 +88,7 @@ func (a LSHDDP) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 				if res.Rho[j] <= res.Rho[i] {
 					return
 				}
-				if v, ok := geom.SqDistToIdxPartial(ds, pi, j, bestSq); ok && v < bestSq {
+				if v := geom.SqDistToIdx(ds, pi, j); v < bestSq {
 					bestSq, best = v, j
 				}
 			})
@@ -97,21 +96,19 @@ func (a LSHDDP) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 				// "If the distance between p and its approximate dependent
 				// point does not seem accurate, LSH-DDP computes its
 				// dependent point by scanning P."
-				for j := 0; j < n; j++ {
-					if res.Rho[j] <= res.Rho[i] {
-						continue
-					}
-					if v, ok := geom.SqDistToIdxPartial(ds, pi, int32(j), bestSq); ok && v < bestSq {
-						bestSq, best = v, int32(j)
+				// The density test comes before any distance: few rows
+				// are denser than a point with no denser bucket-mate, so
+				// a run over every row computes distances this skips.
+				for j := int32(0); j < int32(n); j++ {
+					if res.Rho[j] > res.Rho[i] {
+						if v := geom.SqDistToIdx(ds, pi, j); v < bestSq {
+							bestSq, best = v, j
+						}
 					}
 				}
 			}
 			res.Dep[i] = best
-			if best == NoDependent {
-				res.Delta[i] = math.Inf(1) // global density peak
-			} else {
-				res.Delta[i] = math.Sqrt(bestSq)
-			}
+			res.Delta[i] = math.Sqrt(bestSq) // +Inf for the global density peak
 		}
 	})
 	res.Timing.Delta = time.Since(start)

@@ -62,16 +62,18 @@ func (a FastDPeak) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	tree := kdtree.BuildAllWorkers(ds, workers)
 	res.Timing.Build = time.Since(start)
 
-	// Density phase: a range count per point (Definition 1) plus the kNN
-	// list that the dependent phase consumes.
+	// Density phase: the range counts of Definition 1 from the tree's
+	// self-join (Ex-DPC's density pass), plus the kNN list that the
+	// dependent phase consumes.
 	start = time.Now()
+	for i, c := range tree.SelfCounts(p.DCut, workers) {
+		res.Rho[i] = float64(c) + jitter(i)
+	}
 	knnIDs := make([][]int32, n)
 	partition.DynamicWorkers(n, workers, 4, func() func(int) {
 		buf := make([]float64, ds.Dim)
 		return func(i int) {
-			q := ds.AtBuf(i, buf)
-			res.Rho[i] = float64(tree.RangeCount(q, p.DCut)) + jitter(i)
-			ids, _ := tree.KNN(q, k+1) // +1: the query point itself
+			ids, _ := tree.KNN(ds.AtBuf(i, buf), k+1) // +1: the query point itself
 			// Drop the self match (distance zero, same index).
 			out := make([]int32, 0, k)
 			for _, id := range ids {
@@ -155,11 +157,10 @@ func (DPCG) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 
 	start = time.Now()
 	partition.DynamicChunked(n, workers, 4, func(i int) {
-		pi := ds.At(i)
 		count := 0
 		scan := func(c int32) {
 			for _, j := range g.Cells[c].Points {
-				if v, ok := geom.SqDistToIdxPartial(ds, pi, j, sq); ok && v < sq {
+				if geom.SqDistIdx(ds, int32(i), j) < sq {
 					count++
 				}
 			}
@@ -173,18 +174,10 @@ func (DPCG) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 
 	start = time.Now()
 	partition.DynamicChunked(n, workers, 8, func(i int) {
-		pi := ds.At(i)
 		bestSq := math.Inf(1)
 		best := NoDependent
 		tryCell := func(c int32) {
-			for _, j := range g.Cells[c].Points {
-				if res.Rho[j] <= res.Rho[i] {
-					continue
-				}
-				if v, ok := geom.SqDistToIdxPartial(ds, pi, j, bestSq); ok && v < bestSq {
-					bestSq, best = v, j
-				}
-			}
+			best, bestSq = nearestDenser(ds, res.Rho, int32(i), g.Cells[c].Points, best, bestSq)
 		}
 		own := g.PointCell[i]
 		tryCell(own)
@@ -209,11 +202,7 @@ func (DPCG) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 			}
 		}
 		res.Dep[i] = best
-		if best == NoDependent {
-			res.Delta[i] = math.Inf(1)
-		} else {
-			res.Delta[i] = math.Sqrt(bestSq)
-		}
+		res.Delta[i] = math.Sqrt(bestSq) // +Inf for the global density peak
 	})
 	res.Timing.Delta = time.Since(start)
 
@@ -301,44 +290,26 @@ func (a CFSFDPDE) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	// cluster; if the point is its cluster's density peak, hop to the
 	// nearest denser cluster peak.
 	start = time.Now()
-	peaks := make([]int32, k)
-	for c := range groups {
-		best := int32(-1)
-		for _, j := range groups[c] {
-			if best == -1 || res.Rho[j] > res.Rho[best] {
+	var peaks []int32 // of the non-empty clusters, in cluster order
+	for _, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		best := g[0]
+		for _, j := range g[1:] {
+			if res.Rho[j] > res.Rho[best] {
 				best = j
 			}
 		}
-		peaks[c] = best
+		peaks = append(peaks, best)
 	}
 	partition.DynamicChunked(n, workers, 16, func(i int) {
-		c := km.Assign[i]
-		bestSq := math.Inf(1)
-		best := NoDependent
-		for _, j := range groups[c] {
-			if res.Rho[j] <= res.Rho[i] {
-				continue
-			}
-			if v, ok := geom.SqDistIdxPartial(ds, int32(i), j, bestSq); ok && v < bestSq {
-				bestSq, best = v, j
-			}
-		}
+		best, bestSq := nearestDenser(ds, res.Rho, int32(i), groups[km.Assign[i]], NoDependent, math.Inf(1))
 		if best == NoDependent {
-			for _, pk := range peaks {
-				if pk < 0 || res.Rho[pk] <= res.Rho[i] {
-					continue
-				}
-				if v, ok := geom.SqDistIdxPartial(ds, int32(i), pk, bestSq); ok && v < bestSq {
-					bestSq, best = v, pk
-				}
-			}
+			best, bestSq = nearestDenser(ds, res.Rho, int32(i), peaks, best, bestSq)
 		}
 		res.Dep[i] = best
-		if best == NoDependent {
-			res.Delta[i] = math.Inf(1)
-		} else {
-			res.Delta[i] = math.Sqrt(bestSq)
-		}
+		res.Delta[i] = math.Sqrt(bestSq) // +Inf for the global density peak
 	})
 	res.Timing.Delta = time.Since(start)
 

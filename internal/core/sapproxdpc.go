@@ -190,16 +190,7 @@ func sApproxTemporaryClusters(ds *geom.Dataset, g *grid.Grid, res *Result, picke
 	partition.Dynamic(len(unresolved), workers, func(k int) {
 		pi := unresolved[k]
 		// p': nearest root with higher density (brute force over P'_pick).
-		bestSq := math.Inf(1)
-		best := NoDependent
-		for _, pj := range unresolved {
-			if res.Rho[pj] <= res.Rho[pi] {
-				continue
-			}
-			if v, ok := geom.SqDistIdxPartial(ds, pi, pj, bestSq); ok && v < bestSq {
-				bestSq, best = v, pj
-			}
-		}
+		best, bestSq := nearestDenser(ds, res.Rho, pi, unresolved, NoDependent, math.Inf(1))
 		if best == NoDependent {
 			// Global picked-density peak.
 			res.Dep[pi] = NoDependent
@@ -223,7 +214,7 @@ func sApproxTemporaryClusters(ds *geom.Dataset, g *grid.Grid, res *Result, picke
 				if res.Rho[m] <= res.Rho[pi] {
 					continue
 				}
-				if v, ok := geom.SqDistIdxPartial(ds, pi, m, bestSq); ok && (v < bestSq || (v == bestSq && m < best)) {
+				if v := geom.SqDistIdx(ds, pi, m); v < bestSq || (v == bestSq && m < best) {
 					bestSq, best = v, m
 				}
 			}

@@ -10,8 +10,13 @@ import (
 // Scan is the straightforward O(n^2) algorithm of §2.1: a linear scan per
 // point for local density and the sorted prefix scan for dependent points.
 // Both phases are embarrassingly parallel over points and use dynamic
-// scheduling.
+// scheduling. Each linear scan runs over the dataset's rows in blocks of
+// runBlock, one run-kernel call per block.
 type Scan struct{}
+
+// runBlock is the number of consecutive rows a linear scan hands the
+// run kernel (geom.SqDistToRun) per call.
+const runBlock = 256
 
 // Name implements Algorithm.
 func (Scan) Name() string { return "Scan" }
@@ -36,14 +41,23 @@ func (Scan) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	sq := p.DCut * p.DCut
 
 	start := time.Now()
-	partition.DynamicChunked(n, workers, 4, func(i int) {
-		count := 0
-		for j := 0; j < n; j++ {
-			if s, ok := geom.SqDistIdxPartial(ds, int32(i), int32(j), sq); ok && s < sq {
-				count++
+	partition.DynamicWorkers(n, workers, 4, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		out := make([]float64, runBlock)
+		return func(i int) {
+			q := ds.AtBuf(i, buf)
+			count := 0
+			for lo := 0; lo < n; lo += runBlock {
+				hi := min(lo+runBlock, n)
+				geom.SqDistToRun(ds, q, int32(lo), int32(hi), sq, out)
+				for _, s := range out[:hi-lo] {
+					if s < sq {
+						count++
+					}
+				}
 			}
+			res.Rho[i] = float64(count) + jitter(i)
 		}
-		res.Rho[i] = float64(count) + jitter(i)
 	})
 	res.Timing.Rho = time.Since(start)
 

@@ -128,8 +128,7 @@ func PackRows(rows [][]float64) (*Dataset, error) {
 
 // FromRows copies row-slice points into a fresh flat Dataset — the one
 // copy the public [][]float64 API pays to enter the flat representation.
-// It validates the rows like ValidateDataset (rectangular, d >= 1, no
-// NaN/Inf).
+// It validates the rows: rectangular, d >= 1, no NaN/Inf.
 func FromRows(rows [][]float64) (*Dataset, error) {
 	ds, err := PackRows(rows)
 	if err != nil {
@@ -214,8 +213,7 @@ func (ds *Dataset) Rows() [][]float64 {
 }
 
 // Validate checks that the dataset is non-empty, at least 1-dimensional,
-// and free of NaN/Inf coordinates — the flat counterpart of
-// ValidateDataset.
+// and free of NaN/Inf coordinates.
 func (ds *Dataset) Validate() error {
 	if ds.N == 0 {
 		return fmt.Errorf("geom: empty dataset")

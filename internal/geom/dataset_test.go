@@ -98,6 +98,7 @@ func TestIdxKernelsMatchSliceOracle(t *testing.T) {
 			rows[i] = p
 		}
 		ds := MustFromRows(rows)
+		out := make([]float64, 1)
 		for trial := 0; trial < 200; trial++ {
 			i := int32(rng.Intn(len(rows)))
 			j := int32(rng.Intn(len(rows)))
@@ -110,9 +111,9 @@ func TestIdxKernelsMatchSliceOracle(t *testing.T) {
 			}
 			limit := rng.Float64() * 2 * want
 			wantS, wantOK := SqDistPartial(rows[i], rows[j], limit)
-			gotS, gotOK := SqDistIdxPartial(ds, i, j, limit)
-			if gotS != wantS || gotOK != wantOK {
-				t.Fatalf("d=%d: SqDistIdxPartial(%d,%d,%v) = (%v,%v), want (%v,%v)",
+			SqDistToRun(ds, rows[i], j, j+1, limit, out)
+			if gotS, gotOK := out[0], !(out[0] > limit); gotS != wantS || gotOK != wantOK {
+				t.Fatalf("d=%d: one-row SqDistToRun(%d,%d,%v) = (%v,%v), want (%v,%v)",
 					d, i, j, limit, gotS, gotOK, wantS, wantOK)
 			}
 		}

@@ -22,8 +22,9 @@ func Dist(a, b Point) float64 {
 	return math.Sqrt(SqDist(a, b))
 }
 
-// SqDist and SqDistPartial live in kernel.go with the rest of the
-// distance kernels, in the one canonical accumulation order.
+// SqDist and the other distance kernels (the flat-index full sums and
+// the run form) live in kernel.go, in the one canonical accumulation
+// order.
 
 // Equal reports whether a and b are the same location.
 func Equal(a, b Point) bool {
@@ -120,15 +121,6 @@ func (r *Rect) ExpandRect(s Rect) {
 	}
 }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	c := make(Point, len(r.Lo))
-	for i := range c {
-		c[i] = (r.Lo[i] + r.Up[i]) / 2
-	}
-	return c
-}
-
 // SqMinDist returns the squared minimum distance from p to any point of r
 // (0 when p is inside r). This is the pruning bound used by kd-tree and
 // R-tree ball queries.
@@ -158,27 +150,4 @@ func Bounds(pts []Point) Rect {
 		r.Expand(p)
 	}
 	return r
-}
-
-// ValidateDataset checks that all points share one dimensionality d >= 1
-// and contain no NaN or Inf coordinates, returning d.
-func ValidateDataset(pts []Point) (int, error) {
-	if len(pts) == 0 {
-		return 0, fmt.Errorf("geom: empty dataset")
-	}
-	d := len(pts[0])
-	if d == 0 {
-		return 0, fmt.Errorf("geom: zero-dimensional point at index 0")
-	}
-	for i, p := range pts {
-		if len(p) != d {
-			return 0, fmt.Errorf("geom: point %d has dimension %d, want %d", i, len(p), d)
-		}
-		for j, x := range p {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return 0, fmt.Errorf("geom: point %d coordinate %d is %v", i, j, x)
-			}
-		}
-	}
-	return d, nil
 }

@@ -158,32 +158,7 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestValidateDataset(t *testing.T) {
-	if _, err := ValidateDataset(nil); err == nil {
-		t.Error("empty dataset should fail")
-	}
-	if _, err := ValidateDataset([]Point{{1, 2}, {3}}); err == nil {
-		t.Error("ragged dataset should fail")
-	}
-	if _, err := ValidateDataset([]Point{{1, math.NaN()}}); err == nil {
-		t.Error("NaN should fail")
-	}
-	if _, err := ValidateDataset([]Point{{1, math.Inf(1)}}); err == nil {
-		t.Error("Inf should fail")
-	}
-	if d, err := ValidateDataset([]Point{{1, 2, 3}, {4, 5, 6}}); err != nil || d != 3 {
-		t.Errorf("valid dataset: got (%d,%v)", d, err)
-	}
-	if _, err := ValidateDataset([]Point{{}}); err == nil {
-		t.Error("zero-dimensional dataset should fail")
-	}
-}
-
-func TestCenterClone(t *testing.T) {
-	r := NewRect(Point{0, 2}, Point{4, 8})
-	if c := r.Center(); !Equal(c, Point{2, 5}) {
-		t.Errorf("Center = %v", c)
-	}
+func TestClone(t *testing.T) {
 	p := Point{1, 2}
 	q := Clone(p)
 	q[0] = 9

@@ -18,31 +18,32 @@ import (
 //	(s0+s2)+(s1+s3), then the <4 trailing dimensions added
 //	sequentially to the reduced sum.
 //
-// One generic body per contract implements it: sqdist for the full sum,
-// sqdistRun for the early-exit form over a run of consecutive rows.
-// Each is instantiated for f64×f64 rows, f32×f32 rows, and a float64
-// query against f32 rows. Float32 elements are widened to float64
-// before subtracting; the widening is exact, so the f32 and mixed
-// instantiations return the same bits as widening the whole row first
-// and running the f64 one. Each square is explicitly rounded
-// (float64(d*d)), which forbids the compiler from fusing it into the
-// add — arm64 otherwise emits FMADD — so the order, and with it every
-// label, is the same on every platform.
+// There are two call forms, one generic body each. The full sum
+// (SqDist, SqDistIdx, SqDistToIdx; body sqdist) answers one pair. The
+// run (SqDistToRun; body sqdistRun) fills a buffer with the distances
+// from one query to a run of consecutive rows, abandoning each row
+// early: every kd-tree leaf is one run call, and so is each block of
+// the quadratic baselines' scans over consecutive rows. Candidates that
+// are not consecutive rows take the full sum: at the paper's 2–8
+// dimensions a one-row early exit skips at most one chunk, and it
+// measured slower than the full sum.
 //
-// The early-exit form accumulates in the same order and additionally
-// compares the running reduced sum against a limit once per chunk and
-// once per tail element, abandoning the row as soon as it exceeds the
-// limit; the comparison after the row's last element is skipped, since
-// abandoning there leaves the same sum as finishing. Partial sums of
-// non-negative terms are monotone under IEEE rounding, so an exit can
-// only fire when the completed sum would also exceed the limit:
-// callers that accept strictly-closer candidates (`v < limit`) decide
-// identically to the full kernel, and a completed row holds the
-// canonical sum bit-for-bit. The run form (SqDistToRun) fills one leaf
-// of a tree in one call, with the row loop and the accumulation
-// written out inline; the single-pair forms (SqDistPartial,
-// SqDistIdxPartial, SqDistToIdxPartial) are one-row runs of the same
-// body.
+// Float32 elements are widened to float64 before subtracting; the
+// widening is exact, so the f32 and mixed instantiations return the same
+// bits as widening the whole row first and running the f64 one. Each
+// square is explicitly rounded (float64(d*d)), which forbids the
+// compiler from fusing it into the add — arm64 otherwise emits FMADD —
+// so the order, and with it every label, is the same on every platform.
+//
+// The run form accumulates in the same order and additionally compares
+// the running reduced sum against a limit once per chunk and once per
+// tail element, abandoning the row as soon as it exceeds the limit; the
+// comparison after the row's last element is skipped, since abandoning
+// there leaves the same sum as finishing. Partial sums of non-negative
+// terms are monotone under IEEE rounding, so an exit can only fire when
+// the completed sum would also exceed the limit: callers that accept
+// strictly-closer candidates (`v < limit`) decide identically to the
+// full sum, and a completed row holds the canonical sum bit-for-bit.
 
 // SqDist returns the squared Euclidean distance between a and b in the
 // canonical accumulation order above. It is the inner loop of every
@@ -51,10 +52,11 @@ func SqDist(a, b Point) float64 {
 	return sqdist(a, b)
 }
 
-// SqDistPartial computes the squared distance but abandons the sum as
-// soon as it exceeds limit, returning (sum, false). When the full
+// SqDistPartial is a one-row run: the squared distance, abandoned as
+// soon as it exceeds limit, returning (sum, false); when the full
 // distance is at most limit it returns the canonical full sum and true.
-// Useful for range counting with many far-away candidates.
+// No non-test code in this module calls it: it exists only because the
+// benchmark ladder's geom.sqdist_partial_ns rung measures it.
 func SqDistPartial(a, b Point, limit float64) (float64, bool) {
 	s := sqdistRun(a, b[:len(a)], limit, nil)
 	return s, !(s > limit)
@@ -76,19 +78,6 @@ func DistIdx(ds *Dataset, i, j int32) float64 {
 	return math.Sqrt(SqDistIdx(ds, i, j))
 }
 
-// SqDistIdxPartial is the flat-index twin of SqDistPartial: it abandons
-// the sum as soon as it exceeds limit, returning (sum, false); when the
-// full squared distance is at most limit it returns (sum, true).
-func SqDistIdxPartial(ds *Dataset, i, j int32, limit float64) (float64, bool) {
-	var s float64
-	if ds.Coords32 != nil {
-		s = sqdistRun(ds.row32(i), ds.row32(j), limit, nil)
-	} else {
-		s = sqdistRun(ds.row64(i), ds.row64(j), limit, nil)
-	}
-	return s, !(s > limit)
-}
-
 // SqDistToIdx returns the squared distance between an external query
 // point q (always float64 — wire coordinates and tree queries are
 // float64 rows) and dataset point i. On float32 datasets the row is
@@ -101,26 +90,15 @@ func SqDistToIdx(ds *Dataset, q Point, i int32) float64 {
 	return sqdist(q, ds.row64(i))
 }
 
-// SqDistToIdxPartial is SqDistToIdx with the early-exit contract of
-// SqDistPartial.
-func SqDistToIdxPartial(ds *Dataset, q Point, i int32, limit float64) (float64, bool) {
-	var s float64
-	if ds.Coords32 != nil {
-		s = sqdistRun(q, ds.row32(i), limit, nil)
-	} else {
-		s = sqdistRun(q, ds.row64(i), limit, nil)
-	}
-	return s, !(s > limit)
-}
-
 // SqDistToRun is the early-exit kernel over the consecutive dataset
 // rows [lo, hi): out[k-lo] receives the squared distance between q and
 // row k, or — when the running sum exceeds limit before the row is
 // done — that partial sum, which is then > limit. A completed row holds
 // the canonical sum bit-for-bit, so `out[k-lo] < limit` is exactly
-// SqDistToIdxPartial's `ok && v < limit`. out must have room for
-// hi-lo values. It is the leaf scan of the kd-tree: one call per leaf
-// instead of one per row.
+// `SqDistToIdx(ds, q, k) < limit`. out must have room for hi-lo values.
+// It is the leaf scan of the kd-tree and the block scan of the
+// quadratic baselines: one call per leaf or block instead of one per
+// row.
 func SqDistToRun(ds *Dataset, q Point, lo, hi int32, limit float64, out []float64) {
 	// The run body takes its row length from q, so a query of another
 	// dimension would misalign every row after the first, not fail.

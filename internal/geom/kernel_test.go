@@ -56,10 +56,17 @@ func refSqDist(a, b []float64, limit float64) (float64, bool) {
 // TestKernelMatchesReferenceOrder locks every exported kernel to the
 // canonical order bit for bit, for every dimension up to 67 (many full
 // chunks plus each tail length), on f64 rows, f32 rows, and a float64
-// query against f32 rows. The partial forms must match the reference's
+// query against f32 rows. A one-row run must match the reference's
 // (sum, ok) at limits below, at and above the full sum.
 func TestKernelMatchesReferenceOrder(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	out := make([]float64, 1)
+	run := func(ds *Dataset, q Point, j int32) func(float64) (float64, bool) {
+		return func(l float64) (float64, bool) {
+			SqDistToRun(ds, q, j, j+1, l, out)
+			return out[0], !(out[0] > l)
+		}
+	}
 	for dim := 1; dim <= 67; dim++ {
 		ds := randDataset(t, 8, dim, int64(1000+dim))
 		ds32 := randDataset32(t, 8, dim, int64(2000+dim))
@@ -74,16 +81,16 @@ func TestKernelMatchesReferenceOrder(t *testing.T) {
 				}{
 					{"f64", ds.At(int(i)), ds.At(int(j)),
 						func() float64 { return SqDistIdx(ds, i, j) },
-						func(l float64) (float64, bool) { return SqDistIdxPartial(ds, i, j, l) }},
+						run(ds, ds.At(int(i)), j)},
 					{"f32", ds32.At(int(i)), ds32.At(int(j)),
 						func() float64 { return SqDistIdx(ds32, i, j) },
-						func(l float64) (float64, bool) { return SqDistIdxPartial(ds32, i, j, l) }},
+						run(ds32, ds32.At(int(i)), j)},
 					{"f64 query", q, ds.At(int(j)),
 						func() float64 { return SqDistToIdx(ds, q, j) },
-						func(l float64) (float64, bool) { return SqDistToIdxPartial(ds, q, j, l) }},
+						run(ds, q, j)},
 					{"mixed", q, ds32.At(int(j)),
 						func() float64 { return SqDistToIdx(ds32, q, j) },
-						func(l float64) (float64, bool) { return SqDistToIdxPartial(ds32, q, j, l) }},
+						run(ds32, q, j)},
 				}
 				for _, c := range cases {
 					want, _ := refSqDist(c.a, c.b, math.Inf(1))
@@ -94,7 +101,7 @@ func TestKernelMatchesReferenceOrder(t *testing.T) {
 						got, ok := c.part(limit)
 						ref, refOK := refSqDist(c.a, c.b, limit)
 						if ok != refOK || !same(got, ref) {
-							t.Fatalf("dim %d %s (%d,%d) limit %v: partial (%v,%v) != reference (%v,%v)",
+							t.Fatalf("dim %d %s (%d,%d) limit %v: one-row run (%v,%v) != reference (%v,%v)",
 								dim, c.name, i, j, limit, got, ok, ref, refOK)
 						}
 					}
@@ -165,10 +172,6 @@ func TestKernelRunMatchesRows(t *testing.T) {
 									t.Fatalf("%s dim %d query %d run [%d,%d) row %d limit %v: %v, reference (%v, %v)",
 										ds.Precision(), dim, qi, lo, hi, k, limit, got, want, wantOK)
 								}
-								if s, ok := SqDistToIdxPartial(ds, q, k, limit); ok != wantOK || math.Float64bits(s) != math.Float64bits(want) {
-									t.Fatalf("%s dim %d row %d limit %v: one-row form (%v, %v), reference (%v, %v)",
-										ds.Precision(), dim, k, limit, s, ok, want, wantOK)
-								}
 							}
 						}
 					}
@@ -178,39 +181,27 @@ func TestKernelRunMatchesRows(t *testing.T) {
 	}
 }
 
-// TestKernelPartialConsistency checks the early-exit contract on both
-// precisions: a completed partial returns the full canonical sum
-// bit-for-bit, and an early exit fires only when the full sum genuinely
-// exceeds the limit.
+// TestKernelPartialConsistency checks the early-exit contract against
+// the full sum on both precisions, dims 1..19: over a run of every row,
+// a row that completed holds SqDistIdx's sum bit for bit, and a row
+// abandoned early is one whose full sum exceeds the limit.
 func TestKernelPartialConsistency(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		for dim := 1; dim <= 19; dim++ {
-			var ds *Dataset
-			if f32 {
-				ds = randDataset32(t, 8, dim, int64(3000+dim))
-			} else {
-				ds = randDataset(t, 8, dim, int64(3000+dim))
-			}
+	out := make([]float64, 8)
+	for dim := 1; dim <= 19; dim++ {
+		ds64 := randDataset(t, 8, dim, int64(3000+dim))
+		for _, ds := range []*Dataset{ds64, ds64.ToFloat32()} {
 			for i := int32(0); i < 8; i++ {
+				q := ds.At(int(i))
 				for j := int32(0); j < 8; j++ {
 					full := SqDistIdx(ds, i, j)
 					for _, limit := range []float64{0, full * 0.5, full, full * 2, math.Inf(1)} {
-						s, ok := SqDistIdxPartial(ds, i, j, limit)
-						if ok {
-							if full > limit {
-								t.Fatalf("f32=%v dim %d: partial completed at limit %v but full is %v", f32, dim, limit, full)
-							}
+						SqDistToRun(ds, q, 0, 8, limit, out)
+						if s := out[j]; !(s > limit) {
 							if math.Float64bits(s) != math.Float64bits(full) {
-								t.Fatalf("f32=%v dim %d: completed partial %v != full %v", f32, dim, s, full)
+								t.Fatalf("%s dim %d (%d,%d): completed row %v != full sum %v", ds.Precision(), dim, i, j, s, full)
 							}
 						} else if full <= limit {
-							t.Fatalf("f32=%v dim %d: early exit at limit %v though full %v fits", f32, dim, limit, full)
-						}
-						q := ds.At(int(i))
-						s2, ok2 := SqDistToIdxPartial(ds, q, j, limit)
-						if ok != ok2 || (ok && math.Float64bits(s) != math.Float64bits(s2)) {
-							t.Fatalf("f32=%v dim %d: SqDistToIdxPartial (%v,%v) disagrees with SqDistIdxPartial (%v,%v)",
-								f32, dim, s2, ok2, s, ok)
+							t.Fatalf("%s dim %d (%d,%d): abandoned at limit %v though full sum %v fits", ds.Precision(), dim, i, j, limit, full)
 						}
 					}
 				}

@@ -439,23 +439,6 @@ func (w *nnWalk) walk(cur int32) {
 	}
 }
 
-// Height returns the height of the tree (0 for empty, 1 for a single
-// leaf). Exposed for balance diagnostics in tests.
-func (t *Tree) Height() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return t.height(0)
-}
-
-func (t *Tree) height(cur int32) int {
-	nd := &t.nodes[cur]
-	if nd.leaf() {
-		return 1
-	}
-	return 1 + max(t.height(nd.l), t.height(nd.r))
-}
-
 // Validate checks the tree's invariants and is meant for tests: nodes
 // are in preorder with every child after its parent, each inner node's
 // children split its rows at the median and respect its split plane,

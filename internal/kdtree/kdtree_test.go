@@ -60,17 +60,6 @@ func TestBuildValidate(t *testing.T) {
 	}
 }
 
-func TestBuildBalanced(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randPts(rng, 1<<12, 2, 100)
-	tr := BuildAll(geom.MustFromRows(pts))
-	// A median-split tree over 4096 points has height 13; allow slack for
-	// duplicate-coordinate ties.
-	if h := tr.Height(); h > 16 {
-		t.Errorf("height = %d, want <= 16 for 4096 points", h)
-	}
-}
-
 func TestBuildDuplicatePoints(t *testing.T) {
 	// All points identical: the tree must still build, validate, and answer.
 	pts := make([][]float64, 64)

@@ -32,8 +32,8 @@ func (t *Tree) SubtreeMin(key []int32) []int32 {
 // (squared distance, key) minimum a scan of every lower-key point in
 // ascending key order would return, bit for bit: q's row is widened
 // once (exactly) and compared through the canonical kernel, which gives
-// the bits of geom.SqDistIdxPartial(ds, q, j, bestSq) at either
-// precision.
+// the bits of geom.SqDistIdx(ds, q, j) for every point it accepts, at
+// either precision.
 //
 // buf, when it has room for Dim values, receives q's widened row on an
 // f32 dataset, so a pass that walks from every point can widen into one

@@ -19,7 +19,7 @@ func bruteLowerKey(ds *geom.Dataset, byKey []int32, key []int32, q int32) (int32
 		if key[j] >= key[q] {
 			break
 		}
-		if s, ok := geom.SqDistIdxPartial(ds, q, j, bestSq); ok && s < bestSq {
+		if s := geom.SqDistIdx(ds, q, j); s < bestSq {
 			best, bestSq = j, s
 		}
 	}

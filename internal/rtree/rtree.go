@@ -159,7 +159,7 @@ func (t *Tree) RangeSearch(q []float64, r float64, fn func(id int32, sqDist floa
 		if n.leaf {
 			for i := range n.entries {
 				e := &n.entries[i]
-				if d, ok := geom.SqDistToIdxPartial(t.ds, q, e.pt, sq); ok && d < sq {
+				if d := geom.SqDistToIdx(t.ds, q, e.pt); d < sq {
 					fn(e.pt, d)
 				}
 			}
@@ -172,19 +172,6 @@ func (t *Tree) RangeSearch(q []float64, r float64, fn func(id int32, sqDist floa
 			}
 		}
 	}
-}
-
-// Height returns the number of levels in the tree (0 when empty).
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.entries[0].child
-	}
-	return h
 }
 
 // Validate checks structural invariants for tests: every child rect is

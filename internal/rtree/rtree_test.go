@@ -113,9 +113,22 @@ func TestEmptyAndSingle(t *testing.T) {
 	if got := tr.RangeCount([]float64{3, 3}, 1); got != 1 {
 		t.Errorf("single point count = %d", got)
 	}
-	if tr.Height() != 1 {
-		t.Errorf("single point height = %d", tr.Height())
+	if h := levels(tr); h != 1 {
+		t.Errorf("single point height = %d", h)
 	}
+}
+
+// levels counts the tree's levels along its first-child path; Validate
+// checks that every leaf sits at that one depth.
+func levels(t *Tree) int {
+	h := 0
+	for n := t.root; n != nil; n = n.entries[0].child {
+		h++
+		if n.leaf {
+			break
+		}
+	}
+	return h
 }
 
 func TestHeightLogarithmic(t *testing.T) {
@@ -123,7 +136,7 @@ func TestHeightLogarithmic(t *testing.T) {
 	pts := randPts(rng, 32*32*4, 2, 100)
 	tr := Build(geom.MustFromRows(pts), 32)
 	// 4096 points, fanout 32: 128 leaves -> 4 internal -> 1 root = 3 levels.
-	if h := tr.Height(); h > 4 {
+	if h := levels(tr); h > 4 {
 		t.Errorf("height = %d, want <= 4", h)
 	}
 }

@@ -64,17 +64,18 @@ e2e-stream:
 # build at one worker and every CPU, Ex-DPC's density pass on the 20k
 # S2 and PAMAP2 stand-ins as per-point range counts and as the
 # leaf-pair self-join (BenchmarkSelfCounts), the grid build Approx-DPC runs on
-# the 20k PAMAP2 stand-in, the density index's sliding-window
-# update, the serving layer benchmarks (cached fit, assign batch,
-# snapshot cold start), and the param-sweep experiment (one density
-# index vs K fresh fits; committed record in BENCH_param_sweep.json).
+# the 20k PAMAP2 stand-in, the density index's build, re-cut and
+# sliding-window update on the same stand-in, the serving layer
+# benchmarks (cached fit, assign batch, snapshot cold start), and the
+# param-sweep experiment (one density index vs K fresh fits; committed
+# record in BENCH_param_sweep.json).
 # SWEEPN sizes the sweep dataset; CI smoke-runs it small.
 SWEEPN ?= 20000
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSqDist|ExDPC(Rows|Flat)' -benchmem -benchtime=$(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll|BenchmarkSelfCounts' -benchmem -benchtime=$(BENCHTIME) ./internal/kdtree
 	$(GO) test -run '^$$' -bench 'BenchmarkGridBuild' -benchmem -benchtime=$(BENCHTIME) ./internal/grid
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdate' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkCut|BenchmarkUpdate' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=$(BENCHTIME) ./internal/service
 	$(GO) run ./cmd/dpcbench -exp sweep -n $(SWEEPN)
 	$(GO) run ./cmd/dpcbench -exp drift

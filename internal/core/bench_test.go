@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/data"
 )
 
 // benchDataset is a 3-d hub mixture of 20k points, shared across the
@@ -45,6 +47,23 @@ func BenchmarkCoreSApproxDPC(b *testing.B) { benchRun(b, SApproxDPC{}) }
 func BenchmarkCoreFastDPeak(b *testing.B)  { benchRun(b, FastDPeak{}) }
 func BenchmarkCoreDPCG(b *testing.B)       { benchRun(b, DPCG{}) }
 func BenchmarkCoreCFSFDPDE(b *testing.B)   { benchRun(b, CFSFDPDE{}) }
+
+// BenchmarkCoreSApproxDPCS2 fits S-Approx-DPC on the 20k S2 stand-in at
+// its own parameters. On benchDataset |P'_pick|² exceeds 4n and every
+// fit resolves P'_pick with the walk fallback; on S2 40 of the 2,033
+// picked points stay unresolved, so every fit runs the temporary-cluster
+// phase (sApproxTemporaryClusters) instead.
+func BenchmarkCoreSApproxDPCS2(b *testing.B) {
+	d := data.SSet(2, 20000, 1)
+	p := Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (SApproxDPC{}).ClusterDataset(d.Points, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSApproxEpsilon shows the Table 5 time side of the eps trade.
 func BenchmarkSApproxEpsilon(b *testing.B) {

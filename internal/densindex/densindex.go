@@ -2,28 +2,32 @@
 // density-peaks clustering, after the FINEX idea (index once, re-cut per
 // parameter setting): one per-dataset structure from which density rho,
 // dependent distance delta, the decision graph, and full label vectors
-// for any d_cut up to a build-time ceiling are derived without
-// recomputing any stored distance.
+// for any d_cut up to a build-time ceiling are derived without a
+// neighbor search.
 //
 // The structure is a CSR adjacency of every point's neighbors within
-// DCutMax, each list sorted by ascending squared distance: rho at any
-// d_cut <= DCutMax is a binary search (the strict count of stored
-// neighbors closer than d_cut, plus self and the framework jitter), and
-// delta/dep fall out of one ordered scan of the same lists. Points that
-// are local density maxima at the DCutMax scale have no stored denser
-// neighbor; they are answered by one nearest-neighbor walk over a
-// whole-dataset kd-tree that skips every subtree holding no denser
-// point (core.WalkDependents, the walk Ex-DPC runs for every point).
+// DCutMax, each list sorted by ascending squared distance. Only the
+// neighbor ids are stored: a consumer recomputes the distances it needs
+// with the canonical full-sum kernel, which returns the very bits the
+// build's range search sorted by, from either end of a pair. Rho at any
+// d_cut <= DCutMax is a binary search over a row's recomputed distances
+// (the strict count of neighbors closer than d_cut, plus self and the
+// framework jitter), and delta/dep fall out of one ordered scan of the
+// same lists that recomputes only the first denser neighbor's distance
+// and its ties. Points that are local density maxima at the DCutMax
+// scale have no stored denser neighbor; they are answered by one
+// nearest-neighbor walk over a whole-dataset kd-tree that skips every
+// subtree holding no denser point (core.WalkDependents, the walk Ex-DPC
+// runs for every point).
 // Every index owns one such tree, built by Build or Update where the
 // version is made, and shares it with the served model's assigner.
 // Update slides the index across a window append: it range-searches
 // only the appended points, one query each against the new version's
 // own tree, and mirrors their rows onto the survivors.
-// Stored squared distances come straight out of the kd-tree's full
-// dimension-order accumulation, and the walk calls the same kernel —
-// the same float operations, in the same order, as the Scan kernels —
-// so a re-cut's Rho/Delta/Dep (and therefore its labels) are
-// byte-identical to a fresh fit of the covered algorithms.
+// The kd-tree's range search, the recomputed distances and the walk all
+// run the same kernel — the same float operations, in the same order,
+// as the Scan kernels — so a re-cut's Rho/Delta/Dep (and therefore its
+// labels) are byte-identical to a fresh fit of the covered algorithms.
 //
 // Covered algorithms: Scan, R-tree + Scan, and Ex-DPC — the framework's
 // exact algorithms, which share the strict-threshold density of
@@ -37,7 +41,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -80,12 +83,12 @@ type Index struct {
 	tree *kdtree.Tree
 
 	// CSR neighbor lists: point i's neighbors strictly within dcMax are
-	// ids[start[i]:start[i+1]] with squared distances sq[...], sorted by
-	// (sq, id). Self is excluded; id order on equal sq keeps the layout
-	// deterministic across builds.
+	// ids[start[i]:start[i+1]], sorted by (squared distance from i, id).
+	// Self is excluded; id order on equal distances keeps the layout
+	// deterministic across builds. The distances are not stored:
+	// geom.SqDistToIdx from point i's row recomputes each bit for bit.
 	start []int64
 	ids   []int32
-	sq    []float64
 }
 
 // ErrTooDense is wrapped by Build when the neighbor lists would exceed
@@ -96,7 +99,7 @@ var ErrTooDense = fmt.Errorf("densindex: neighbor lists exceed the edge budget")
 // Build constructs the index with neighborhood ceiling dcMax: every
 // point pair closer than dcMax is materialized once per endpoint.
 // maxEdges caps the total stored entries (<= 0 means no cap) — each
-// entry costs 12 bytes, and a dcMax far above the useful d_cut range
+// entry costs 4 bytes, and a dcMax far above the useful d_cut range
 // degenerates toward n^2.
 func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index, error) {
 	if ds == nil || ds.N == 0 {
@@ -128,62 +131,64 @@ func Build(ds *geom.Dataset, dcMax float64, workers int, maxEdges int64) (*Index
 			ErrTooDense, total, dcMax, maxEdges)
 	}
 
-	x := &Index{
-		ds: ds, dcMax: dcMax, tree: tree,
-		start: start,
-		ids:   make([]int32, total),
-		sq:    make([]float64, total),
-	}
+	x := &Index{ds: ds, dcMax: dcMax, tree: tree, start: start, ids: make([]int32, total)}
 	partition.DynamicWorkers(n, workers, 4, func() func(int) {
 		buf := make([]float64, ds.Dim)
+		var row []edge
 		return func(k int) {
-			i := int(byLeaf[k])
-			lo := start[i]
-			w := lo
-			tree.RangeSearch(ds.AtBuf(i, buf), dcMax, func(id int32, d float64) {
-				if int(id) == i {
-					return
-				}
-				x.ids[w] = id
-				x.sq[w] = d
-				w++
-			})
-			x.sortRow(lo, w)
+			i := byLeaf[k]
+			row = neighbors(tree, ds.AtBuf(int(i), buf), i, dcMax, row)
+			for w, e := range row {
+				x.ids[start[i]+int64(w)] = e.id
+			}
 		}
 	})
 	return x, nil
 }
 
-// edge pairs one CSR entry for sorting; sq values are finite and
-// non-negative so a plain < comparison is a total order.
+// edge is one neighbor with its squared distance, held only while a row
+// is sorted or merged; sq values are finite and non-negative so a plain
+// < comparison is a total order.
 type edge struct {
 	sq float64
 	id int32
 }
 
-// edgeScratch recycles per-row sort buffers across the build workers.
-var edgeScratch = sync.Pool{
-	New: func() any { return new([]edge) },
+// neighbors returns point i's neighbors strictly within r of its row q,
+// itself excluded, in (sq, id) order, reusing row's storage. The sort is
+// a concrete-typed quicksort whose comparisons inline — both sort.Sort
+// and the generic slices.SortFunc pay an indirect call per comparison,
+// which over the index's millions of entries dominated the whole build.
+func neighbors(tree *kdtree.Tree, q geom.Point, i int32, r float64, row []edge) []edge {
+	row = row[:0]
+	tree.RangeSearch(q, r, func(id int32, d float64) {
+		if id != i {
+			row = append(row, edge{sq: d, id: id})
+		}
+	})
+	sortEdges(row)
+	return row
 }
 
-// sortRow orders one CSR segment by (sq, id). The parallel id/sq pairs
-// are packed into a scratch slice and sorted by a concrete-typed
-// quicksort whose comparisons inline — both sort.Sort and the generic
-// slices.SortFunc pay an indirect call per comparison, which over the
-// index's millions of entries dominated the whole build.
-func (x *Index) sortRow(lo, hi int64) {
-	ids, sq := x.ids[lo:hi], x.sq[lo:hi]
-	bp := edgeScratch.Get().(*[]edge)
-	row := (*bp)[:0]
-	for j := range ids {
-		row = append(row, edge{sq: sq[j], id: ids[j]})
+// below counts the entries of a (sq, id)-sorted row whose squared
+// distance from q is below limit: a binary search that recomputes only
+// the distances it probes, one kernel call per halving and one more.
+func below(ds *geom.Dataset, q geom.Point, ids []int32, limit float64) int {
+	if len(ids) == 0 {
+		return 0
 	}
-	sortEdges(row)
-	for j, e := range row {
-		ids[j], sq[j] = e.id, e.sq
+	base, n := 0, len(ids)
+	for n > 1 {
+		half := n / 2
+		if geom.SqDistToIdx(ds, q, ids[base+half]) < limit {
+			base += half
+		}
+		n -= half
 	}
-	*bp = row
-	edgeScratch.Put(bp)
+	if geom.SqDistToIdx(ds, q, ids[base]) < limit {
+		base++
+	}
+	return base
 }
 
 // edgeLess is the (sq, id) total order; (sq, id) pairs are unique within
@@ -285,19 +290,22 @@ func (x *Index) checkDC(dcut float64) error {
 func (x *Index) rho(dcut float64, workers int) []float64 {
 	sqCut := dcut * dcut
 	out := make([]float64, x.ds.N)
-	partition.DynamicChunked(x.ds.N, workers, 64, func(i int) {
-		lo, hi := x.start[i], x.start[i+1]
-		row := x.sq[lo:hi]
-		k := sort.Search(len(row), func(e int) bool { return row[e] >= sqCut })
-		// k stored neighbors strictly within dcut, +1 for the point itself
-		// (the kernels' self-comparison accumulates 0 < dcut^2).
-		out[i] = float64(k+1) + core.Jitter(i)
+	partition.DynamicWorkers(x.ds.N, workers, 64, func() func(int) {
+		buf := make([]float64, x.ds.Dim)
+		return func(i int) {
+			k := below(x.ds, x.ds.AtBuf(i, buf), x.ids[x.start[i]:x.start[i+1]], sqCut)
+			// k stored neighbors strictly within dcut, +1 for the point
+			// itself (the kernels' self-comparison accumulates 0 < dcut^2).
+			out[i] = float64(k+1) + core.Jitter(i)
+		}
 	})
 	return out
 }
 
 // deltaDep derives delta and dep from a density vector. For each
-// non-peak point the dependent is found in its stored list: the nearest
+// non-peak point the dependent is found in its stored list, recomputing
+// the first denser entry's distance and then each later denser entry's
+// until one differs: the nearest
 // stored neighbor of higher density is the true nearest higher-density
 // point, because any closer higher-density point would itself be stored
 // (all pairs within dcMax are). Ties on squared distance resolve to the
@@ -321,30 +329,33 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 	peak := order[0]
 	delta[peak] = math.Inf(1)
 	dep[peak] = core.NoDependent
-	partition.DynamicChunked(n-1, workers, 8, func(k int) {
-		i := order[k+1]
-		lo, hi := x.start[i], x.start[i+1]
-		myRank := rank[i]
-		best := core.NoDependent
-		bestSq := math.Inf(1)
-		for e := lo; e < hi; e++ {
-			j := x.ids[e]
-			if rank[j] >= myRank {
-				continue
+	partition.DynamicWorkers(n-1, workers, 8, func() func(int) {
+		buf := make([]float64, x.ds.Dim)
+		return func(k int) {
+			i := order[k+1]
+			q := x.ds.AtBuf(int(i), buf)
+			myRank := rank[i]
+			best := core.NoDependent
+			bestSq := math.Inf(1)
+			for _, j := range x.ids[x.start[i]:x.start[i+1]] {
+				if rank[j] >= myRank {
+					continue
+				}
+				d := geom.SqDistToIdx(x.ds, q, j)
+				if best == core.NoDependent {
+					best, bestSq = j, d
+					continue
+				}
+				if d != bestSq {
+					break // rows are sq-ascending: no more ties possible
+				}
+				if rank[j] < rank[best] {
+					best = j
+				}
 			}
-			if best == core.NoDependent {
-				best, bestSq = j, x.sq[e]
-				continue
-			}
-			if x.sq[e] != bestSq {
-				break // rows are sq-ascending: no more ties possible
-			}
-			if rank[j] < rank[best] {
-				best = j
-			}
+			delta[i] = math.Sqrt(bestSq)
+			dep[i] = best
 		}
-		delta[i] = math.Sqrt(bestSq)
-		dep[i] = best
 	})
 
 	// Local maxima at the dcMax scale: the only place a cut touches raw

@@ -2,6 +2,7 @@ package densindex
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -13,19 +14,20 @@ import (
 // Update derives the index of a slid window from the index of the
 // previous one: ds must be the indexed dataset with its first expired
 // rows removed and appended new rows added at the end (the service's
-// sliding-window append). Surviving pairs keep their stored squared
-// distances — filtered and id-shifted, never recomputed — and only the
-// appended points are searched, each with one range query against the
-// new version's whole-dataset kd-tree, which the new index keeps. The
-// result is byte-identical to Build(ds, ...) at the same ceiling: rows
-// are (sq, id)-sorted, the distance kernel is deterministic per point
-// pair, and squared distance is exactly symmetric per dimension, so
-// reusing a stored value or its mirror cannot change a single bit.
+// sliding-window append). Surviving pairs keep their order — filtered
+// and id-shifted — and only the appended points are searched, each with
+// one range query against the new version's whole-dataset kd-tree,
+// which the new index keeps. The result is byte-identical to
+// Build(ds, ...) at the same ceiling: rows are (sq, id)-sorted, the
+// distance kernel is deterministic per point pair, and squared distance
+// is exactly symmetric per dimension, so a recomputed distance or its
+// mirror cannot differ from the build's by a single bit.
 //
 // Cost is one tree build (parallel over workers), one range query per
-// appended point, and O(E) filtering and copying: the only searches
-// are the appended points', so they grow with the mutation, not the
-// dataset. The same ErrTooDense budget applies as in Build.
+// appended point, one binary search of the survivor's old row per
+// mirrored edge, and O(E) filtering and copying: the searches grow with
+// the mutation, not the dataset. The same ErrTooDense budget applies as
+// in Build.
 func Update(x *Index, ds *geom.Dataset, expired, appended, workers int, maxEdges int64) (*Index, error) {
 	if x == nil {
 		return nil, fmt.Errorf("densindex: update of a nil index")
@@ -47,22 +49,24 @@ func Update(x *Index, ds *geom.Dataset, expired, appended, workers int, maxEdges
 	workers = core.Params{Workers: workers}.WorkerCount()
 	tree := kdtree.BuildAllWorkers(ds, workers)
 
-	// rows[j] is appended point base+j's whole stored row, (sq, id)-sorted:
-	// its range query runs against every point of the new version.
+	// rows[j] is appended point base+j's whole row, (sq, id)-sorted: its
+	// range query runs against every point of the new version. The
+	// queries run in tree order, as Build's do, so consecutive searches
+	// scan the same leaves while they are cached.
+	var byLeaf []int32
+	for _, i := range tree.Order() {
+		if int(i) >= base {
+			byLeaf = append(byLeaf, i)
+		}
+	}
 	rows := make([][]edge, appended)
 	partition.DynamicWorkers(appended, workers, 4, func() func(int) {
 		buf := make([]float64, ds.Dim)
 		var row []edge
-		return func(j int) {
-			i := base + j
-			row = row[:0]
-			tree.RangeSearch(ds.AtBuf(i, buf), x.dcMax, func(id int32, d float64) {
-				if int(id) != i {
-					row = append(row, edge{sq: d, id: id})
-				}
-			})
-			sortEdges(row)
-			rows[j] = slices.Clone(row)
+		return func(k int) {
+			i := byLeaf[k]
+			row = neighbors(tree, ds.AtBuf(int(i), buf), i, x.dcMax, row)
+			rows[int(i)-base] = slices.Clone(row)
 		}
 	})
 
@@ -97,25 +101,23 @@ func Update(x *Index, ds *geom.Dataset, expired, appended, workers int, maxEdges
 
 	// Count pass: survivors keep their old edges minus the expired ones
 	// and gain their mirrored edges; appended points take their rows.
+	// The neighbor relation is symmetric, so a survivor's expired
+	// neighbors are exactly the expired rows' entries for it: only those
+	// rows are read.
 	exp := int32(expired)
 	start := make([]int64, n+1)
-	partition.DynamicChunked(n, workers, 64, func(i int) {
-		if i >= base {
-			start[i+1] = int64(len(rows[i-base]))
-			return
+	for _, id := range x.ids[:x.start[expired]] {
+		if id >= exp {
+			start[id-exp+1]--
 		}
+	}
+	for i := 0; i < base; i++ {
 		oi := i + expired
-		lo, hi := x.start[oi], x.start[oi+1]
-		kept := hi - lo
-		if exp > 0 {
-			for e := lo; e < hi; e++ {
-				if x.ids[e] < exp {
-					kept--
-				}
-			}
-		}
-		start[i+1] = kept + mstart[i+1] - mstart[i]
-	})
+		start[i+1] += x.start[oi+1] - x.start[oi] + mstart[i+1] - mstart[i]
+	}
+	for j, row := range rows {
+		start[base+j+1] = int64(len(row))
+	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
@@ -125,55 +127,51 @@ func Update(x *Index, ds *geom.Dataset, expired, appended, workers int, maxEdges
 			ErrTooDense, total, x.dcMax, maxEdges)
 	}
 
-	nx := &Index{
-		ds: ds, dcMax: x.dcMax, tree: tree,
-		start: start,
-		ids:   make([]int32, total),
-		sq:    make([]float64, total),
-	}
+	nx := &Index{ds: ds, dcMax: x.dcMax, tree: tree, start: start, ids: make([]int32, total)}
 	// Fill pass. Surviving edges keep their relative (sq, id) order under
 	// the uniform id shift, so a survivor with no mirrored edge is a
 	// filtered copy. Mirrored edges all point at appended ids, above
-	// every surviving id, so on equal sq the surviving edge goes first,
-	// and a two-cursor merge on sq alone lands the exact layout a fresh
-	// build would sort into.
-	partition.DynamicChunked(n, workers, 16, func(i int) {
-		ids, sq := nx.ids[start[i]:start[i+1]], nx.sq[start[i]:start[i+1]]
-		if i >= base {
-			for k, e := range rows[i-base] {
-				ids[k], sq[k] = e.id, e.sq
-			}
-			return
-		}
-		oi := i + expired
-		oids, osq := x.ids[x.start[oi]:x.start[oi+1]], x.sq[x.start[oi]:x.start[oi+1]]
-		m := mirror[mstart[i]:mstart[i+1]]
-		w := 0
-		if len(m) == 0 {
-			for e, id := range oids {
-				if id >= exp {
-					ids[w], sq[w] = id-exp, osq[e]
-					w++
+	// every surviving id, so on equal sq the surviving edges go first:
+	// each mirrored edge lands after the old row's entries at or below
+	// its sq, found by an upper-bound search over their distances,
+	// recomputed on the old dataset with old ids (expired entries
+	// included, which only the copy drops).
+	partition.DynamicWorkers(n, workers, 16, func() func(int) {
+		buf := make([]float64, ds.Dim)
+		return func(i int) {
+			ids := nx.ids[start[i]:start[i+1]]
+			if i >= base {
+				for k, e := range rows[i-base] {
+					ids[k] = e.id
 				}
+				return
 			}
-			return
-		}
-		k := 0
-		for e, id := range oids {
-			if id < exp {
-				continue
+			oi := i + expired
+			old := x.ids[x.start[oi]:x.start[oi+1]]
+			m := mirror[mstart[i]:mstart[i+1]]
+			q := x.ds.AtBuf(oi, buf)
+			w, e := 0, 0
+			for _, me := range m {
+				// d <= me.sq is d < the next float above it.
+				k := e + below(x.ds, q, old[e:], math.Nextafter(me.sq, math.Inf(1)))
+				w = keep(ids, w, old[e:k], exp)
+				ids[w] = me.id
+				w, e = w+1, k
 			}
-			for ; k < len(m) && m[k].sq < osq[e]; k++ {
-				ids[w], sq[w] = m[k].id, m[k].sq
-				w++
-			}
-			ids[w], sq[w] = id-exp, osq[e]
-			w++
-		}
-		for ; k < len(m); k++ {
-			ids[w], sq[w] = m[k].id, m[k].sq
-			w++
+			keep(ids, w, old[e:], exp)
 		}
 	})
 	return nx, nil
+}
+
+// keep copies the unexpired ids of src, shifted down by exp, to dst
+// from w on and returns the next free position.
+func keep(dst []int32, w int, src []int32, exp int32) int {
+	for _, id := range src {
+		if id >= exp {
+			dst[w] = id - exp
+			w++
+		}
+	}
+	return w
 }

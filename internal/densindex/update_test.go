@@ -1,6 +1,7 @@
 package densindex
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,8 @@ import (
 
 // sameIndex requires bit-exact equality of two indexes' CSR arrays —
 // the update contract is byte-identity with a fresh build, the same bar
-// the index itself holds against fresh fits.
+// the index itself holds against fresh fits — and holds both to the row
+// oracle.
 func sameIndex(t *testing.T, got, want *Index) {
 	t.Helper()
 	if got.dcMax != want.dcMax {
@@ -25,7 +27,70 @@ func sameIndex(t *testing.T, got, want *Index) {
 		t.Fatalf("start offsets differ (lengths %d, %d)", len(got.start), len(want.start))
 	}
 	sameInt32(t, "ids", got.ids, want.ids)
-	sameBits(t, "sq", got.sq, want.sq)
+	checkRows(t, "update", got)
+	checkRows(t, "build", want)
+}
+
+// checkRows is the row oracle: by brute force over every pair, each CSR
+// row i of x must hold exactly the points j != i with
+// SqDistIdx(i, j) < dcMax², in (SqDistIdx, id) order. It sorts with the
+// standard library, so it shares no code with the index's own sort.
+func checkRows(t *testing.T, what string, x *Index) {
+	t.Helper()
+	n := x.ds.N
+	if len(x.start) != n+1 {
+		t.Fatalf("%s: %d row offsets for %d points", what, len(x.start), n)
+	}
+	limit := x.dcMax * x.dcMax
+	var want []edge
+	for i := int32(0); i < int32(n); i++ {
+		want = want[:0]
+		for j := int32(0); j < int32(n); j++ {
+			if d := geom.SqDistIdx(x.ds, i, j); j != i && d < limit {
+				want = append(want, edge{sq: d, id: j})
+			}
+		}
+		slices.SortFunc(want, func(a, b edge) int {
+			return cmp.Or(cmp.Compare(a.sq, b.sq), cmp.Compare(a.id, b.id))
+		})
+		got := x.ids[x.start[i]:x.start[i+1]]
+		if len(got) != len(want) {
+			t.Fatalf("%s: row %d holds %d neighbors, want %d", what, i, len(got), len(want))
+		}
+		for k, e := range want {
+			if got[k] != e.id {
+				t.Fatalf("%s: row %d entry %d is point %d, want %d (sq %v)", what, i, k, got[k], e.id, e.sq)
+			}
+		}
+	}
+}
+
+// TestRowsMatchBruteForce holds Build and one Update of every shape to
+// the row oracle on tie-heavy grids — duplicate rows, equal distances —
+// at both precisions and one to four workers.
+func TestRowsMatchBruteForce(t *testing.T) {
+	for _, dim := range []int{2, 4, 8} {
+		for _, f32 := range []bool{false, true} {
+			full := tieRows(700, dim, int64(dim))
+			if f32 {
+				full = full.ToFloat32()
+			}
+			for workers := 1; workers <= 4; workers++ {
+				t.Run(fmt.Sprintf("d=%d/f32=%v/workers=%d", dim, f32, workers), func(t *testing.T) {
+					idx, err := Build(window(full, 0, 500), 2.5, workers, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkRows(t, "build", idx)
+					got, err := Update(idx, window(full, 120, 700), 120, 200, workers, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkRows(t, "update", got)
+				})
+			}
+		}
+	}
 }
 
 // window cuts a zero-copy row window [lo, hi) out of a backing dataset,

@@ -91,7 +91,7 @@ func (o Options) maxStreamPoints() int64 {
 }
 
 // indexMaxEdges caps the stored entries of one dataset's density index
-// (each costs 12 bytes, so ~384 MiB). A decision-graph or sweep request
+// (each costs 4 bytes, so ~128 MiB). A decision-graph or sweep request
 // whose d_cut would exceed the budget fails with a clear error instead
 // of exhausting memory.
 const indexMaxEdges = 1 << 25

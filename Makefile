@@ -64,7 +64,8 @@ e2e-stream:
 # build at one worker and every CPU, Ex-DPC's density pass on the 20k
 # S2 and PAMAP2 stand-ins as per-point range counts and as the
 # leaf-pair self-join (BenchmarkSelfCounts), the grid build Approx-DPC runs on
-# the 20k PAMAP2 stand-in, the density index's build, re-cut and
+# the 20k PAMAP2 stand-in, Approx-DPC's and S-Approx-DPC's fits on the 20k
+# S2 stand-in, the density index's build, re-cut and
 # sliding-window update on the same stand-in, the serving layer
 # benchmarks (cached fit, assign batch, snapshot cold start), and the
 # param-sweep experiment (one density index vs K fresh fits; committed
@@ -75,6 +76,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSqDist|ExDPC(Rows|Flat)' -benchmem -benchtime=$(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll|BenchmarkSelfCounts' -benchmem -benchtime=$(BENCHTIME) ./internal/kdtree
 	$(GO) test -run '^$$' -bench 'BenchmarkGridBuild' -benchmem -benchtime=$(BENCHTIME) ./internal/grid
+	$(GO) test -run '^$$' -bench 'BenchmarkCore(S)?ApproxDPCS2' -benchmem -benchtime=$(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkCut|BenchmarkUpdate' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=$(BENCHTIME) ./internal/service
 	$(GO) run ./cmd/dpcbench -exp sweep -n $(SWEEPN)

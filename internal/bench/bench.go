@@ -100,9 +100,9 @@ func (c Config) params(ds *data.Dataset) core.Params {
 }
 
 // pointsPerCell is n over the number of occupied cells of Approx-DPC's
-// grid (side d_cut/sqrt(d)): how many members one joint range search
-// serves on average. Near 1, the joint search is one search per point,
-// at a radius of up to 1.5*d_cut.
+// grid (side d_cut/sqrt(d)): how many points one neighbor-cell rule
+// search serves on average. Near 1, Approx-DPC runs about one range
+// search per point on top of Ex-DPC's density pass.
 func pointsPerCell(ds *geom.Dataset, dcut float64) float64 {
 	return float64(ds.N) / float64(grid.Build(ds, grid.SideForDCut(dcut, ds.Dim)).NumCells())
 }

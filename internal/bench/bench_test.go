@@ -93,13 +93,13 @@ func TestFigureExperimentsRenderFiles(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 16 {
-		t.Errorf("registry has %d experiments, want 16", len(Experiments()))
+	if len(Experiments()) != 15 {
+		t.Errorf("registry has %d experiments, want 15", len(Experiments()))
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown experiment found")
 	}
-	if len(Names()) != 16 {
+	if len(Names()) != 15 {
 		t.Error("Names() incomplete")
 	}
 	for _, e := range Experiments() {
@@ -115,7 +115,7 @@ func TestOthersAndAblationsRun(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	c := Config{N: 800, Threads: 2, Seed: 1, W: &buf}
-	for _, name := range []string{"others", "abl-joint"} {
+	for _, name := range []string{"others"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %s missing", name)
@@ -125,7 +125,7 @@ func TestOthersAndAblationsRun(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"FastDPeak", "DPCG", "CFSFDP-DE", "joint"} {
+	for _, want := range []string{"FastDPeak", "DPCG", "CFSFDP-DE"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

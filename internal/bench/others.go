@@ -41,28 +41,3 @@ func (c Config) Others() error {
 	}
 	return nil
 }
-
-// AblJoint isolates the joint-range-search design choice (§4.2): the rho
-// phase of Approx-DPC (one expanded search per cell) against the rho
-// phase of Ex-DPC (one search per point) on every dataset. Remark 1
-// predicts the joint version wins, increasingly with density.
-func (c Config) AblJoint() error {
-	w := c.w()
-	header(w, fmt.Sprintf("Ablation: joint range search vs per-point range search (rho phase [s], n=%d)", c.n()))
-	fmt.Fprintf(w, "%-12s %14s %14s %10s\n", "Dataset", "per-point", "joint", "speedup")
-	for _, ds := range c.realDatasets() {
-		p := c.params(ds)
-		ex, err := run(core.ExDPC{}, ds.Points, p)
-		if err != nil {
-			return err
-		}
-		ap, err := run(core.ApproxDPC{}, ds.Points, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-12s %14.3f %14.3f %9.1fx\n", ds.Name,
-			secs(ex.Timing.Rho), secs(ap.Timing.Rho),
-			secs(ex.Timing.Rho)/secs(ap.Timing.Rho))
-	}
-	return nil
-}

@@ -28,7 +28,6 @@ func Experiments() []Experiment {
 		{"table6", "Decomposed rho/delta time", Config.Table6},
 		{"table7", "Memory usage", Config.Table7},
 		{"others", "Dropped competitors (FastDPeak, DPCG, CFSFDP-DE)", Config.Others},
-		{"abl-joint", "Ablation: joint vs per-point range search", Config.AblJoint},
 		{"sweep", "Parameter sweep: one density index vs K fresh fits", Config.ParamSweep},
 		{"drift", "Drift-tracking assign overhead and background refit swap", Config.Drift},
 	}

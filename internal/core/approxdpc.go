@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -13,34 +12,28 @@ import (
 
 // ApproxDPC is the paper's parameter-free approximation algorithm (§4).
 //
-// Local densities stay exact but are computed with one *joint* range
-// search per grid cell (side d_cut/sqrt(d)): the ball
-// B(cp, d_cut + max_{p in c} dist(cp, p)) covers the d_cut-ball of every
-// member, so one kd-tree traversal serves the whole cell and the
-// per-member counts come from scanning that one result. The paper puts
-// cp at the cell center; here cp is the middle of the members' bounding
-// box. Any cp covers every member's ball with that radius, and the scan
-// decides each count, so the densities are the same; the nearer cp
-// shrinks the ball, and a cell whose members are all one point searches
-// from that point at d_cut and needs no scan at all (cellDensities). The
-// 3-4-d stand-ins hold 1.1-1.3 points per cell at n=20000, so that is
-// most cells there.
+// Local densities stay exact. The paper counts them with one joint range
+// search per grid cell (side d_cut/sqrt(d)) whose result every member
+// scans; here they are Ex-DPC's, from the symmetric self-join over the
+// fit's kd-tree (selfJoinRho), which measures each close pair once. One
+// O(n) pass over the grid then sets each cell's p*(c), its densest
+// member, and its minimum member density (cellSummaries).
 //
 // Dependent points are approximated in O(1) for any point that has a
-// denser point within d_cut (in-cell rule via p*(c); neighbor-cell rule
-// via N(c) and min-density summaries). The paper resolves the remainder
-// P' with s density-sorted subsets, one kd-tree each (Figure 5); here
-// each point of P' instead runs Ex-DPC's rank-pruned walk over the tree
-// the density phase already built (WalkDependents), so P' gets Ex-DPC's
-// dependent point and delta bit for bit, ties included. Theorem 4: the
-// cluster centers equal Ex-DPC's for the same parameters.
+// denser point within d_cut. In-cell rule: every other member of c
+// depends on p*(c), within the cell diagonal d_cut. Neighbor-cell rule:
+// p*(c) depends on p*(c') for the lowest cell id c' holding a point
+// strictly within d_cut of p*(c) whose minimum density exceeds p*(c)'s
+// (ruleCell). The paper resolves the remainder P' with s density-sorted
+// subsets, one kd-tree each (Figure 5); here each point of P' instead
+// runs Ex-DPC's rank-pruned walk over the fit's tree (WalkDependents),
+// so P' gets Ex-DPC's dependent point and delta bit for bit, ties
+// included. Theorem 4: the cluster centers equal Ex-DPC's for the same
+// parameters.
 //
-// The density phase is one dynamically scheduled task per grid cell:
-// the task runs the cell's joint search, scans the result for its
-// members' densities and fills p*(c), min rho and N(c), so each result
-// lives only inside its own task. The rule pass and the walks are
-// dynamically scheduled as well. The paper's cost-based scheduling of
-// this phase (§4.5) measured no gain here (docs/benchmarks.md).
+// The self-join, the rule pass (over the points in kd-tree order) and
+// the walks are dynamically scheduled. The paper's cost-based scheduling of the
+// density phase (§4.5) measured no gain here (docs/benchmarks.md).
 type ApproxDPC struct{}
 
 // Name implements Algorithm.
@@ -77,11 +70,12 @@ func (ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree,
 	res.Timing.Build = time.Since(start)
 
 	start = time.Now()
-	cellDensities(ds, tree, g, res.Rho, p, workers)
+	counts := selfJoinRho(tree, p.DCut, res.Rho, workers)
+	cellSummaries(g, res.Rho)
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()
-	approxThenExactDependents(g, tree, res, p, workers)
+	approxThenExactDependents(ds, g, tree, res, counts, p, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()
@@ -90,163 +84,80 @@ func (ApproxDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree,
 	return res, tree, nil
 }
 
-// cellDensities computes every point's exact local density and the cell
-// summaries p*(c), min rho and N(c), one task per cell: a joint range
-// search over a ball that covers every member's d_cut-ball, then one
-// scan of its result per member. The ball is centered at the middle cp
-// of the members' bounding box (see ApproxDPC). A cell whose members are
-// all one point (one member, or exact duplicates) therefore searches
-// from that point at exactly d_cut. The kd-tree's leaf kernel abandons
-// only sums already above the limit, so the search's strict test is the
-// scan's: the result's length is every member's count and its other
-// cells are N(c), with no scan.
-func cellDensities(ds *geom.Dataset, tree *kdtree.Tree, g *grid.Grid, rho []float64, p Params, workers int) {
-	sq := p.DCut * p.DCut
-	partition.DynamicWorkers(g.NumCells(), workers, 1, func() func(int) {
-		s := newCellSearch(ds.Dim)
-		lo := make([]float64, ds.Dim)
-		hi := make([]float64, ds.Dim)
-		cp := make([]float64, ds.Dim)
-		return func(c int) {
-			cell := &g.Cells[c]
-			copy(lo, ds.AtBuf(int(cell.Points[0]), s.row))
-			copy(hi, lo)
-			for _, m := range cell.Points[1:] {
-				for j, x := range ds.AtBuf(int(m), s.row) {
-					lo[j] = min(lo[j], x)
-					hi[j] = max(hi[j], x)
-				}
+// cellSummaries sets every cell's p*(c), the first of its members with
+// the strictly largest rho, and its minimum member density.
+func cellSummaries(g *grid.Grid, rho []float64) {
+	for c := range g.Cells {
+		cell := &g.Cells[c]
+		bestRho, minRho := math.Inf(-1), math.Inf(1)
+		for _, m := range cell.Points {
+			if rho[m] > bestRho {
+				bestRho, cell.Best = rho[m], m
 			}
-			spread := false
-			for j := range cp {
-				cp[j] = lo[j] + (hi[j]-lo[j])/2
-				spread = spread || lo[j] != hi[j]
-			}
-
-			best := int32(-1)
-			bestRho := math.Inf(-1)
-			minRho := math.Inf(1)
-			setRho := func(m int32, count int) {
-				v := float64(count) + jitter(int(m))
-				rho[m] = v
-				if v > bestRho {
-					bestRho, best = v, m
-				}
-				minRho = min(minRho, v)
-			}
-			if !spread {
-				// cp is every member's own row.
-				r := s.search(tree, cp, p.DCut)
-				for _, m := range cell.Points {
-					setRho(m, len(r))
-				}
-				cell.Best, cell.MinRho = best, minRho
-				cell.Neighbors = s.neighborCells(g, int32(c), r)
-				return
-			}
-
-			var maxSq float64
-			for _, m := range cell.Points {
-				maxSq = max(maxSq, geom.SqDistToIdx(ds, cp, m))
-			}
-			r := s.search(tree, cp, p.DCut+math.Sqrt(maxSq))
-			for _, m := range cell.Points {
-				pm := ds.AtBuf(int(m), s.row)
-				count := 0
-				// The full sum, not the early exit: most of r lies within
-				// d_cut of a member, so an exit seldom fires, and its
-				// unpredictable branch costs more than it saves.
-				for _, x := range r {
-					if geom.SqDistToIdx(ds, pm, x) < sq {
-						count++
-					}
-				}
-				setRho(m, count)
-			}
-			cell.Best, cell.MinRho = best, minRho
-			// N(c): cells of points outside c within d_cut of p*(c).
-			pb := ds.AtBuf(int(best), s.row)
-			near := r[:0]
-			for _, x := range r {
-				if geom.SqDistToIdx(ds, pb, x) < sq {
-					near = append(near, x)
-				}
-			}
-			cell.Neighbors = s.neighborCells(g, int32(c), near)
+			minRho = min(minRho, rho[m])
 		}
-	})
-}
-
-// cellSearch is one worker's buffers for the per-cell range searches of
-// Approx-DPC and S-Approx-DPC.
-type cellSearch struct {
-	row   []float64 // a widened dataset row
-	ids   []int32   // the last search's result
-	cells []int32   // the cells of a result
-}
-
-func newCellSearch(dim int) *cellSearch {
-	return &cellSearch{row: make([]float64, dim)}
-}
-
-// search returns the ids of the tree points strictly within r of q, in
-// a buffer the next search reuses.
-func (s *cellSearch) search(tree *kdtree.Tree, q []float64, r float64) []int32 {
-	s.ids = s.ids[:0]
-	tree.RangeSearch(q, r, func(id int32, _ float64) {
-		s.ids = append(s.ids, id)
-	})
-	return s.ids
-}
-
-// neighborCells returns N(c) for the points ids within d_cut of c's
-// representative: their cells other than c, ascending and distinct, in
-// a slice of its own. Ascending order makes the first of equally good
-// neighbor cells independent of the tree's visit order.
-func (s *cellSearch) neighborCells(g *grid.Grid, c int32, ids []int32) []int32 {
-	s.cells = s.cells[:0]
-	for _, x := range ids {
-		if xc := g.PointCell[x]; xc != c {
-			s.cells = append(s.cells, xc)
-		}
+		cell.MinRho = minRho
 	}
-	slices.Sort(s.cells)
-	return slices.Clone(slices.Compact(s.cells))
+}
+
+// ruleCell returns the cell c' whose p*(c') the neighbor-cell rule
+// gives b = p*(c) as its dependent point, or -1 if none qualifies: the
+// lowest id of the cells that hold a point strictly within d_cut of b
+// and whose minimum density exceeds rho(b). Taking the lowest id makes
+// the choice independent of the tree's visit order. counts are the
+// d_cut counts; row is scratch for a widened dataset row.
+func ruleCell(ds *geom.Dataset, tree *kdtree.Tree, g *grid.Grid, rho []float64, counts []int32, b int32, dcut float64, row []float64) int32 {
+	if counts[b] == 1 {
+		// Nothing but b itself lies within d_cut.
+		return -1
+	}
+	rb := rho[b]
+	nb := int32(math.MaxInt32)
+	tree.RangeSearch(ds.AtBuf(int(b), row), dcut, func(x int32, _ float64) {
+		// Only a point denser than b can lie in a qualifying cell, whose
+		// members are all denser than b. No member of c is, so c itself
+		// never qualifies.
+		if rho[x] > rb {
+			if xc := g.PointCell[x]; xc < nb && g.Cells[xc].MinRho > rb {
+				nb = xc
+			}
+		}
+	})
+	if nb == math.MaxInt32 {
+		return -1
+	}
+	return nb
 }
 
 // approxThenExactDependents applies the two O(1) approximation rules of
 // §4.3 and resolves the remaining set P' exactly: one rank-pruned walk
 // per point of P' over the fit's whole-dataset tree (WalkDependents).
-func approxThenExactDependents(g *grid.Grid, tree *kdtree.Tree, res *Result, p Params, workers int) {
-	n := len(res.Rho)
-	unresolvedMark := int32(-2)
-	// Rule pass, parallel over cells (each point is touched by exactly its
-	// own cell's task).
-	partition.Dynamic(g.NumCells(), workers, func(c int) {
-		cell := &g.Cells[c]
-		for _, i := range cell.Points {
-			if i != cell.Best {
+// Both passes visit the points in tree order, so consecutive searches
+// and walks start near each other and share the tree's cached rows.
+func approxThenExactDependents(ds *geom.Dataset, g *grid.Grid, tree *kdtree.Tree, res *Result, counts []int32, p Params, workers int) {
+	const unresolvedMark = int32(-2)
+	order := tree.Order()
+	partition.DynamicWorkers(len(order), workers, 64, func() func(int) {
+		row := make([]float64, ds.Dim)
+		return func(k int) {
+			i := order[k]
+			best := g.Cells[g.PointCell[i]].Best
+			if i != best {
 				// In-cell rule: p*(c) is denser and within the cell
 				// diagonal = d_cut.
-				res.Dep[i] = cell.Best
-				res.Delta[i] = p.DCut
-				continue
+				res.Dep[i], res.Delta[i] = best, p.DCut
+				return
 			}
-			// Neighbor-cell rule for p*(c).
+			// Neighbor-cell rule for p*(c) itself.
 			res.Dep[i] = unresolvedMark
-			for _, nb := range cell.Neighbors {
-				nc := &g.Cells[nb]
-				if nc.MinRho > res.Rho[i] {
-					res.Dep[i] = nc.Best
-					res.Delta[i] = p.DCut
-					break
-				}
+			if nb := ruleCell(ds, tree, g, res.Rho, counts, i, p.DCut, row); nb >= 0 {
+				res.Dep[i], res.Delta[i] = g.Cells[nb].Best, p.DCut
 			}
 		}
 	})
 
 	var unresolved []int32
-	for i := int32(0); i < int32(n); i++ {
+	for _, i := range order {
 		if res.Dep[i] == unresolvedMark {
 			unresolved = append(unresolved, i)
 		}

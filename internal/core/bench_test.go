@@ -48,18 +48,26 @@ func BenchmarkCoreFastDPeak(b *testing.B)  { benchRun(b, FastDPeak{}) }
 func BenchmarkCoreDPCG(b *testing.B)       { benchRun(b, DPCG{}) }
 func BenchmarkCoreCFSFDPDE(b *testing.B)   { benchRun(b, CFSFDPDE{}) }
 
+// BenchmarkCoreApproxDPCS2 fits Approx-DPC on the 20k S2 stand-in at
+// its own parameters. S2 holds about 9.8 points per grid cell, so the
+// in-cell rule resolves most points and one neighbor-cell rule search
+// serves a whole cell.
+func BenchmarkCoreApproxDPCS2(b *testing.B) { benchS2(b, ApproxDPC{}) }
+
 // BenchmarkCoreSApproxDPCS2 fits S-Approx-DPC on the 20k S2 stand-in at
 // its own parameters. On benchDataset |P'_pick|² exceeds 4n and every
 // fit resolves P'_pick with the walk fallback; on S2 40 of the 2,033
 // picked points stay unresolved, so every fit runs the temporary-cluster
 // phase (sApproxTemporaryClusters) instead.
-func BenchmarkCoreSApproxDPCS2(b *testing.B) {
+func BenchmarkCoreSApproxDPCS2(b *testing.B) { benchS2(b, SApproxDPC{}) }
+
+func benchS2(b *testing.B, alg Algorithm) {
 	d := data.SSet(2, 20000, 1)
 	p := Params{DCut: d.DCut, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (SApproxDPC{}).ClusterDataset(d.Points, p); err != nil {
+		if _, err := alg.ClusterDataset(d.Points, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,9 +67,7 @@ func (ExDPC) clusterTree(ds *geom.Dataset, p Params) (*Result, *kdtree.Tree, err
 	// Local density: one symmetric self-join over the tree's leaf pairs,
 	// dynamically scheduled over query blocks.
 	start = time.Now()
-	for i, c := range tree.SelfCounts(p.DCut, workers) {
-		res.Rho[i] = float64(c) + jitter(i)
-	}
+	selfJoinRho(tree, p.DCut, res.Rho, workers)
 	res.Timing.Rho = time.Since(start)
 
 	start = time.Now()

@@ -139,6 +139,19 @@ func densityOrder(rho []float64, workers int) []int32 {
 	return src
 }
 
+// selfJoinRho sets every rho[i] to point i's exact local density: its
+// strict d_cut count, itself included, from the tree's symmetric
+// self-join (kdtree.Tree.SelfCounts), plus jitter(i). It returns the
+// counts. Ex-DPC, Approx-DPC and FastDPeak all take their densities from
+// it, so theirs are equal bit for bit by construction (Theorem 4).
+func selfJoinRho(tree *kdtree.Tree, dcut float64, rho []float64, workers int) []int32 {
+	counts := tree.SelfCounts(dcut, workers)
+	for i, c := range counts {
+		rho[i] = float64(c) + jitter(i)
+	}
+	return counts
+}
+
 // densityRank returns densityOrder(rho, workers) and its inverse: rank[i]
 // is point i's position in the order.
 func densityRank(rho []float64, workers int) (order, rank []int32) {

@@ -66,9 +66,7 @@ func (a FastDPeak) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	// self-join (Ex-DPC's density pass), plus the kNN list that the
 	// dependent phase consumes.
 	start = time.Now()
-	for i, c := range tree.SelfCounts(p.DCut, workers) {
-		res.Rho[i] = float64(c) + jitter(i)
-	}
+	selfJoinRho(tree, p.DCut, res.Rho, workers)
 	knnIDs := make([][]int32, n)
 	partition.DynamicWorkers(n, workers, 4, func() func(int) {
 		buf := make([]float64, ds.Dim)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -242,4 +243,41 @@ func sApproxWalkFallback(tree *kdtree.Tree, res *Result, picked, unresolved []in
 		key[picked[k]] = int32(r)
 	}
 	WalkDependents(tree, key, unresolved, res.Delta, res.Dep, workers)
+}
+
+// cellSearch is one worker's buffers for S-Approx-DPC's per-cell range
+// searches.
+type cellSearch struct {
+	row   []float64 // a widened dataset row
+	ids   []int32   // the last search's result
+	cells []int32   // the cells of a result
+}
+
+func newCellSearch(dim int) *cellSearch {
+	return &cellSearch{row: make([]float64, dim)}
+}
+
+// search returns the ids of the tree points strictly within r of q, in
+// a buffer the next search reuses.
+func (s *cellSearch) search(tree *kdtree.Tree, q []float64, r float64) []int32 {
+	s.ids = s.ids[:0]
+	tree.RangeSearch(q, r, func(id int32, _ float64) {
+		s.ids = append(s.ids, id)
+	})
+	return s.ids
+}
+
+// neighborCells returns N(c) for the points ids within d_cut of c's
+// picked point: their cells other than c, ascending and distinct, in a
+// slice of its own. Ascending order makes the first of equally near
+// neighbor cells independent of the tree's visit order.
+func (s *cellSearch) neighborCells(g *grid.Grid, c int32, ids []int32) []int32 {
+	s.cells = s.cells[:0]
+	for _, x := range ids {
+		if xc := g.PointCell[x]; xc != c {
+			s.cells = append(s.cells, xc)
+		}
+	}
+	slices.Sort(s.cells)
+	return slices.Clone(slices.Compact(s.cells))
 }

@@ -10,10 +10,8 @@
 // member points P(c), the maximum-density member p*(c), the minimum member
 // density, and the neighbor-cell id set N(c). The grid itself only manages
 // membership and coordinates; the clustering algorithms fill the rest
-// during their local-density phase, exactly as described in the paper.
-// Where Approx-DPC's joint range search is centered within a cell is the
-// algorithm's choice: it uses the middle of the members' bounding box,
-// not the cell center.
+// after their local-density phase. Approx-DPC sets p*(c) and the minimum;
+// S-Approx-DPC sets N(c).
 //
 // The build is flat: every point's cell coordinates are computed once,
 // cells are found through an open-addressing table of cell ids keyed by
@@ -42,8 +40,9 @@ type Cell struct {
 	Best int32
 	// MinRho is min_{P(c)} rho; meaningless until set by the algorithm.
 	MinRho float64
-	// Neighbors is N(c): ids of cells containing points p with
-	// dist(p*(c), p) < d_cut that are not members of c.
+	// Neighbors is N(c), which S-Approx-DPC fills: ids of the cells
+	// other than c that hold a point within d_cut of c's picked point,
+	// ascending.
 	Neighbors []int32
 }
 

@@ -4,10 +4,11 @@
 // It is the workhorse index of the paper's algorithms. Ex-DPC counts
 // local densities with one self-join over the tree's leaf pairs
 // (SelfCounts), and over the same tree runs one rank-pruned
-// nearest-neighbor walk per point (NNLowerKey) for dependent points;
-// Approx-DPC issues one joint range search per grid cell, and the exact
-// dependent-point fallbacks of the approximations walk the same
-// whole-dataset tree with NNLowerKey.
+// nearest-neighbor walk per point (NNLowerKey) for dependent points.
+// Approx-DPC takes Ex-DPC's densities and issues one range search per
+// grid cell for its neighbor-cell rule, and the exact dependent-point
+// fallbacks of the approximations walk the same whole-dataset tree with
+// NNLowerKey.
 //
 // The paper counts densities with one circular range count per point,
 // which measures every close pair twice, once from each end. SelfCounts
